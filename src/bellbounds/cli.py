@@ -42,27 +42,35 @@ def _num(x) -> str:
 
 
 def parse_scalar(tok: str) -> float:
-    """Numeric literal with optional 'pi' factor and '/' division."""
+    """Finite numeric literal with optional 'pi' factor and '/' division.
+
+    Division is left-associative: '1/2/3' is (1/2)/3.
+    """
     tok = tok.strip().replace(" ", "")
     if not tok:
         raise InputError("empty numeric token")
     if "/" in tok:
-        num, den = tok.split("/", 1)
+        num, den = tok.rsplit("/", 1)
         d = parse_scalar(den)
         if d == 0:
             raise InputError("division by zero in numeric token")
-        return parse_scalar(num) / d
-    if tok.endswith("pi"):
+        value = parse_scalar(num) / d
+    elif tok.endswith("pi"):
         head = tok[: -2]
         if head in ("", "+"):
-            return math.pi
-        if head == "-":
-            return -math.pi
-        return parse_scalar(head) * math.pi
-    try:
-        return float(tok)
-    except ValueError as exc:
-        raise InputError(f"bad numeric token {tok!r}") from exc
+            value = math.pi
+        elif head == "-":
+            value = -math.pi
+        else:
+            value = parse_scalar(head) * math.pi
+    else:
+        try:
+            value = float(tok)
+        except ValueError as exc:
+            raise InputError(f"bad numeric token {tok!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"numeric token {tok!r} is not finite")
+    return value
 
 
 def parse_affine(expr: str) -> tuple[float, float]:
@@ -218,7 +226,8 @@ def _cmd_bound(args) -> int:
     print(f"operator norm     {_num(qb.norm)}")
     print(f"degenerate max    {'yes' if qb.degenerate else 'no'}")
     amps = " ".join(
-        f"({_num(z.real)}{z.imag:+.12g}j)" for z in state.amplitudes
+        # a zero's sign is eigensolver noise; + 0.0 prints -0.0 as +0j
+        f"({_num(z.real)}{z.imag + 0.0:+.12g}j)" for z in state.amplitudes
     )
     print(f"argmax state      {amps}")
     print(f"entanglement      {_num(entanglement(state))}")
@@ -240,6 +249,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.samples < 0:
+        raise InputError(f"--samples must be >= 0, got {args.samples}")
     structure = EventStructure.from_json(_load_json(args.structure))
     ineq = Inequality.from_json(_load_json(args.ineq))
     schedule = parse_schedule(args.schedule)

@@ -1,10 +1,11 @@
 """Spectra of Bell operators and the closed-form eigenvalue cross-checks.
 
-The numeric route is the cyclic Jacobi solver from :mod:`bellbounds.kernels`;
-the independent routes are the radical form for the two-setting operator and
-the trigonometric (Cardano) form for the 3x3 block of the three-setting
-operator.  The operator norm of a self-adjoint operator is its largest
-absolute eigenvalue, which is what bounds quantum violations.
+The numeric route is the LAPACK Hermitian eigensolver behind
+:func:`bellbounds.kernels.eigh`; the independent routes are the radical form
+for the two-setting operator and the trigonometric (Cardano) form for the 3x3
+block of the three-setting operator.  The operator norm of a self-adjoint
+operator is its largest absolute eigenvalue, which is what bounds quantum
+violations.
 """
 
 from __future__ import annotations
@@ -114,6 +115,8 @@ def eigen(H: np.ndarray) -> Spectrum:
         raise InputError("eigen expects a square matrix")
     if H.shape[0] > MAX_EIG_DIM:
         raise BudgetError(f"dimension {H.shape[0]} above limit {MAX_EIG_DIM}")
+    if not np.all(np.isfinite(H)):
+        raise NumericError("matrix has non-finite entries")
     scale = max(1.0, float(np.linalg.norm(H)))
     if float(np.max(np.abs(H - H.conj().T))) > 1e-12 * scale:
         raise InputError("matrix is not Hermitian")

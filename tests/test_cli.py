@@ -37,13 +37,15 @@ class TestParseScalar:
             ("pi/4", math.pi / 4),
             ("3pi/4", 3 * math.pi / 4),
             ("1/8", 0.125),
+            ("1/2/3", 1 / 6),
+            ("pi/2/2", math.pi / 4),
         ],
     )
     def test_values(self, tok, val):
         assert parse_scalar(tok) == pytest.approx(val, abs=1e-15)
 
     def test_rejects_garbage(self):
-        for bad in ("", "x", "pi/0", "1..2"):
+        for bad in ("", "x", "pi/0", "1..2", "nan", "inf", "-inf", "1e400", "1e308pi"):
             with pytest.raises(InputError):
                 parse_scalar(bad)
 
@@ -192,6 +194,14 @@ class TestOperatorAndSpectrum:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+    def test_non_finite_angle_exit_code(self, ch_files, bad):
+        s, i = ch_files
+        rc = main(
+            ["bound", "--structure", s, "--ineq", i, "--angles", f"1={bad},2=pi/2,3=pi/4,4=3pi/4"]
+        )
+        assert rc == 2
+
 
 class TestBoundCommand:
     def test_two_setting_peak(self, ch_files, capsys):
@@ -215,6 +225,24 @@ class TestBoundCommand:
             next(ln for ln in out.splitlines() if ln.startswith("entanglement")).split()[1]
         )
         assert ent == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_zero_imaginary_parts_print_unsigned(self, ch_files, capsys):
+        # LAPACK returns -0.0 imaginary parts in this argmax state
+        s, i = ch_files
+        rc = main(
+            [
+                "bound",
+                "--structure", s,
+                "--ineq", i,
+                "--angles", "1=0,2=pi/3,3=pi/6,4=pi/2",
+            ]
+        )
+        assert rc == 0
+        state = next(
+            ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("argmax state")
+        )
+        assert state.count("+0j") == 4
 
 
 class TestSweepCommand:
@@ -287,6 +315,60 @@ class TestSweepCommand:
             ]
         )
         assert rc == 2
+
+    def test_negative_samples_exit_code(self, ch_files, tmp_path):
+        rc, out = self.run_sweep(ch_files, tmp_path, extra=["--samples", "-5"])
+        assert rc == 2
+        assert not out.exists()
+
+
+class TestReadmeSweepDigests:
+    """The README's two sweep commands reproduce their pinned CSVs byte for byte.
+
+    Digests recorded with the LAPACK eigensolver (numpy.linalg.eigh); a change
+    that batches or reorders the sweep must keep them.
+    """
+
+    @pytest.mark.parametrize(
+        "layout,args,digest",
+        [
+            (
+                "ch",
+                ["--schedule", "1=0,2=2t,3=t,4=3t", "--samples", "3000", "--seed", "7"],
+                "62f96d93905399ec4d3ced8078b652559e26c6b6e3c2c41f9ee765eef160b44f",
+            ),
+            (
+                "i33",
+                ["--schedule", "1=0,2=t,3=2t,4=0,5=t,6=2t", "--eigencurves"],
+                "5e1e1c870b8e4662bd1ac672f657410cad1d9729a6a370ea124cf083c76d7ae4",
+            ),
+        ],
+        ids=["ch-sweep", "i33-eigencurves"],
+    )
+    def test_digest(self, tmp_path, layout, args, digest):
+        import hashlib
+
+        structure, ineq = {
+            "ch": (catalog.ch_structure(), catalog.ch_inequality()),
+            "i33": (catalog.i33_structure(), catalog.i33_inequality()),
+        }[layout]
+        s = tmp_path / "structure.json"
+        s.write_text(json.dumps(structure.to_json()))
+        i = tmp_path / "ineq.json"
+        i.write_text(json.dumps(ineq.to_json()))
+        out = tmp_path / "out.csv"
+        rc = main(
+            [
+                "sweep",
+                "--structure", str(s),
+                "--ineq", str(i),
+                "--grid", "0:pi:101",
+                "--out", str(out),
+                *args,
+            ]
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestStateCommand:

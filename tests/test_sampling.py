@@ -238,7 +238,7 @@ class TestEigencurves:
         )
         assert np.allclose(sorted(lams), np.linalg.eigvalsh(O.matrix), atol=1e-10)
 
-    def test_two_setting_sorted_fallback(self):
+    def test_two_setting_sorted_spectrum(self):
         curves = eigencurves(
             catalog.ch_inequality(),
             catalog.ch_structure(),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellbounds import catalog
-from bellbounds.errors import BudgetError, InputError
+from bellbounds.errors import BudgetError, InputError, NumericError
 from bellbounds.qops import (
     BellOperator,
     bell_operator,
@@ -94,6 +94,16 @@ class TestEigen:
     def test_dimension_budget(self):
         with pytest.raises(BudgetError):
             eigen(np.eye(17))
+
+    @pytest.mark.parametrize(
+        "H",
+        [np.full((4, 4), np.nan), np.diag([np.nan, 1.0, 1.0, 1.0]), np.diag([1.0, 1.0, 1.0, np.inf])],
+        ids=["all-nan", "one-nan", "one-inf"],
+    )
+    def test_rejects_non_finite(self, H):
+        # LAPACK returns a NaN spectrum without an error for the diagonal cases
+        with pytest.raises(NumericError):
+            eigen(H)
 
     def test_degeneracy_flag(self):
         assert eigen(np.eye(4)).degenerate
