@@ -24,6 +24,7 @@ from .qops import (
     BellOperator,
     DensityMatrix,
     bell_operator,
+    bell_operators,
     chsh_operator,
     expectation,
     joint,
@@ -50,6 +51,7 @@ from .spectra import (
     o22_closed_form,
     o33_block_decompose,
     quantum_bound,
+    stacked_eigenvalues,
 )
 from .states import (
     PureState,

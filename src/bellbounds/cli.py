@@ -30,7 +30,13 @@ from .polytope import (
     verify_facet,
 )
 from .qops import BellOperator, bell_operator, to_bell_basis
-from .sampling import eigencurves, sweep, write_eigencurves_csv, write_sweep_csv
+from .sampling import (
+    MAX_GRID_POINTS,
+    eigencurves,
+    sweep,
+    write_eigencurves_csv,
+    write_sweep_csv,
+)
 from .spectra import eigen, quantum_bound
 from .states import PureState, entanglement, schmidt
 
@@ -150,6 +156,8 @@ def parse_grid(spec: str) -> list[float]:
         raise InputError(f"bad grid count {parts[2]!r}") from exc
     if n < 1:
         raise InputError("grid needs at least one point")
+    if n > MAX_GRID_POINTS:
+        raise BudgetError(f"{n} grid points above limit {MAX_GRID_POINTS}")
     return [float(x) for x in np.linspace(lo, hi, n)]
 
 

@@ -1,9 +1,21 @@
 """Numeric kernels: Hermitian eigensolver and batch state sampling.
 
     eigh(H)                     -> (eigenvalues ascending, eigenvector columns)
+                                   of one matrix or of each in a stack
     batch_expectations(p, op)   -> per-row Tr[W' op]
     assemble_root_matrices(p)   -> Hermitian square roots B per row
     BACKEND                     -> "numpy" (LAPACK through numpy.linalg)
+
+A parameter row p holds the 16 real coordinates of a Hermitian 4x4 matrix
+B = sum_k p_k E_k, where E_k = assemble_root_matrices(I_16)[k].  The sampled
+state W' = B^2 / Tr[B^2] makes Tr[W' op] a ratio of two quadratic forms in p:
+
+    Tr[B^2 op] = p^T Q p      Q_kl = Re Tr[E_k E_l op], symmetrised
+    Tr[B^2]    = sum_k w_k p_k^2      w_k = Tr[E_k^2]: 1 on the diagonal
+                                      parameters, 2 on the off-diagonal ones
+
+Q is built once per operator, so a batch of rows costs one (n, 16) x (16, 16)
+matrix product and never forms B or B^2.
 """
 
 from __future__ import annotations
@@ -16,7 +28,8 @@ BACKEND = "numpy"
 
 
 def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectral decomposition of a Hermitian matrix.
+    """Full spectral decomposition of a Hermitian matrix, or of each matrix
+    in a stack of them (leading axes).
 
     Returns eigenvalues sorted ascending and the matching eigenvector columns.
     """
@@ -45,10 +58,16 @@ def assemble_root_matrices(params: np.ndarray) -> np.ndarray:
     return B
 
 
+_BASIS = assemble_root_matrices(np.eye(16))
+# Tr[E_k E_l op] = sum_ac (E_k E_l)_ac op_ca: the 256 products E_k E_l, flattened
+_PAIR_PRODUCTS = np.einsum("kab,lbc->klac", _BASIS, _BASIS).reshape(256, 16)
+_WEIGHTS = np.einsum("kab,kba->k", _BASIS, _BASIS).real
+
+
 def batch_expectations(params: np.ndarray, op: np.ndarray) -> np.ndarray:
     """Tr[W' op] for the density matrices W' = B^2 / Tr[B^2] per parameter row."""
-    B = assemble_root_matrices(params)
-    W = B @ B
-    tr = np.einsum("nii->n", W).real
-    vals = np.einsum("nij,ji->n", W, np.asarray(op, dtype=np.complex128)).real
-    return vals / tr
+    p = np.asarray(params, dtype=np.float64)
+    op = np.asarray(op, dtype=np.complex128)
+    T = (_PAIR_PRODUCTS @ op.T.reshape(16)).real.reshape(16, 16)
+    Q = (T + T.T) / 2.0
+    return np.einsum("nk,nk->n", p @ Q, p) / ((p * p) @ _WEIGHTS)

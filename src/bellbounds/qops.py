@@ -44,8 +44,9 @@ def canonical_angle(theta: float) -> float:
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2, matrix by matrix over any leading axes."""
     M = np.asarray(M, dtype=np.complex128)
-    return (M + M.conj().T) / 2.0
+    return (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
 
 
 def sigma(theta: float) -> np.ndarray:
@@ -154,34 +155,75 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def bell_operator(
-    ineq: Inequality, angles: dict[int, float], structure: EventStructure
-) -> BellOperator:
-    """Substitute projectors for the classical probabilities of ``ineq``.
+def _sigma_stack(theta: np.ndarray) -> np.ndarray:
+    """(G, 2, 2) stack of :func:`sigma` over the angles theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    out = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c, s, s, -c
+    return out
 
-    Every single term becomes a one-sided measurement, every joint term a
-    product measurement, weighted by the inequality coefficients.
+
+def _kron_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker product of two (G, 2, 2) stacks matrix by matrix: (G, 4, 4)."""
+    return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1, 4, 4)
+
+
+_EYE2 = np.eye(2)[None]
+
+
+def bell_operators(
+    ineq: Inequality, angles: dict[int, np.ndarray], structure: EventStructure
+) -> np.ndarray:
+    """Bell operators of ``ineq`` over a grid of settings, as a (G, 4, 4) stack.
+
+    ``angles`` maps each event to its G angles.  Every single term becomes a
+    one-sided measurement, every joint term a product measurement, weighted
+    by the inequality coefficients.  Each step repeats on the whole stack the
+    elementwise operations of :func:`projector`, :func:`single_site` and
+    :func:`joint`, and terms are summed in coefficient order, so every matrix
+    is bit for bit the sum of those per-point operators.
     """
     if len(structure.sides) != 2:
         raise InputError("Bell operators require a bipartite side partition")
     ineq.check_keys(structure)
     side_of = structure.side_of_event()
-    O = np.zeros((4, 4), dtype=np.complex128)
+    unknown = sorted(set(angles) - set(side_of))
+    if unknown:
+        raise InputError(f"angles given for events {unknown} the structure does not have")
+    theta = {k: np.asarray(v, dtype=np.float64) for k, v in angles.items()}
+    shapes = {t.shape for t in theta.values()}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise InputError("angles must give every event one angle per grid point")
+    G = shapes.pop()[0] if shapes else 1
+    P = {k: hermitize((_EYE2 + _sigma_stack(t)) / 2.0) for k, t in theta.items()}
+    O = np.zeros((G, 4, 4), dtype=np.complex128)
     for key, coeff in ineq.coeffs.items():
         if isinstance(key, int):
-            if key not in angles:
+            if key not in P:
                 raise InputError(f"no angle given for event {key}")
-            side: Side = "left" if side_of[key] == 0 else "right"
-            O = O + float(coeff) * single_site(angles[key], side)
+            if side_of[key] == 0:
+                term = hermitize(_kron_stack(P[key], _EYE2))
+            else:
+                term = hermitize(_kron_stack(_EYE2, P[key]))
         else:
             i, j = key
-            if i not in angles or j not in angles:
+            if i not in P or j not in P:
                 raise InputError(f"no angle given for joint ({i},{j})")
             if side_of[i] == 1:  # store left event first
                 i, j = j, i
-            O = O + float(coeff) * joint(angles[i], angles[j])
+            term = hermitize(_kron_stack(P[i], P[j]))
+        O = O + float(coeff) * term
+    return hermitize(O)
+
+
+def bell_operator(
+    ineq: Inequality, angles: dict[int, float], structure: EventStructure
+) -> BellOperator:
+    """Substitute projectors for the classical probabilities of ``ineq``: the
+    one-point case of :func:`bell_operators`."""
+    O = bell_operators(ineq, {k: [v] for k, v in angles.items()}, structure)
     return BellOperator(
-        matrix=O, basis=COMPUTATIONAL, source=ineq, angles=dict(angles)
+        matrix=O[0], basis=COMPUTATIONAL, source=ineq, angles=dict(angles)
     )
 
 

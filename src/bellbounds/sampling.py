@@ -6,6 +6,13 @@ semidefinite by construction.  Parameters are drawn from a standard normal
 distribution (the construction itself does not prescribe one) using the
 counter-based Philox generator, keyed by (seed, grid index) so that parallel
 evaluation cannot change results.
+
+A sweep does its grid-wide work as array operations: one (G, 4, 4) operator
+build and one stacked eigensolve give the analytic bounds of all G grid
+points.  The Monte Carlo bounds are then drawn point by point, each from its
+own stream, and evaluated by the quadratic-form kernel
+:func:`bellbounds.kernels.batch_expectations`, which never forms the density
+matrices.  Eigencurves build and split one operator per grid point.
 """
 
 from __future__ import annotations
@@ -19,10 +26,16 @@ from typing import Callable, Iterator, Optional, TextIO
 import numpy as np
 
 from . import kernels
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .polytope import EventStructure, Inequality, classical_range, enumerate_vertices
-from .qops import BellOperator, DensityMatrix, bell_operator, to_bell_basis
-from .spectra import cardano_eigenvalues, eigen, o33_block_decompose, quantum_bound
+from .qops import BellOperator, DensityMatrix, bell_operator, bell_operators, to_bell_basis
+from .spectra import cardano_eigenvalues, eigen, o33_block_decompose, stacked_eigenvalues
+
+#: Budgets on the sizes a sweep's caller controls: grid points, samples per
+#: point, and samples over the whole grid.
+MAX_GRID_POINTS = 100_001
+MAX_SAMPLES = 10**6
+MAX_SWEEP_SAMPLES = 10**9
 
 
 @dataclass
@@ -118,27 +131,43 @@ def sweep(
     n_samples: int,
     seed: int,
 ) -> list[SweepResult]:
-    """Analytic and sampled extreme expectation values per grid point."""
+    """Analytic and sampled extreme expectation values per grid point.
+
+    The whole grid's operators are built as one stack and diagonalized in one
+    stacked eigensolve; the samples of grid point g come from the stream
+    keyed by (seed, g).
+    """
     if not theta_grid:
         raise InputError("empty parameter grid")
+    if len(theta_grid) > MAX_GRID_POINTS:
+        raise BudgetError(f"{len(theta_grid)} grid points above limit {MAX_GRID_POINTS}")
+    if n_samples > MAX_SAMPLES:
+        raise BudgetError(f"{n_samples} samples per point above limit {MAX_SAMPLES}")
+    if len(theta_grid) * n_samples > MAX_SWEEP_SAMPLES:
+        raise BudgetError(
+            f"{len(theta_grid)} grid points x {n_samples} samples above limit {MAX_SWEEP_SAMPLES}"
+        )
     vertices = enumerate_vertices(structure)
     classical = classical_range(ineq, vertices, structure)
+    schedules = [angle_schedule(theta) for theta in theta_grid]
+    events = schedules[0].keys()
+    if any(a.keys() != events for a in schedules):
+        raise InputError("the angle schedule must name the same events at every grid point")
+    ops = bell_operators(ineq, {e: [a[e] for a in schedules] for e in events}, structure)
+    eigenvalues = stacked_eigenvalues(ops)
     results = []
     for g, theta in enumerate(theta_grid):
-        angles = angle_schedule(theta)
-        O = bell_operator(ineq, angles, structure)
-        bound = quantum_bound(O)
         if n_samples > 0:
             params = sample_params(n_samples, seed, g)
-            vals = kernels.batch_expectations(params, O.matrix)
+            vals = kernels.batch_expectations(params, ops[g])
             smin, smax = float(np.min(vals)), float(np.max(vals))
         else:
             smin = smax = None
         results.append(
             SweepResult(
                 parameter=float(theta),
-                analytic_min=bound.lambda_min,
-                analytic_max=bound.lambda_max,
+                analytic_min=float(eigenvalues[g, 0]),
+                analytic_max=float(eigenvalues[g, -1]),
                 sampled_min=smin,
                 sampled_max=smax,
                 classical_bounds=classical,

@@ -131,6 +131,27 @@ def eigen(H: np.ndarray) -> Spectrum:
     )
 
 
+def stacked_eigenvalues(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of every matrix in a (G, n, n) Hermitian stack.
+
+    One stacked eigensolve with :func:`eigen`'s numeric checks applied per
+    matrix: non-finite entries, a solver failure, or a residual
+    max_k ||H v_k - lambda_k v_k|| above RESIDUAL_TOL * max(1, ||H||) raise
+    NumericError.
+    """
+    H = np.asarray(H, dtype=np.complex128)
+    if not np.all(np.isfinite(H)):
+        raise NumericError("matrix stack has non-finite entries")
+    w, V = kernels.eigh(H)
+    residual = np.max(np.linalg.norm(H @ V - V * w[..., None, :], axis=-2), axis=-1)
+    scale = np.maximum(1.0, np.linalg.norm(H, axis=(-2, -1)))
+    bad = np.flatnonzero(~(residual <= RESIDUAL_TOL * scale))  # NaN fails too
+    if bad.size:
+        g = int(bad[0])
+        raise NumericError(f"eigen residual {residual[g]} above tolerance at matrix {g}")
+    return w
+
+
 def quantum_bound(O: BellOperator) -> QuantumBound:
     """Extreme eigenvalues of a Bell operator and the state attaining the max.
 

@@ -202,6 +202,32 @@ class TestOperatorAndSpectrum:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("command", [["bound"], ["operator", "build"]], ids=["bound", "operator"])
+    def test_unknown_event_angle_exit_code(self, ch_files, command):
+        s, i = ch_files
+        rc = main(
+            [*command, "--structure", s, "--ineq", i, "--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4,9=1"]
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--eigencurves"]], ids=["sweep", "eigencurves"])
+    def test_unknown_event_schedule_exit_code(self, ch_files, tmp_path, extra):
+        s, i = ch_files
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "sweep",
+                "--structure", s,
+                "--ineq", i,
+                "--schedule", "1=0,2=2t,3=t,4=3t,9=t",
+                "--grid", "0:pi:5",
+                "--out", str(out),
+                *extra,
+            ]
+        )
+        assert rc == 2
+        assert not out.exists()
+
 
 class TestBoundCommand:
     def test_two_setting_peak(self, ch_files, capsys):
@@ -319,6 +345,20 @@ class TestSweepCommand:
     def test_negative_samples_exit_code(self, ch_files, tmp_path):
         rc, out = self.run_sweep(ch_files, tmp_path, extra=["--samples", "-5"])
         assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid,samples",
+        [("0:pi:100002", "0"), ("0:pi:1", "1000001"), ("0:pi:1001", "999001")],
+        ids=["grid-points", "samples-per-point", "grid-times-samples"],
+    )
+    def test_budget_exit_code(self, ch_files, tmp_path, grid, samples):
+        # each case is one above its limit; the limits are checked before
+        # the grid or any sample array is allocated
+        rc, out = self.run_sweep(
+            ch_files, tmp_path, extra=["--grid", grid, "--samples", samples]
+        )
+        assert rc == 3
         assert not out.exists()
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bellbounds import kernels
 from bellbounds.errors import NumericError
@@ -86,6 +88,32 @@ class TestBatchExpectations:
         vals = kernels.batch_expectations(as_input(rng.normal(size=(500, 16))), as_input(op))
         assert np.all(vals >= w[0] - 1e-10)
         assert np.all(vals <= w[-1] + 1e-10)
+
+
+entry_st = st.floats(-1.0, 1.0, allow_nan=False)
+param_st = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    op_entries=st.lists(entry_st, min_size=32, max_size=32),
+    rows=st.lists(st.lists(param_st, min_size=16, max_size=16), min_size=1, max_size=8),
+)
+def test_sampled_values_within_spectrum(op_entries, rows):
+    M = (np.array(op_entries[:16]) + 1j * np.array(op_entries[16:])).reshape(4, 4)
+    op = M + M.conj().T
+    params = np.array(rows)
+    # all-zero rows give no state; rows whose squares all underflow neither
+    params = params[np.max(np.abs(params), axis=1) > 1e-100]
+    assume(len(params) > 0)
+    w = np.linalg.eigvalsh(op)
+    vals = kernels.batch_expectations(params, op)
+    assert np.all(vals >= w[0] - 1e-12)
+    assert np.all(vals <= w[-1] + 1e-12)
+    B = kernels.assemble_root_matrices(params)
+    W = B @ B
+    direct = np.einsum("nij,ji->n", W, op).real / np.einsum("nii->n", W).real
+    assert np.max(np.abs(vals - direct)) <= 1e-12
 
 
 class TestRootMatrices:

@@ -14,9 +14,11 @@ from bellbounds.qops import (
     BellOperator,
     DensityMatrix,
     bell_operator,
+    bell_operators,
     canonical_angle,
     chsh_operator,
     expectation,
+    hermitize,
     joint,
     projector,
     sigma,
@@ -169,6 +171,55 @@ class TestBellOperator:
         a = bell_operator(Inequality({(1, 3): 1}), angles, ch).matrix
         b = bell_operator(Inequality({(3, 1): 1}), angles, ch).matrix
         assert np.allclose(a, b)
+
+
+def per_point_operator(ineq, angles, structure):
+    """Reference: the coefficient-weighted sum of single_site and joint."""
+    side_of = structure.side_of_event()
+    O = np.zeros((4, 4), dtype=np.complex128)
+    for key, coeff in ineq.coeffs.items():
+        if isinstance(key, int):
+            side = "left" if side_of[key] == 0 else "right"
+            O = O + float(coeff) * single_site(angles[key], side)
+        else:
+            i, j = key if side_of[key[0]] == 0 else key[::-1]
+            O = O + float(coeff) * joint(angles[i], angles[j])
+    return hermitize(O)
+
+
+class TestBellOperatorStack:
+    @pytest.mark.parametrize(
+        "layout,slopes",
+        [
+            ("ch", {1: 0, 2: 2, 3: 1, 4: 3}),
+            ("i33", {1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2}),
+        ],
+        ids=["ch-readme", "i33"],
+    )
+    def test_matches_per_point_sums_bytewise(self, layout, slopes):
+        structure, ineq = {
+            "ch": (catalog.ch_structure(), catalog.ch_inequality()),
+            "i33": (catalog.i33_structure(), catalog.i33_inequality()),
+        }[layout]
+        grid = np.linspace(0.0, math.pi, 101)
+        angles = {e: float(m) * grid for e, m in slopes.items()}
+        ops = bell_operators(ineq, angles, structure)
+        assert ops.shape == (101, 4, 4)
+        for g in range(101):
+            point = {e: float(a[g]) for e, a in angles.items()}
+            ref = per_point_operator(ineq, point, structure).tobytes()
+            assert ops[g].tobytes() == ref
+            assert bell_operator(ineq, point, structure).matrix.tobytes() == ref
+
+    def test_unknown_event(self):
+        angles = {1: 0.0, 2: 0.5, 3: 1.0, 4: 1.5, 9: 1.0}
+        with pytest.raises(InputError):
+            bell_operators(catalog.ch_inequality(), angles, catalog.ch_structure())
+
+    def test_unequal_grid_lengths(self):
+        angles = {1: [0.0, 0.1], 2: [0.5], 3: [1.0, 1.1], 4: [1.5, 1.6]}
+        with pytest.raises(InputError):
+            bell_operators(catalog.ch_inequality(), angles, catalog.ch_structure())
 
 
 class TestChshOperator:

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bellbounds import catalog
-from bellbounds.errors import InputError
+from bellbounds import catalog, kernels
+from bellbounds.errors import InputError, NumericError
 from bellbounds.qops import bell_operator, chsh_operator
 from bellbounds.sampling import (
     DensityParams,
@@ -175,6 +175,45 @@ class TestSweep:
         assert abs(peak - 0.25) < 1e-12
         best = max(results, key=lambda r: r.analytic_max)
         assert abs(best.parameter - math.pi / 3) < 1e-12
+
+
+    @pytest.mark.parametrize(
+        "layout,schedule",
+        [
+            ("ch", lambda t: {1: 0.0, 2: 2.0 * t, 3: t, 4: 3.0 * t}),
+            ("i33", catalog.symmetric_angles_33),
+        ],
+        ids=["ch", "i33"],
+    )
+    def test_analytic_columns_match_quantum_bound(self, layout, schedule):
+        structure, ineq = {
+            "ch": (catalog.ch_structure(), catalog.ch_inequality()),
+            "i33": (catalog.i33_structure(), catalog.i33_inequality()),
+        }[layout]
+        grid = list(np.linspace(0.0, math.pi, 101))
+        results = sweep(ineq, structure, schedule, grid, n_samples=0, seed=0)
+        for r, theta in zip(results, grid):
+            qb = quantum_bound(bell_operator(ineq, schedule(theta), structure))
+            assert r.analytic_min == qb.lambda_min
+            assert r.analytic_max == qb.lambda_max
+
+    def test_bad_eigensolve_is_numeric_error(self, monkeypatch):
+        good = kernels.eigh
+
+        def perturbed(H):
+            w, V = good(H)
+            return w, V + 1e-3
+
+        monkeypatch.setattr(kernels, "eigh", perturbed)
+        with pytest.raises(NumericError):
+            sweep(
+                catalog.ch_inequality(),
+                catalog.ch_structure(),
+                lambda t: {1: 0.0, 2: 2.0 * t, 3: t, 4: 3.0 * t},
+                [0.0, 0.5, 1.0],
+                n_samples=0,
+                seed=0,
+            )
 
 
 class TestPureStatePolish:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellbounds import catalog
+from bellbounds import catalog, kernels
 from bellbounds.errors import BudgetError, InputError, NumericError
 from bellbounds.qops import (
     BellOperator,
@@ -19,6 +19,7 @@ from bellbounds.spectra import (
     o22_closed_form,
     o33_block_decompose,
     quantum_bound,
+    stacked_eigenvalues,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -116,6 +117,43 @@ class TestEigen:
         b = eigen(H.copy())
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+class TestStackedEigenvalues:
+    def test_matches_per_matrix_eigen(self):
+        rng = np.random.default_rng(14)
+        H = np.stack([rand_hermitian(rng, 4) for _ in range(50)])
+        w = stacked_eigenvalues(H)
+        for k in range(50):
+            assert w[k].tobytes() == eigen(H[k]).eigenvalues.tobytes()
+
+    def test_rejects_non_finite(self):
+        H = np.stack([np.eye(4), np.diag([1.0, np.nan, 1.0, 1.0])])
+        with pytest.raises(NumericError):
+            stacked_eigenvalues(H)
+
+    def test_solver_failure(self, monkeypatch):
+        def fail(H):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError):
+            stacked_eigenvalues(np.stack([np.eye(4)] * 3))
+
+    def test_bad_residual_in_one_matrix(self, monkeypatch):
+        good = kernels.eigh
+
+        def perturbed(H):
+            w, V = good(H)
+            V = V.copy()
+            V[2, 0, 0] += 1e-6  # one column of one matrix
+            return w, V
+
+        monkeypatch.setattr(kernels, "eigh", perturbed)
+        rng = np.random.default_rng(15)
+        H = np.stack([rand_hermitian(rng, 4) for _ in range(4)])
+        with pytest.raises(NumericError, match="matrix 2"):
+            stacked_eigenvalues(H)
 
 
 class TestQuantumBound:
