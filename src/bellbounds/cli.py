@@ -167,7 +167,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -259,6 +259,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.samples < 0:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     structure = EventStructure.from_json(_load_json(args.structure))
     ineq = Inequality.from_json(_load_json(args.ineq))
     schedule = parse_schedule(args.schedule)

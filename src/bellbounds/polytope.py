@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -37,7 +38,7 @@ class EventStructure:
         if self.n_single < 1:
             raise InputError("need at least one single event")
         seen = [i for side in self.sides for i in side]
-        if sorted(seen) != list(range(1, self.n_single + 1)):
+        if len(seen) != self.n_single or sorted(seen) != list(range(1, len(seen) + 1)):
             raise InputError("sides must partition events 1..n_single")
         side_of = self.side_of_event()
         if len(set(self.joints)) != len(self.joints):
@@ -74,14 +75,8 @@ class EventStructure:
                 sides=tuple(tuple(int(i) for i in s) for s in obj["sides"]),
                 joints=tuple((int(i), int(j)) for i, j in obj["joints"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad structure JSON: {exc}") from exc
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 @dataclass
@@ -98,12 +93,12 @@ class Inequality:
 
     def __post_init__(self):
         self.coeffs = {
-            self._norm_key(k): _to_fraction(v) for k, v in self.coeffs.items() if v
+            self._norm_key(k): Fraction(v) for k, v in self.coeffs.items() if v
         }
         if not self.coeffs:
             raise InputError("inequality needs at least one nonzero coefficient")
-        self.lower = None if self.lower is None else _to_fraction(self.lower)
-        self.upper = None if self.upper is None else _to_fraction(self.upper)
+        self.lower = None if self.lower is None else Fraction(self.lower)
+        self.upper = None if self.upper is None else Fraction(self.upper)
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise InputError("lower bound exceeds upper bound")
 
@@ -121,13 +116,7 @@ class Inequality:
                 raise InputError(f"term key {k!r} not present in structure")
 
     def evaluate(self, vertex: Vertex, structure: EventStructure) -> Fraction:
-        order = structure.term_order()
-        if len(vertex) != len(order):
-            raise InputError("vertex dimension does not match structure")
-        pos = {k: i for i, k in enumerate(order)}
-        return sum(
-            (c * vertex[pos[k]] for k, c in self.coeffs.items()), Fraction(0)
-        )
+        return classical_range(self, [vertex], structure)[0]
 
     def to_json(self) -> dict:
         def key_str(k):
@@ -154,15 +143,15 @@ class Inequality:
                     key: TermKey = (int(i), int(j))
                 else:
                     key = int(ks)
-                coeffs[key] = _to_fraction(v)
+                coeffs[key] = Fraction(v)
             lower = obj.get("lower")
             upper = obj.get("upper")
             return cls(
                 coeffs,
-                None if lower is None else _to_fraction(lower),
-                None if upper is None else _to_fraction(upper),
+                None if lower is None else Fraction(lower),
+                None if upper is None else Fraction(upper),
             )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad inequality JSON: {exc}") from exc
 
     def canonical_key(self, structure: EventStructure):
@@ -171,21 +160,35 @@ class Inequality:
         Integer coefficients with gcd 1, first nonzero coefficient positive
         (flipping the bounds when the sign is switched).
         """
-        order = structure.term_order()
-        den = math.lcm(*(self.coeffs.get(k, Fraction(0)).denominator for k in order))
-        vec = [int(self.coeffs.get(k, Fraction(0)) * den) for k in order]
-        lo = None if self.lower is None else self.lower * den
-        up = None if self.upper is None else self.upper * den
+        vec, lo, up, _ = _integer_form(self, structure)
         g = math.gcd(*vec)
-        if g > 1:
-            vec = [v // g for v in vec]
-            lo = None if lo is None else lo / g
-            up = None if up is None else up / g
+        vec = [v // g for v in vec]
+        lo = None if lo is None else Fraction(lo, g)
+        up = None if up is None else Fraction(up, g)
         first = next(v for v in vec if v)
         if first < 0:
             vec = [-v for v in vec]
             lo, up = (None if up is None else -up), (None if lo is None else -lo)
         return (tuple(vec), lo, up)
+
+
+def _integer_form(ineq: Inequality, structure: EventStructure):
+    """``ineq`` as integers over one positive common denominator ``den``.
+
+    Returns ``(vec, lo, up, den)`` with ``vec`` the coefficients in
+    ``structure.term_order()`` times ``den``, and ``lo``/``up`` the bounds
+    times ``den`` (``None`` where unbounded); ``den`` is the lcm of the
+    denominators of all coefficients and bounds.
+    """
+    ineq.check_keys(structure)
+    coeffs = [ineq.coeffs.get(k, Fraction(0)) for k in structure.term_order()]
+    bounds = [b for b in (ineq.lower, ineq.upper) if b is not None]
+    den = math.lcm(*(c.denominator for c in coeffs + bounds))
+
+    def scale(x):
+        return None if x is None else x.numerator * (den // x.denominator)
+
+    return [scale(c) for c in coeffs], scale(ineq.lower), scale(ineq.upper), den
 
 
 @dataclass
@@ -218,19 +221,37 @@ def enumerate_vertices(structure: EventStructure) -> list[Vertex]:
     return verts
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> list[tuple[int, list[Fraction]]]:
-    """Gaussian elimination; returns (pivot column, reduced row) pairs."""
-    basis: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
+def _reduce(rows: list[Vertex], limit: int, width: Optional[int] = None):
+    """Fraction-free Gauss-Jordan elimination over the integers.
+
+    Rows are taken greedily in order.  Each is cleared against the rows kept
+    so far by cross-multiplying, ``v <- b[p]*v - v[p]*b`` for the kept row
+    ``b`` with pivot column ``p``, and divided by the gcd of its entries.  A
+    row with a nonzero entry left among its first ``width`` columns (all
+    columns by default) is kept with the first such entry as pivot, and its
+    pivot column is cleared from the rows kept before it.  Stops after
+    ``limit`` kept rows.  Returns ``(row index, pivot column, reduced row)``
+    for each kept row.
+    """
+    def clear(v, b, p):
+        r = [b[p] * x - v[p] * y for x, y in zip(v, b)]
+        g = math.gcd(*r)
+        return [x // g for x in r] if g > 1 else r
+
+    kept: list[tuple[int, int, list[int]]] = []
+    for k, row in enumerate(rows):
         v = list(row)
-        for piv, bv in basis:
-            if v[piv]:
-                f = v[piv] / bv[piv]
-                v = [a - f * c for a, c in zip(v, bv)]
-        p = next((i for i, a in enumerate(v) if a), None)
-        if p is not None:
-            basis.append((p, v))
-    return basis
+        for _, p, b in kept:
+            if v[p]:
+                v = clear(v, b, p)
+        p = next((i for i, x in enumerate(v[:width]) if x), None)
+        if p is None:
+            continue
+        kept = [(i, q, clear(b, v, p) if b[p] else b) for i, q, b in kept]
+        kept.append((k, p, v))
+        if len(kept) == limit:
+            break
+    return kept
 
 
 def affine_rank(points: Iterable[Vertex]) -> int:
@@ -239,52 +260,8 @@ def affine_rank(points: Iterable[Vertex]) -> int:
     if not pts:
         return -1
     p0 = pts[0]
-    rows = [[Fraction(a - b) for a, b in zip(p, p0)] for p in pts[1:]]
-    return len(_row_reduce(rows))
-
-
-def _initial_basis(rows: list[Vertex], dim: int) -> Optional[list[int]]:
-    basis: list[tuple[int, list[Fraction]]] = []
-    idx: list[int] = []
-    for k, m in enumerate(rows):
-        v = [Fraction(x) for x in m]
-        for piv, bv in basis:
-            if v[piv]:
-                f = v[piv] / bv[piv]
-                v = [a - f * c for a, c in zip(v, bv)]
-        p = next((i for i, a in enumerate(v) if a), None)
-        if p is not None:
-            basis.append((p, v))
-            idx.append(k)
-            if len(idx) == dim:
-                return idx
-    return None
-
-
-def _invert_columns(mat: list[Vertex]) -> list[tuple[int, ...]]:
-    """Columns of the inverse, scaled to coprime integers."""
-    dim = len(mat)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(dim)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(dim):
-        piv = next(r for r in range(col, dim) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(dim):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    cols = []
-    for j in range(dim):
-        col = [aug[i][dim + j] for i in range(dim)]
-        den = math.lcm(*(c.denominator for c in col))
-        ints = [int(c * den) for c in col]
-        g = math.gcd(*ints)
-        cols.append(tuple(x // g for x in ints))
-    return cols
+    rows = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
+    return len(_reduce(rows, len(p0)))
 
 
 def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
@@ -295,13 +272,22 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     """
     dim = len(vertices[0]) + 1
     rows: list[Vertex] = [(1,) + v for v in vertices]
-    idx = _initial_basis(rows, dim)
-    if idx is None:
+    idx = [k for k, _, _ in _reduce(rows, dim)]
+    if len(idx) < dim:
         raise InputError(
             "vertex set is not full-dimensional; facet enumeration requires "
             "a full-dimensional polytope"
         )
-    rays = _invert_columns([rows[i] for i in idx])
+    # Reducing [B^T | I] for the basis rows B leaves, in the row with pivot
+    # p, d*e_p | d*(column p of B^-1); its gcd is 1 since B is integral.
+    aug = [
+        col + tuple(int(i == j) for j in range(dim))
+        for i, col in enumerate(zip(*(rows[k] for k in idx)))
+    ]
+    rays = [
+        tuple(x if r[p] > 0 else -x for x in r[dim:])
+        for _, p, r in sorted(_reduce(aug, dim, dim), key=lambda t: t[1])
+    ]
     order = idx + [k for k in range(len(rows)) if k not in set(idx)]
     full = (1 << dim) - 1
     masks = [full & ~(1 << j) for j in range(dim)]
@@ -392,13 +378,20 @@ def hull_facets(
     return facets
 
 
+def _values(vec: list[int], vertices: list[Vertex]) -> list[int]:
+    """The integer form's values ``vec . v`` at the vertices."""
+    if any(len(v) != len(vec) for v in vertices):
+        raise InputError("vertex dimension does not match structure")
+    return [sum(map(operator.mul, vec, v)) for v in vertices]
+
+
 def classical_range(
     ineq: Inequality, vertices: list[Vertex], structure: EventStructure
 ) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of the linear form over the polytope's vertices."""
-    ineq.check_keys(structure)
-    values = [ineq.evaluate(v, structure) for v in vertices]
-    return min(values), max(values)
+    vec, _, _, den = _integer_form(ineq, structure)
+    values = _values(vec, vertices)
+    return Fraction(min(values), den), Fraction(max(values), den)
 
 
 def verify_facet(
@@ -411,18 +404,16 @@ def verify_facet(
     that the vertices attaining it affinely span a hyperplane of the
     polytope's affine hull.
     """
-    ineq.check_keys(structure)
-    values = [(v, ineq.evaluate(v, structure)) for v in vertices]
+    vec, lo, up, _ = _integer_form(ineq, structure)
+    values = list(zip(vertices, _values(vec, vertices)))
     witness = None
     for v, val in values:
-        if (ineq.lower is not None and val < ineq.lower) or (
-            ineq.upper is not None and val > ineq.upper
-        ):
+        if (lo is not None and val < lo) or (up is not None and val > up):
             witness = v
             break
     dim = affine_rank(vertices)
     tight_sets = []
-    for bound in (ineq.lower, ineq.upper):
+    for bound in (lo, up):
         if bound is not None:
             tight_sets.append([v for v, val in values if val == bound])
     tight_count = sum(len(t) for t in tight_sets)

@@ -129,7 +129,7 @@ class BellOperator:
                 if angles is None
                 else {int(k): float(v) for k, v in angles.items()},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad operator JSON: {exc}") from exc
 
 
@@ -212,7 +212,11 @@ def bell_operators(
             if side_of[i] == 1:  # store left event first
                 i, j = j, i
             term = hermitize(_kron_stack(P[i], P[j]))
-        O = O + float(coeff) * term
+        try:
+            weight = float(coeff)
+        except OverflowError as exc:
+            raise InputError(f"coefficient of {key!r} is too large for a float") from exc
+        O = O + weight * term
     return hermitize(O)
 
 

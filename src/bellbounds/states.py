@@ -26,6 +26,8 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (4,):
             raise InputError("pure state needs exactly 4 amplitudes")
+        if not np.all(np.isfinite(amps)):
+            raise InputError("pure state amplitudes must be finite")
         if abs(float(np.linalg.norm(amps)) - 1.0) > 1e-12:
             raise InputError("pure state amplitudes are not normalized")
         if self.basis not in (COMPUTATIONAL, BELL):
@@ -64,7 +66,7 @@ class PureState:
                 dtype=np.complex128,
             )
             return cls(amps, obj.get("basis", COMPUTATIONAL))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad state JSON: {exc}") from exc
 
 

@@ -136,6 +136,16 @@ class TestPolytopeCommand:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["polytope", "vertices", "--structure", str(tmp_path / "no.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [b'\xff\xfe{"n_single": 2}', b"[" * 100000 + b"]" * 100000],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_unreadable_json_is_input_error(self, tmp_path, data):
+        s = tmp_path / "structure.json"
+        s.write_bytes(data)
+        assert main(["polytope", "vertices", "--structure", str(s)]) == 2
+
     def test_budget_exit_code(self, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(
@@ -148,6 +158,62 @@ class TestPolytopeCommand:
             )
         )
         assert main(["polytope", "vertices", "--structure", str(big)]) == 3
+
+
+class TestNonFiniteJson:
+    """JSON numbers that are not finite, or too large for a float, are exit 2.
+
+    Python's json module reads Infinity and NaN, and turns 1e400 into inf.
+    """
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n_single": Infinity, "sides": [[1], [2]], "joints": [[1, 2]]}',
+            '{"n_single": 1e400, "sides": [[1], [2]], "joints": [[1, 2]]}',
+        ],
+        ids=["infinity", "1e400"],
+    )
+    def test_structure(self, tmp_path, text):
+        s = tmp_path / "structure.json"
+        s.write_text(text)
+        assert main(["polytope", "vertices", "--structure", str(s)]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"coeffs": {"1,3": Infinity, "1": -1}, "lower": null, "upper": 0}',
+            '{"coeffs": {"1,3": 1, "1": -1}, "lower": null, "upper": 1e400}',
+        ],
+        ids=["coefficient-infinity", "bound-1e400"],
+    )
+    def test_inequality(self, ch_files, tmp_path, text):
+        s, _ = ch_files
+        i = tmp_path / "ineq.json"
+        i.write_text(text)
+        assert main(["polytope", "verify", "--structure", s, "--ineq", str(i)]) == 2
+
+    def test_coefficient_too_large_for_float(self, ch_files, tmp_path):
+        # exact in the polytope layer, but no float operator can hold it
+        s, _ = ch_files
+        i = tmp_path / "ineq.json"
+        i.write_text('{"coeffs": {"1,3": 1' + "0" * 400 + ', "1": -1}, "upper": 0}')
+        angles = "1=0,2=pi/2,3=pi/4,4=3pi/4"
+        assert main(["polytope", "verify", "--structure", s, "--ineq", str(i)]) == 0
+        assert main(["bound", "--structure", s, "--ineq", str(i), "--angles", angles]) == 2
+
+    def test_operator_dim(self, tmp_path):
+        op = tmp_path / "op.json"
+        op.write_text('{"dim": 1e400, "basis": "computational", "entries": [[[1, 0]]]}')
+        assert main(["spectrum", "--operator", str(op)]) == 2
+
+    @pytest.mark.parametrize("amp", ["NaN", "1" + "0" * 400], ids=["nan", "400-digit"])
+    def test_state_amplitude(self, tmp_path, amp):
+        psi = tmp_path / "state.json"
+        psi.write_text(
+            f'{{"basis": "computational", "amplitudes": [[{amp}, 0], [1, 0], [0, 0], [0, 0]]}}'
+        )
+        assert main(["state", "analyze", "--state", str(psi)]) == 2
 
 
 class TestOperatorAndSpectrum:
@@ -344,6 +410,11 @@ class TestSweepCommand:
 
     def test_negative_samples_exit_code(self, ch_files, tmp_path):
         rc, out = self.run_sweep(ch_files, tmp_path, extra=["--samples", "-5"])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_negative_seed_exit_code(self, ch_files, tmp_path):
+        rc, out = self.run_sweep(ch_files, tmp_path, extra=["--seed", "-1"])
         assert rc == 2
         assert not out.exists()
 

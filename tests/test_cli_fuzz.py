@@ -1,0 +1,174 @@
+"""Property test: ``cli.main`` on generated argument text and JSON documents.
+
+Whatever the input, a command ends in exit code 0, 2 (invalid input), 3
+(budget) or 4 (numeric failure); argparse's own usage errors count as 2.
+Any other exception escapes ``main`` and fails the test.  Examples are
+derandomized so the suite stays reproducible.
+"""
+
+import contextlib
+import io
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellbounds import catalog
+from bellbounds.cli import main
+
+EXIT_CODES = {0, 2, 3, 4}
+
+SCALARS = [
+    "0", "1", "-1", "0.5", "pi", "-pi", "pi/4", "3pi/4", "2pi", "1/2/3", "-2.5e-3",
+    "nan", "inf", "-inf", "1e400", "1e308pi", "pi/0", "", "x", "1..2", "+", "/",
+]
+EXPRS = [
+    "t", "2t", "-t", "2*t", "0.5t+pi/4", "3t-pi", "pi/4", "0", "", "+", "t+", "*t",
+    "nant", "1e400t", "t/0", "tt", "1e308t+1e308t",
+]
+# Number tokens swapped into JSON documents: non-finite, too large for a
+# float, wrong type.  Python's json reads Infinity and NaN, and 1e400 as inf.
+ODD_NUMBERS = [
+    "Infinity", "-Infinity", "NaN", "1e400", "-1e400", "1.7e308", "-9e307", "0", "-1", "7",
+    "1.5", "1" + "0" * 400, "null", "true", "[]", "{}", '"1/2"',
+]
+# (structure, inequality, valid --angles, valid --schedule)
+LAYOUTS = [
+    (catalog.single_setting_structure(), catalog.trivial_facet(), "1=0,2=pi/4", "1=0,2=t"),
+    (
+        catalog.ch_structure(),
+        catalog.ch_inequality(),
+        "1=0,2=pi/2,3=pi/4,4=3pi/4",
+        "1=0,2=2t,3=t,4=3t",
+    ),
+    (
+        catalog.i33_structure(),
+        catalog.i33_inequality(),
+        "1=0,2=pi/3,3=2pi/3,4=0,5=pi/3,6=2pi/3",
+        "1=0,2=t,3=2t,4=0,5=t,6=2t",
+    ),
+]
+
+scalars = st.one_of(
+    st.sampled_from(SCALARS),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.+-*/epitnaf ", max_size=8),
+)
+indices = st.one_of(st.integers(-1, 9).map(str), st.text(alphabet="0123456789x+-", max_size=3))
+
+
+def assignments(values):
+    """'idx=value,...' text, well formed or not."""
+    return st.one_of(
+        st.lists(st.tuples(indices, values), max_size=7).map(
+            lambda items: ",".join(f"{k}={v}" for k, v in items)
+        ),
+        st.text(alphabet="0123456789=,./-+*pitnax ", max_size=30),
+    )
+
+
+angles = assignments(scalars)
+schedules = assignments(st.one_of(st.sampled_from(EXPRS), scalars))
+grids = st.one_of(
+    st.tuples(scalars, scalars, st.integers(-2, 50).map(str)).map(":".join),
+    st.tuples(st.sampled_from(["0", "-pi"]), st.sampled_from(["pi", "1"]), st.integers(1, 50)).map(
+        lambda g: f"{g[0]}:{g[1]}:{g[2]}"
+    ),
+    st.text(alphabet="0123456789:.-pi", max_size=12),
+)
+
+
+@st.composite
+def odd_json(draw, doc):
+    """``doc`` as JSON text, a quarter of the time with one or two of its
+    integers swapped for odd tokens."""
+    text = json.dumps(doc)
+    spans = [m.span() for m in re.finditer(r"-?\d+", text)]
+    n = draw(st.sampled_from([0] * 6 + [1, 2]))
+    chosen = draw(st.sets(st.sampled_from(spans), min_size=n, max_size=n))
+    for start, end in sorted(chosen, reverse=True):
+        text = text[:start] + draw(st.sampled_from(ODD_NUMBERS)) + text[end:]
+    return text
+
+
+@st.composite
+def cases(draw, column, texts):
+    """(structure JSON, inequality JSON, argument text) for a random layout.
+
+    The inequality is usually the layout's own; the argument text is the
+    layout's valid one from ``LAYOUTS`` column ``column``, or drawn from
+    ``texts``.
+    """
+    k = draw(st.integers(0, len(LAYOUTS) - 1))
+    j = draw(st.one_of(st.just(k), st.integers(0, len(LAYOUTS) - 1)))
+    return (
+        draw(odd_json(LAYOUTS[k][0].to_json())),
+        draw(odd_json(LAYOUTS[j][1].to_json())),
+        draw(st.one_of(st.just(LAYOUTS[k][column]), texts)),
+    )
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    assert rc in EXIT_CODES, (argv, rc, err.getvalue())
+    return rc
+
+
+def write_documents(workdir, case):
+    s, i = workdir / "structure.json", workdir / "ineq.json"
+    s.write_text(case[0])
+    i.write_text(case[1])
+    return ["--structure", str(s), "--ineq", str(i)]
+
+
+FUZZ = settings(max_examples=250, deadline=None, derandomize=True)
+
+
+@FUZZ
+@given(
+    case=cases(2, angles),
+    command=st.sampled_from([["bound"], ["operator", "build"], ["operator", "build", "--bell-basis"]]),
+)
+def test_bound_and_operator(workdir, case, command):
+    run([*command, *write_documents(workdir, case), f"--angles={case[2]}"])
+
+
+@FUZZ
+@given(
+    case=cases(3, schedules),
+    grid=grids,
+    samples=st.integers(-2, 10),
+    seed=st.one_of(st.integers(-3, 3), st.just(2**64), st.just(2**128)),
+    eigencurves=st.booleans(),
+)
+def test_sweep(workdir, case, grid, samples, seed, eigencurves):
+    run(
+        [
+            "sweep",
+            *write_documents(workdir, case),
+            f"--schedule={case[2]}",
+            f"--grid={grid}",
+            "--samples", str(samples),
+            "--seed", str(seed),
+            "--out", str(workdir / "sweep.csv"),
+            *(["--eigencurves"] if eigencurves else []),
+        ]
+    )
+
+
+@FUZZ
+@given(case=cases(2, angles), action=st.sampled_from(["vertices", "verify"]))
+def test_polytope(workdir, case, action):
+    run(["polytope", action, *write_documents(workdir, case)])

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from bellbounds import catalog
+from bellbounds.cli import main
 from bellbounds.errors import BudgetError, InputError
 from bellbounds.polytope import (
     EventStructure,
@@ -43,6 +46,9 @@ class TestEventStructure:
             EventStructure(2, ((1, 2),), ((1, 2),))  # same side
         with pytest.raises(InputError):
             EventStructure(2, ((1,), (3,)), ())
+        # a huge event count is refused without listing 1..n_single
+        with pytest.raises(InputError):
+            EventStructure(10**12, ((1,), (2,)), ())
 
     def test_json_roundtrip(self, ch):
         assert EventStructure.from_json(json.loads(json.dumps(ch.to_json()))) == ch
@@ -137,6 +143,27 @@ class TestHullFacets:
         ]
         assert canon_set(facets, s) == canon_set(expected, s)
 
+    @pytest.mark.parametrize(
+        "structure,seeds",
+        [
+            (catalog.ch_structure(), range(20)),
+            (
+                EventStructure(
+                    5, ((1, 2), (3, 4, 5)), tuple((i, j) for i in (1, 2) for j in (3, 4, 5))
+                ),
+                range(5),
+            ),
+        ],
+        ids=["ch", "2x3"],
+    )
+    def test_vertex_order_invariance(self, structure, seeds):
+        vertices = enumerate_vertices(structure)
+        want = [f.to_json() for f in hull_facets(vertices, structure)]
+        for seed in seeds:
+            shuffled = list(vertices)
+            random.Random(seed).shuffle(shuffled)
+            assert [f.to_json() for f in hull_facets(shuffled, structure)] == want
+
     def test_budget(self, ch):
         with pytest.raises(BudgetError):
             hull_facets([(0,) * 17, tuple([1] + [0] * 16)], ch)
@@ -144,6 +171,36 @@ class TestHullFacets:
     def test_not_full_dimensional(self, single):
         with pytest.raises(InputError):
             hull_facets([(0, 0, 0), (1, 1, 1)], single)
+
+
+class TestI33Hull:
+    """The 684 facets of the three-setting layout (Pitowsky & Svozil 2001)."""
+
+    @pytest.fixture(scope="class")
+    def i33_facets_file(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("i33")
+        s = tmp / "structure.json"
+        s.write_text(json.dumps(catalog.i33_structure().to_json()))
+        out = tmp / "facets.json"
+        assert main(["polytope", "facets", "--structure", str(s), "--out", str(out)]) == 0
+        return out
+
+    def test_facets_output_bytes(self, i33_facets_file):
+        data = i33_facets_file.read_bytes()
+        assert len(data) == 180334
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "315393c30bccec62c21291673811501c799627ce3836ec6bbff53aad8308b4f8"
+        )
+
+    def test_every_facet_passes_oracle(self, i33_facets_file):
+        s = catalog.i33_structure()
+        vertices = enumerate_vertices(s)
+        facets = json.loads(i33_facets_file.read_text())["facets"]
+        assert len(facets) == 684
+        for doc in facets:
+            check = verify_facet(Inequality.from_json(doc), vertices, s)
+            assert check.valid and check.is_facet
 
 
 class TestClassicalRange:
