@@ -14,7 +14,6 @@ from .polytope import (
     EventStructure,
     FacetCheck,
     Inequality,
-    Polytope,
     classical_range,
     enumerate_vertices,
     hull_facets,

@@ -192,13 +192,6 @@ def _integer_form(ineq: Inequality, structure: EventStructure):
 
 
 @dataclass
-class Polytope:
-    structure: EventStructure
-    vertices: list[Vertex]
-    facets: Optional[list[Inequality]] = None
-
-
-@dataclass
 class FacetCheck:
     valid: bool
     tight_count: int

@@ -1,8 +1,15 @@
 """Measurement projectors and Bell operators for bipartite qubit systems.
 
 Measurement directions live in the x-z plane and are given as angles in
-radians.  Every constructor symmetrizes its result, (O + O^dag)/2, so
-Hermiticity is exact by construction.
+radians, so every projector is a real symmetric matrix.  Kronecker products
+and weighted sums of exactly symmetric real matrices are exactly symmetric,
+so the operator build needs no symmetrisation step.  Only the two results
+that floating point leaves slightly off Hermitian are symmetrised,
+(M + M^dag)/2: the Bell-basis similarity transform and a density matrix.
+Matrices that enter from outside (operator files, density matrices, a
+caller's array) are checked, never repaired: non-finite entries or a norm
+beyond the float range are a NumericError, a matrix that is not Hermitian
+to 1e-12 * max(1, ||M||) an InputError.
 """
 
 from __future__ import annotations
@@ -49,6 +56,28 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
 
 
+def _check_hermitian(M: np.ndarray) -> float:
+    """Check that M is finite and Hermitian; return max(1, ||M||_F).
+
+    Non-finite entries, or a norm beyond the float range, raise NumericError;
+    an entry of M - M^dag above 1e-12 * max(1, ||M||_F) raises InputError.
+    The test and the norm are computed on M divided by max(1, its largest
+    real or imaginary component), so entries near the float maximum cannot
+    overflow the norm and pass the test that way.
+    """
+    big = float(np.maximum(np.abs(M.real), np.abs(M.imag)).max())  # NaN if any entry is
+    if not math.isfinite(big):
+        raise NumericError("matrix has non-finite entries")
+    unit = max(1.0, big)
+    A = M / unit
+    norm = math.sqrt(np.vdot(A, A).real)
+    if not math.isfinite(unit * norm):
+        raise NumericError("matrix norm exceeds the float range")
+    if float(np.abs(A - A.conj().T).max()) > 1e-12 * max(1.0 / unit, norm):
+        raise InputError("matrix is not Hermitian")
+    return max(1.0, unit * norm)
+
+
 def sigma(theta: float) -> np.ndarray:
     """Spin observable along the x-z direction theta: eigenvalues -1 and +1."""
     c, s = math.cos(theta), math.sin(theta)
@@ -57,27 +86,30 @@ def sigma(theta: float) -> np.ndarray:
 
 def projector(theta: float) -> np.ndarray:
     """Rank-1 spin-up projector (1 + sigma(theta)) / 2."""
-    return hermitize((np.eye(2) + sigma(theta)) / 2.0)
+    return (np.eye(2) + sigma(theta)) / 2.0
 
 
 def single_site(theta: float, side: Side) -> np.ndarray:
     """Single-particle measurement on the given side, identity on the other."""
     if side == "left":
-        return hermitize(np.kron(projector(theta), np.eye(2)))
+        return np.kron(projector(theta), np.eye(2))
     if side == "right":
-        return hermitize(np.kron(np.eye(2), projector(theta)))
+        return np.kron(np.eye(2), projector(theta))
     raise InputError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def joint(theta_left: float, theta_right: float) -> np.ndarray:
     """Joint spin-up measurement: projector on the left times projector on
     the right."""
-    return hermitize(np.kron(projector(theta_left), projector(theta_right)))
+    return np.kron(projector(theta_left), projector(theta_right))
 
 
 @dataclass
 class BellOperator:
-    """Hermitian operator obtained from an inequality and an angle map."""
+    """Hermitian operator obtained from an inequality and an angle map.
+
+    The matrix is checked, not repaired: see :func:`_check_hermitian`.
+    """
 
     matrix: np.ndarray
     basis: str = COMPUTATIONAL
@@ -85,7 +117,8 @@ class BellOperator:
     angles: Optional[dict[int, float]] = None
 
     def __post_init__(self):
-        self.matrix = hermitize(self.matrix)
+        self.matrix = np.array(self.matrix, dtype=np.complex128)
+        _check_hermitian(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -142,8 +175,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=np.complex128)
-        if np.max(np.abs(M - M.conj().T)) > 1e-12:
-            raise InputError("density matrix is not Hermitian")
+        _check_hermitian(M)
         self.matrix = hermitize(M)
         if abs(np.trace(self.matrix).real - 1.0) > 1e-12:
             raise InputError("density matrix trace differs from 1")
@@ -181,7 +213,8 @@ def bell_operators(
     by the inequality coefficients.  Each step repeats on the whole stack the
     elementwise operations of :func:`projector`, :func:`single_site` and
     :func:`joint`, and terms are summed in coefficient order, so every matrix
-    is bit for bit the sum of those per-point operators.
+    is bit for bit the sum of those per-point operators, and exactly
+    Hermitian.  A sum that overflows the float range raises NumericError.
     """
     if len(structure.sides) != 2:
         raise InputError("Bell operators require a bipartite side partition")
@@ -195,29 +228,32 @@ def bell_operators(
     if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
         raise InputError("angles must give every event one angle per grid point")
     G = shapes.pop()[0] if shapes else 1
-    P = {k: hermitize((_EYE2 + _sigma_stack(t)) / 2.0) for k, t in theta.items()}
+    P = {k: (_EYE2 + _sigma_stack(t)) / 2.0 for k, t in theta.items()}
     O = np.zeros((G, 4, 4), dtype=np.complex128)
     for key, coeff in ineq.coeffs.items():
         if isinstance(key, int):
             if key not in P:
                 raise InputError(f"no angle given for event {key}")
             if side_of[key] == 0:
-                term = hermitize(_kron_stack(P[key], _EYE2))
+                term = _kron_stack(P[key], _EYE2)
             else:
-                term = hermitize(_kron_stack(_EYE2, P[key]))
+                term = _kron_stack(_EYE2, P[key])
         else:
             i, j = key
             if i not in P or j not in P:
                 raise InputError(f"no angle given for joint ({i},{j})")
             if side_of[i] == 1:  # store left event first
                 i, j = j, i
-            term = hermitize(_kron_stack(P[i], P[j]))
+            term = _kron_stack(P[i], P[j])
         try:
             weight = float(coeff)
         except OverflowError as exc:
             raise InputError(f"coefficient of {key!r} is too large for a float") from exc
-        O = O + weight * term
-    return hermitize(O)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            O = O + weight * term
+    if not np.all(np.isfinite(O)):
+        raise NumericError("operator entries overflow the float range")
+    return O
 
 
 def bell_operator(
@@ -270,5 +306,5 @@ def to_bell_basis(O: BellOperator) -> BellOperator:
         raise BasisError("operator is already in the Bell basis")
     if O.dim != 4:
         raise InputError("Bell-basis conversion is defined for dim 4")
-    M = BELL_BASIS.conj().T @ O.matrix @ BELL_BASIS
+    M = hermitize(BELL_BASIS.conj().T @ O.matrix @ BELL_BASIS)
     return BellOperator(matrix=M, basis=BELL, source=O.source, angles=O.angles)

@@ -12,7 +12,9 @@ build and one stacked eigensolve give the analytic bounds of all G grid
 points.  The Monte Carlo bounds are then drawn point by point, each from its
 own stream, and evaluated by the quadratic-form kernel
 :func:`bellbounds.kernels.batch_expectations`, which never forms the density
-matrices.  Eigencurves build and split one operator per grid point.
+matrices.  Eigencurves build and split one operator per grid point, and
+take one route for the whole grid: Cardano columns when every point splits
+in the Bell basis, ascending eigenvalues otherwise.
 """
 
 from __future__ import annotations
@@ -68,8 +70,10 @@ class SweepResult:
 def density_from_params(p: DensityParams) -> DensityMatrix:
     """W' = B^2 / Tr[B^2] for the Hermitian root matrix B built from p."""
     B = kernels.assemble_root_matrices(p.b.reshape(1, 16))[0]
-    W = B @ B
-    return DensityMatrix(W / np.trace(W).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # DensityMatrix rejects non-finite W
+        W = B @ B
+        W = W / np.trace(W).real
+    return DensityMatrix(W)
 
 
 def _rng(seed: int, *extra: int) -> np.random.Generator:
@@ -186,19 +190,27 @@ def eigencurves(
 ) -> list[tuple[float, list[float]]]:
     """Eigenvalue curves over the grid.
 
-    When the operator block-diagonalizes in the Bell basis the columns are the
-    1x1 block followed by the three Cardano roots (the three-setting layout);
-    otherwise eigenvalues are reported ascending.
+    When the operator block-diagonalizes in the Bell basis at every grid
+    point, the columns are the 1x1 block followed by the three Cardano roots
+    (the three-setting layout).  If any point does not split, every row
+    reports its eigenvalues ascending, so a column never changes meaning
+    from one row to the next.
     """
+
+    def operator(theta: float) -> BellOperator:
+        return bell_operator(ineq, angle_schedule(theta), structure)
+
     curves = []
     for theta in theta_grid:
-        O = bell_operator(ineq, angle_schedule(theta), structure)
+        O = operator(theta)
         try:
             o1, o3 = o33_block_decompose(to_bell_basis(O))
-            lams = [o1] + cardano_eigenvalues(o3)
         except InputError:
-            lams = [float(x) for x in eigen(O.matrix).eigenvalues]
-        curves.append((float(theta), lams))
+            return [
+                (float(t), [float(x) for x in eigen(operator(t).matrix).eigenvalues])
+                for t in theta_grid
+            ]
+        curves.append((float(theta), [o1] + cardano_eigenvalues(o3)))
     return curves
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetError, InputError, NumericError
-from .qops import BELL, BellOperator
+from .qops import BELL, BellOperator, _check_hermitian
 
 MAX_EIG_DIM = 16
 DEGENERACY_GAP = 1e-9
@@ -115,14 +115,13 @@ def eigen(H: np.ndarray) -> Spectrum:
         raise InputError("eigen expects a square matrix")
     if H.shape[0] > MAX_EIG_DIM:
         raise BudgetError(f"dimension {H.shape[0]} above limit {MAX_EIG_DIM}")
-    if not np.all(np.isfinite(H)):
-        raise NumericError("matrix has non-finite entries")
-    scale = max(1.0, float(np.linalg.norm(H)))
-    if float(np.max(np.abs(H - H.conj().T))) > 1e-12 * scale:
-        raise InputError("matrix is not Hermitian")
+    scale = _check_hermitian(H)
     w, V = kernels.eigh(H)
     V, degenerate, width = _canonical_vectors(w, V)
-    residual = float(np.max(np.linalg.norm(H @ V - V * w, axis=0)))
+    # in units of a power of two near ||H||, so that it cannot overflow;
+    # dividing and multiplying back by a power of two is exact
+    unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)
+    residual = unit * float(np.max(np.linalg.norm(H / unit @ V - V * (w / unit), axis=0)))
     # mixing inside a near-degenerate cluster contributes up to its width
     if residual > RESIDUAL_TOL * scale + 2.0 * width:
         raise NumericError(f"eigen residual {residual} above tolerance")

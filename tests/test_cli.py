@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -22,6 +23,19 @@ def ch_files(tmp_path):
     s.write_text(json.dumps(catalog.ch_structure().to_json()))
     i = tmp_path / "ineq.json"
     i.write_text(json.dumps(catalog.ch_inequality().to_json()))
+    return str(s), str(i)
+
+
+def layout_files(tmp_path, layout):
+    """Structure and inequality JSON files of a catalog layout, 'ch' or 'i33'."""
+    structure, ineq = {
+        "ch": (catalog.ch_structure(), catalog.ch_inequality()),
+        "i33": (catalog.i33_structure(), catalog.i33_inequality()),
+    }[layout]
+    s = tmp_path / "structure.json"
+    s.write_text(json.dumps(structure.to_json()))
+    i = tmp_path / "ineq.json"
+    i.write_text(json.dumps(ineq.to_json()))
     return str(s), str(i)
 
 
@@ -202,6 +216,29 @@ class TestNonFiniteJson:
         assert main(["polytope", "verify", "--structure", s, "--ineq", str(i)]) == 0
         assert main(["bound", "--structure", s, "--ineq", str(i), "--angles", angles]) == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["operator", "build", "--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4", "--out", "OUT"],
+            ["bound", "--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4"],
+            ["sweep", "--schedule", "1=0,2=2t,3=t,4=3t", "--grid", "0:pi:5", "--out", "OUT"],
+            [
+                "sweep", "--schedule", "1=0,2=2t,3=t,4=3t", "--grid", "0:pi:5", "--out", "OUT",
+                "--eigencurves",
+            ],
+        ],
+        ids=["operator", "bound", "sweep", "eigencurves"],
+    )
+    def test_operator_sum_overflow(self, ch_files, tmp_path, command):
+        # each coefficient is a float, but their sum on the diagonal is not
+        s, _ = ch_files
+        i = tmp_path / "ineq.json"
+        i.write_text('{"coeffs": {"1": 1e308, "3": 1e308}, "upper": 0}')
+        out = tmp_path / "out"
+        argv = [str(out) if a == "OUT" else a for a in command]
+        assert main([*argv, "--structure", s, "--ineq", str(i)]) == 4
+        assert not out.exists()
+
     def test_operator_dim(self, tmp_path):
         op = tmp_path / "op.json"
         op.write_text('{"dim": 1e400, "basis": "computational", "entries": [[[1, 0]]]}')
@@ -252,6 +289,12 @@ class TestOperatorAndSpectrum:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["basis"] == "bell"
+
+    def test_non_hermitian_operator_file(self, tmp_path):
+        # checked, not repaired into the Hermitian part with eigenvalues +-0.5
+        op = tmp_path / "op.json"
+        op.write_text('{"dim": 2, "entries": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}')
+        assert main(["spectrum", "--operator", str(op)]) == 2
 
     def test_bad_angles_exit_code(self, ch_files):
         s, i = ch_files
@@ -366,8 +409,6 @@ class TestSweepCommand:
         assert manifest["output_sha256"]
 
     def test_manifest_checksum_reproducible(self, ch_files, tmp_path):
-        import hashlib
-
         rc, out = self.run_sweep(ch_files, tmp_path)
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
@@ -457,26 +498,65 @@ class TestReadmeSweepDigests:
         ids=["ch-sweep", "i33-eigencurves"],
     )
     def test_digest(self, tmp_path, layout, args, digest):
-        import hashlib
-
-        structure, ineq = {
-            "ch": (catalog.ch_structure(), catalog.ch_inequality()),
-            "i33": (catalog.i33_structure(), catalog.i33_inequality()),
-        }[layout]
-        s = tmp_path / "structure.json"
-        s.write_text(json.dumps(structure.to_json()))
-        i = tmp_path / "ineq.json"
-        i.write_text(json.dumps(ineq.to_json()))
+        s, i = layout_files(tmp_path, layout)
         out = tmp_path / "out.csv"
         rc = main(
             [
                 "sweep",
-                "--structure", str(s),
-                "--ineq", str(i),
+                "--structure", s,
+                "--ineq", i,
                 "--grid", "0:pi:101",
                 "--out", str(out),
                 *args,
             ]
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestOperatorBuildDigests:
+    """`operator build` writes the same JSON bytes, in either basis.
+
+    Pins the operator file of the README's CH angles and of one generic
+    three-setting angle set, so a change to how operators are built or
+    symmetrised cannot move a single bit unnoticed.
+    """
+
+    @pytest.mark.parametrize(
+        "layout,angles,extra,digest",
+        [
+            (
+                "ch",
+                "1=0,2=pi/2,3=pi/4,4=3pi/4",
+                [],
+                "deb8da1f2b0101588a7a355a9b27f07579008090b3cf2abb6c0dde35d4be9840",
+            ),
+            (
+                "ch",
+                "1=0,2=pi/2,3=pi/4,4=3pi/4",
+                ["--bell-basis"],
+                "cc7b63d3c58b7f6c78786df760d51e3143019ffa4124ef87792a6a11c88ec829",
+            ),
+            (
+                "i33",
+                "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4",
+                [],
+                "b0fe569ff451301d993316cd9fd849afc4dd97812ef516cee6fa7ff617dbfeb7",
+            ),
+            (
+                "i33",
+                "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4",
+                ["--bell-basis"],
+                "9188e17cf5e0db511c00b765f10a74f177faf23a74c3910acace6ab924fb8b92",
+            ),
+        ],
+        ids=["ch", "ch-bell-basis", "i33", "i33-bell-basis"],
+    )
+    def test_digest(self, tmp_path, layout, angles, extra, digest):
+        s, i = layout_files(tmp_path, layout)
+        out = tmp_path / "op.json"
+        rc = main(
+            ["operator", "build", "--structure", s, "--ineq", i, "--angles", angles, "--out", str(out), *extra]
         )
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellbounds import catalog
-from bellbounds.errors import BasisError, InputError
+from bellbounds.errors import BasisError, InputError, NumericError
 from bellbounds.polytope import Inequality
 from bellbounds.qops import (
     BELL,
@@ -18,7 +18,6 @@ from bellbounds.qops import (
     canonical_angle,
     chsh_operator,
     expectation,
-    hermitize,
     joint,
     projector,
     sigma,
@@ -165,6 +164,12 @@ class TestBellOperator:
             M = bell_operator(catalog.ch_inequality(), angles, ch).matrix
             assert float(np.max(np.abs(M - M.conj().T))) == 0.0
 
+    def test_checked_not_repaired(self):
+        with pytest.raises(InputError):
+            BellOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NumericError):
+            BellOperator(np.diag([1.0, np.nan, 0.0, 0.0]))
+
     def test_joint_key_order_irrelevant(self):
         ch = catalog.ch_structure()
         angles = {1: 0.4, 3: 1.3}
@@ -184,27 +189,41 @@ def per_point_operator(ineq, angles, structure):
         else:
             i, j = key if side_of[key[0]] == 0 else key[::-1]
             O = O + float(coeff) * joint(angles[i], angles[j])
-    return hermitize(O)
+    return O
+
+
+def schedule_angles(slopes):
+    """Angles m * t of each event over 101 points t in [0, pi]."""
+    grid = np.linspace(0.0, math.pi, 101)
+    return {e: float(m) * grid for e, m in slopes.items()}
+
+
+def random_angles(n_events, seed):
+    """101 seeded uniform angles in [-10, 10] for each of events 1..n_events."""
+    rng = np.random.default_rng(seed)
+    return {e: rng.uniform(-10.0, 10.0, 101) for e in range(1, n_events + 1)}
 
 
 class TestBellOperatorStack:
     @pytest.mark.parametrize(
-        "layout,slopes",
+        "layout,angles",
         [
-            ("ch", {1: 0, 2: 2, 3: 1, 4: 3}),
-            ("i33", {1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2}),
+            ("ch", schedule_angles({1: 0, 2: 2, 3: 1, 4: 3})),
+            ("i33", schedule_angles({1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2})),
+            ("ch", random_angles(4, 20)),
+            ("i33", random_angles(6, 21)),
         ],
-        ids=["ch-readme", "i33"],
+        ids=["ch-readme", "i33", "ch-random", "i33-random"],
     )
-    def test_matches_per_point_sums_bytewise(self, layout, slopes):
+    def test_matches_per_point_sums_bytewise(self, layout, angles):
         structure, ineq = {
             "ch": (catalog.ch_structure(), catalog.ch_inequality()),
             "i33": (catalog.i33_structure(), catalog.i33_inequality()),
         }[layout]
-        grid = np.linspace(0.0, math.pi, 101)
-        angles = {e: float(m) * grid for e, m in slopes.items()}
         ops = bell_operators(ineq, angles, structure)
         assert ops.shape == (101, 4, 4)
+        # exactly Hermitian with no symmetrisation step
+        assert np.array_equal(ops, np.swapaxes(ops.conj(), -1, -2))
         for g in range(101):
             point = {e: float(a[g]) for e, a in angles.items()}
             ref = per_point_operator(ineq, point, structure).tobytes()
@@ -215,6 +234,13 @@ class TestBellOperatorStack:
         angles = {1: 0.0, 2: 0.5, 3: 1.0, 4: 1.5, 9: 1.0}
         with pytest.raises(InputError):
             bell_operators(catalog.ch_inequality(), angles, catalog.ch_structure())
+
+    def test_overflowing_sum(self):
+        # each weighted term is finite; their sum on the diagonal is not
+        ineq = Inequality({1: 10**308, 3: 10**308})
+        angles = {1: [0.0, 0.1], 2: [0.5, 0.6], 3: [0.0, 0.1], 4: [1.5, 1.6]}
+        with pytest.raises(NumericError):
+            bell_operators(ineq, angles, catalog.ch_structure())
 
     def test_unequal_grid_lengths(self):
         angles = {1: [0.0, 0.1], 2: [0.5], 3: [1.0, 1.1], 4: [1.5, 1.6]}
@@ -374,3 +400,8 @@ def test_density_matrix_validation():
     M[0, 0] = 1.0
     with pytest.raises(InputError):
         DensityMatrix(M)
+
+
+def test_density_matrix_non_finite():
+    with pytest.raises(NumericError):
+        DensityMatrix(np.full((4, 4), np.nan))

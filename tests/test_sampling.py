@@ -66,6 +66,11 @@ class TestDensityFromParams:
         W2 = density_from_params(DensityParams(3.7 * b))
         assert np.allclose(W1.matrix, W2.matrix, atol=1e-12)
 
+    def test_overflow_is_numeric_error(self):
+        # B^2 overflows to inf, and inf / inf is NaN
+        with pytest.raises(NumericError):
+            density_from_params(DensityParams(np.full(16, 1e200)))
+
 
 class TestSampling:
     def test_reproducible(self):
@@ -278,14 +283,17 @@ class TestEigencurves:
         assert np.allclose(sorted(lams), np.linalg.eigvalsh(O.matrix), atol=1e-10)
 
     def test_two_setting_sorted_spectrum(self):
+        # the operator splits in the Bell basis at theta = 0, pi/4, 3pi/4 and
+        # pi but not in between, so no row of this grid takes the Cardano route
+        grid = [float(t) for t in np.linspace(0.0, math.pi, 5)] + [0.6]
         curves = eigencurves(
             catalog.ch_inequality(),
             catalog.ch_structure(),
             catalog.sweep_schedule_22,
-            [0.6],
+            grid,
         )
-        _, lams = curves[0]
-        assert lams == sorted(lams)
+        for _, lams in curves:
+            assert lams == sorted(lams)
 
 
 class TestCsvOutput:

@@ -91,6 +91,11 @@ class TestEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):
             eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # ||H||_F overflows; the test must not pass by the tolerance overflowing
+        H = np.zeros((4, 4))
+        H[0, 1] = 1e200
+        with pytest.raises(InputError):
+            eigen(H)
 
     def test_dimension_budget(self):
         with pytest.raises(BudgetError):
@@ -98,13 +103,25 @@ class TestEigen:
 
     @pytest.mark.parametrize(
         "H",
-        [np.full((4, 4), np.nan), np.diag([np.nan, 1.0, 1.0, 1.0]), np.diag([1.0, 1.0, 1.0, np.inf])],
-        ids=["all-nan", "one-nan", "one-inf"],
+        [
+            np.full((4, 4), np.nan),
+            np.diag([np.nan, 1.0, 1.0, 1.0]),
+            np.diag([1.0, 1.0, 1.0, np.inf]),
+            np.full((2, 2), 1e308),
+        ],
+        ids=["all-nan", "one-nan", "one-inf", "norm-overflow"],
     )
     def test_rejects_non_finite(self, H):
-        # LAPACK returns a NaN spectrum without an error for the diagonal cases
+        # LAPACK returns a NaN spectrum without an error for the diagonal
+        # cases, and the eigenvalue 2e308 of the last matrix is inf
         with pytest.raises(NumericError):
             eigen(H)
+
+    def test_entries_near_float_range(self):
+        # neither the Hermiticity test nor the residual may overflow here
+        spec = eigen(1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert np.allclose(spec.eigenvalues, [-SQRT2 * 1e200, SQRT2 * 1e200], rtol=1e-15)
+        assert spec.residual < 1e-10 * 2e200
 
     def test_degeneracy_flag(self):
         assert eigen(np.eye(4)).degenerate
