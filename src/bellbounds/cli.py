@@ -172,12 +172,21 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    """Write ``payload`` as indented JSON plus a newline.
+
+    ``json.dump`` streams chunk by chunk (``json.dumps`` would hold every
+    chunk of a large facet list before joining them), and objects with a
+    ``to_json`` method are converted one at a time as they are written.
+    """
+    def write(fh):
+        json.dump(payload, fh, indent=2, default=lambda obj: obj.to_json())
+        fh.write("\n")
+
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _cmd_polytope(args) -> int:
@@ -187,10 +196,7 @@ def _cmd_polytope(args) -> int:
         _emit({"vertices": [list(v) for v in vertices]}, args.out)
     elif args.action == "facets":
         facets = hull_facets(vertices, structure)
-        _emit(
-            {"count": len(facets), "facets": [f.to_json() for f in facets]},
-            args.out,
-        )
+        _emit({"count": len(facets), "facets": facets}, args.out)
     else:  # verify
         if not args.ineq:
             raise InputError("verify needs --ineq")

@@ -261,7 +261,15 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     """Extreme rays (a0, a1..ad) of the dual cone: a0 + a.x >= 0 on conv(V).
 
     Double description with combinatorial adjacency; deterministic insertion
-    order, integer arithmetic throughout.
+    order, integer arithmetic throughout.  Each ray carries the bitmask of
+    the steps (inserted rows) it is zero on.  A positive and a negative ray
+    are adjacent iff no other current ray's mask contains their common zero
+    set z.  That test runs on an inverted index: every ray gets a stable id
+    when made, and for each step one Python-int bitset holds the ids of the
+    rays zero on it, so the rays containing z are the AND of z's bitsets
+    restricted to the ids of the current rays.  The index is updated in
+    place: a step adds its own bitset (its zero rays), new rays add their id
+    to the bitsets of their mask, and dropped rays leave the live set.
     """
     dim = len(vertices[0]) + 1
     rows: list[Vertex] = [(1,) + v for v in vertices]
@@ -284,31 +292,42 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     order = idx + [k for k in range(len(rows)) if k not in set(idx)]
     full = (1 << dim) - 1
     masks = [full & ~(1 << j) for j in range(dim)]
+    # ids[i] is ray i's id; holders[s] has bit k set when the ray with id k,
+    # current or dropped, is zero on step s; live holds the current ids.
+    # Initial ray j is zero on every basis step but j, so holders == masks.
+    ids = list(range(dim))
+    holders = list(masks)
+    live = full
+    next_id = dim
 
     for step in range(dim, len(rows)):
         mk = rows[order[step]]
         dots = [sum(a * b for a, b in zip(mk, r)) for r in rays]
         neg = [i for i, x in enumerate(dots) if x < 0]
         bit = 1 << step
+        zer = [i for i, x in enumerate(dots) if x == 0]
+        holders.append(sum(1 << ids[i] for i in zer))
         if not neg:
             masks = [m | bit if dots[i] == 0 else m for i, m in enumerate(masks)]
             continue
         pos = [i for i, x in enumerate(dots) if x > 0]
-        zer = [i for i, x in enumerate(dots) if x == 0]
         new_rays, new_masks = [], []
         need = dim - 2
         for ip in pos:
             mp = masks[ip]
+            bp = 1 << ids[ip]
             for im in neg:
                 z = mp & masks[im]
                 if z.bit_count() < need:
                     continue
-                adjacent = True
-                for io, mo in enumerate(masks):
-                    if io != ip and io != im and (z & mo) == z:
-                        adjacent = False
-                        break
-                if not adjacent:
+                # adjacent iff no other current ray's zero set contains z
+                pair = bp | 1 << ids[im]
+                common, rest = live, z
+                while rest and common != pair:
+                    low = rest & -rest
+                    common &= holders[low.bit_length() - 1]
+                    rest ^= low
+                if common != pair:
                     continue
                 r = tuple(
                     dots[ip] * a - dots[im] * b
@@ -320,6 +339,17 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
                 new_rays.append(r)
                 new_masks.append(z | bit)
         keep = pos + zer
+        for i in neg:
+            live ^= 1 << ids[i]
+        new_ids = range(next_id, next_id + len(new_masks))
+        for k, m in zip(new_ids, new_masks):
+            live |= 1 << k
+            while m:
+                low = m & -m
+                holders[low.bit_length() - 1] |= 1 << k
+                m ^= low
+        next_id += len(new_masks)
+        ids = [ids[i] for i in keep] + list(new_ids)
         rays = [rays[i] for i in keep] + new_rays
         masks = [masks[i] | bit if dots[i] == 0 else masks[i] for i in keep] + new_masks
     return rays

@@ -79,10 +79,14 @@ def _canonical_vectors(
     V = V.copy()
     degenerate = False
     width = 0.0
+    # a gap between eigenvalues of opposite sign near the float maximum
+    # overflows to +inf, which is never degenerate
+    with np.errstate(over="ignore"):
+        gaps = np.diff(w)
     i = 0
     while i < n:
         j = i
-        while j + 1 < n and w[j + 1] - w[j] < DEGENERACY_GAP:
+        while j + 1 < n and gaps[j] < DEGENERACY_GAP:
             j += 1
         if j > i:
             degenerate = True

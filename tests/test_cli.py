@@ -296,6 +296,15 @@ class TestOperatorAndSpectrum:
         op.write_text('{"dim": 2, "entries": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}')
         assert main(["spectrum", "--operator", str(op)]) == 2
 
+    def test_eigenvalue_gap_beyond_float_range(self, tmp_path, capsys):
+        # the gap between -1e308 and 1e308 overflows; it is not degenerate
+        op = tmp_path / "op.json"
+        op.write_text('{"dim": 2, "entries": [[[0, 0], [0, 1e308]], [[0, -1e308], [0, 0]]]}')
+        assert main(["spectrum", "--operator", str(op)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [float(ln.split()[1]) for ln in lines[1:3]] == [-1e308, 1e308]
+        assert "degenerate" not in lines[-1]
+
     def test_bad_angles_exit_code(self, ch_files):
         s, i = ch_files
         rc = main(

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -36,6 +37,83 @@ def ch_vertices(ch):
 
 def canon_set(ineqs, structure):
     return {i.canonical_key(structure) for i in ineqs}
+
+
+def bipartite(left, right):
+    """Layout with settings ``left | right`` and every cross joint."""
+    return EventStructure(
+        len(left) + len(right), (left, right), tuple((i, j) for i in left for j in right)
+    )
+
+
+LAYOUTS = {
+    "ch": catalog.ch_structure(),
+    "2x3": bipartite((1, 2), (3, 4, 5)),
+    "2x4": bipartite((1, 2), (3, 4, 5, 6)),
+    "i33": catalog.i33_structure(),
+}
+
+
+@functools.cache
+def layout_facets(name):
+    structure = LAYOUTS[name]
+    return hull_facets(enumerate_vertices(structure), structure)
+
+
+def tight_masks(facets, structure):
+    """Each facet as the bitmask of the vertex indices where it is tight."""
+    vertices = enumerate_vertices(structure)
+    order = structure.term_order()
+    masks = set()
+    for f in facets:
+        vec = [int(f.coeffs.get(k, 0)) for k in order]
+        bound = f.lower if f.upper is None else f.upper
+        masks.add(
+            sum(
+                1 << a
+                for a, v in enumerate(vertices)
+                if sum(c * x for c, x in zip(vec, v)) == bound
+            )
+        )
+    return masks
+
+
+def assignment_symmetries(structure):
+    """Generators of the layout's symmetry group as maps on assignments.
+
+    Relabelling settings within a side (a transposition and a cycle), the
+    party swap when both sides have as many settings, and each flip
+    t_i -> 1 - t_i.  Each map takes the event-to-value dict of one truth
+    assignment to that of its image.
+    """
+    def relabel(side, shift):
+        image = {e: side[(k + shift) % len(side)] for k, e in enumerate(side)}
+        return lambda t: {image.get(e, e): x for e, x in t.items()}
+
+    gens = []
+    for side in structure.sides:
+        if len(side) > 1:
+            gens.append(relabel(side[:2], 1))
+            gens.append(relabel(side, 1))
+    left, right = structure.sides
+    if len(left) == len(right):
+        swap = dict(zip(left + right, right + left))
+        gens.append(lambda t: {swap[e]: x for e, x in t.items()})
+    for i in range(1, structure.n_single + 1):
+        gens.append(lambda t, i=i: {**t, i: 1 - t[i]})
+    return gens
+
+
+def permute_masks(masks, gen, n):
+    """Apply an assignment map to vertex bitmasks (binary counting order)."""
+    def index(t):
+        return sum(t[e] << (n - e) for e in t)
+
+    perm = [
+        index(gen({e: (a >> (n - e)) & 1 for e in range(1, n + 1)}))
+        for a in range(1 << n)
+    ]
+    return {sum(1 << perm[a] for a in range(1 << n) if m >> a & 1) for m in masks}
 
 
 class TestEventStructure:
@@ -132,6 +210,22 @@ class TestHullFacets:
             [relabel(f) for f in facets], ch
         )
 
+    @pytest.mark.parametrize("name", ["ch", "2x3", "i33"])
+    def test_tight_sets_closed_under_symmetries(self, name):
+        # a symmetry of the layout permutes the truth assignments and maps
+        # each facet's tight set onto another facet's; a hull that drops a
+        # facet of an orbit can still pass the oracle but breaks this
+        structure = LAYOUTS[name]
+        masks = tight_masks(layout_facets(name), structure)
+        assert len(masks) == len(layout_facets(name))
+        gens = assignment_symmetries(structure)
+        for gen in gens:
+            assert permute_masks(masks, gen, structure.n_single) == masks
+        dropped = masks - {min(masks)}
+        assert any(
+            permute_masks(dropped, gen, structure.n_single) != dropped for gen in gens
+        )
+
     def test_hypercube_degenerate_structure(self):
         s = EventStructure(2, ((1,), (2,)), ())
         facets = hull_facets(enumerate_vertices(s), s)
@@ -144,24 +238,30 @@ class TestHullFacets:
         assert canon_set(facets, s) == canon_set(expected, s)
 
     @pytest.mark.parametrize(
-        "structure,seeds",
+        "name,seeds,block",
         [
-            (catalog.ch_structure(), range(20)),
-            (
-                EventStructure(
-                    5, ((1, 2), (3, 4, 5)), tuple((i, j) for i in (1, 2) for j in (3, 4, 5))
-                ),
-                range(5),
-            ),
+            ("ch", range(20), None),
+            ("2x3", range(5), None),
+            ("2x4", range(5), None),
+            # a full shuffle of the 64 vertices makes the hull about 30
+            # times slower (the insertion order sets the intermediate ray
+            # count), so this one shuffles within consecutive blocks of 8
+            ("i33", range(2), 8),
         ],
-        ids=["ch", "2x3"],
+        ids=["ch", "2x3", "2x4", "i33"],
     )
-    def test_vertex_order_invariance(self, structure, seeds):
+    def test_vertex_order_invariance(self, name, seeds, block):
+        structure = LAYOUTS[name]
         vertices = enumerate_vertices(structure)
-        want = [f.to_json() for f in hull_facets(vertices, structure)]
+        block = block or len(vertices)
+        want = [f.to_json() for f in layout_facets(name)]
         for seed in seeds:
-            shuffled = list(vertices)
-            random.Random(seed).shuffle(shuffled)
+            rng = random.Random(seed)
+            shuffled = []
+            for k in range(0, len(vertices), block):
+                part = vertices[k : k + block]
+                rng.shuffle(part)
+                shuffled += part
             assert [f.to_json() for f in hull_facets(shuffled, structure)] == want
 
     def test_budget(self, ch):
@@ -173,17 +273,31 @@ class TestHullFacets:
             hull_facets([(0, 0, 0), (1, 1, 1)], single)
 
 
+def facets_file(tmp_path_factory, structure):
+    """Run ``polytope facets --out`` on ``structure``; return the output path."""
+    tmp = tmp_path_factory.mktemp("facets")
+    s = tmp / "structure.json"
+    s.write_text(json.dumps(structure.to_json()))
+    out = tmp / "facets.json"
+    assert main(["polytope", "facets", "--structure", str(s), "--out", str(out)]) == 0
+    return out
+
+
+def assert_oracle_passes(path, structure, count):
+    vertices = enumerate_vertices(structure)
+    facets = json.loads(path.read_text())["facets"]
+    assert len(facets) == count
+    for doc in facets:
+        check = verify_facet(Inequality.from_json(doc), vertices, structure)
+        assert check.valid and check.is_facet
+
+
 class TestI33Hull:
     """The 684 facets of the three-setting layout (Pitowsky & Svozil 2001)."""
 
     @pytest.fixture(scope="class")
     def i33_facets_file(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("i33")
-        s = tmp / "structure.json"
-        s.write_text(json.dumps(catalog.i33_structure().to_json()))
-        out = tmp / "facets.json"
-        assert main(["polytope", "facets", "--structure", str(s), "--out", str(out)]) == 0
-        return out
+        return facets_file(tmp_path_factory, catalog.i33_structure())
 
     def test_facets_output_bytes(self, i33_facets_file):
         data = i33_facets_file.read_bytes()
@@ -194,13 +308,26 @@ class TestI33Hull:
         )
 
     def test_every_facet_passes_oracle(self, i33_facets_file):
-        s = catalog.i33_structure()
-        vertices = enumerate_vertices(s)
-        facets = json.loads(i33_facets_file.read_text())["facets"]
-        assert len(facets) == 684
-        for doc in facets:
-            check = verify_facet(Inequality.from_json(doc), vertices, s)
-            assert check.valid and check.is_facet
+        assert_oracle_passes(i33_facets_file, catalog.i33_structure(), 684)
+
+
+class TestTwoByFourHull:
+    """The 80 facets of two settings against four, every cross joint."""
+
+    @pytest.fixture(scope="class")
+    def facets_2x4_file(self, tmp_path_factory):
+        return facets_file(tmp_path_factory, LAYOUTS["2x4"])
+
+    def test_facets_output_bytes(self, facets_2x4_file):
+        data = facets_2x4_file.read_bytes()
+        assert len(data) == 12444
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "4609c3756b6d3772afffcd4ad61f0969efd6956254147c42e133eaf9e7dfa481"
+        )
+
+    def test_every_facet_passes_oracle(self, facets_2x4_file):
+        assert_oracle_passes(facets_2x4_file, LAYOUTS["2x4"], 80)
 
 
 class TestClassicalRange:
