@@ -9,10 +9,16 @@ evaluation cannot change results.
 
 A sweep does its grid-wide work as array operations: one (G, 4, 4) operator
 build and one stacked eigensolve give the analytic bounds of all G grid
-points.  The Monte Carlo bounds are then drawn point by point, each from its
-own stream, and evaluated by the quadratic-form kernel
+points.  The Monte Carlo bounds are then taken point by point, each from its
+own stream, by the quadratic-form kernel
 :func:`bellbounds.kernels.batch_expectations`, which never forms the density
-matrices.  Eigencurves build and split one operator per grid point, and
+matrices.  The draws run ahead of the kernel on a thread pool, one thread per
+CPU the process may use; each grid point has its own stream, so the results
+do not depend on that count.  The threads fill a ring of preallocated (n, 16)
+buffers, one per thread plus one, but never more than MAX_RING_BYTES (64 MiB)
+of them and never fewer than two: a sweep of n samples per point holds at
+most max(64 MiB, 2 * 128n bytes) of samples.  A sweep without samples starts
+no thread.  Eigencurves build and split one operator per grid point, and
 take one route for the whole grid: Cardano columns when every point splits
 in the Bell basis, ascending eigenvalues otherwise.
 """
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, TextIO
@@ -38,6 +45,8 @@ from .spectra import cardano_eigenvalues, eigen, o33_block_decompose, stacked_ei
 MAX_GRID_POINTS = 100_001
 MAX_SAMPLES = 10**6
 MAX_SWEEP_SAMPLES = 10**9
+#: Bytes of sample buffers a sweep's draw ring may hold (it keeps at least two).
+MAX_RING_BYTES = 64 * 2**20
 
 
 @dataclass
@@ -80,11 +89,16 @@ def _rng(seed: int, *extra: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *extra])))
 
 
+def _draw(out: np.ndarray, seed: int, *key_extra: int) -> np.ndarray:
+    """Fill out with standard normals from the stream keyed by (seed, *key_extra)."""
+    return _rng(seed, *key_extra).standard_normal(out=out)
+
+
 def sample_params(n: int, seed: int, *key_extra: int) -> np.ndarray:
     """(n, 16) standard-normal parameter rows, deterministic in (n, seed)."""
     if n < 1:
         raise InputError("need n >= 1 samples")
-    return _rng(seed, *key_extra).standard_normal((n, 16))
+    return _draw(np.empty((n, 16)), seed, *key_extra)
 
 
 def sample_states(n: int, seed: int) -> Iterator[DensityMatrix]:
@@ -159,27 +173,59 @@ def sweep(
         raise InputError("the angle schedule must name the same events at every grid point")
     ops = bell_operators(ineq, {e: [a[e] for a in schedules] for e in events}, structure)
     eigenvalues = stacked_eigenvalues(ops)
+    if n_samples > 0:
+        sampled = _sampled_extremes(ops, n_samples, seed)
+    else:
+        sampled = [(None, None)] * len(theta_grid)
     results = []
     for g, theta in enumerate(theta_grid):
-        if n_samples > 0:
-            params = sample_params(n_samples, seed, g)
-            vals = kernels.batch_expectations(params, ops[g])
-            smin, smax = float(np.min(vals)), float(np.max(vals))
-        else:
-            smin = smax = None
         results.append(
             SweepResult(
                 parameter=float(theta),
                 analytic_min=float(eigenvalues[g, 0]),
                 analytic_max=float(eigenvalues[g, -1]),
-                sampled_min=smin,
-                sampled_max=smax,
+                sampled_min=sampled[g][0],
+                sampled_max=sampled[g][1],
                 classical_bounds=classical,
                 n_samples=n_samples,
                 seed=seed,
             )
         )
     return results
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sampled_extremes(
+    ops: np.ndarray, n_samples: int, seed: int
+) -> list[tuple[float, float]]:
+    """(min, max) of the kernel over n_samples draws from stream (seed, g), per g.
+
+    Pool threads fill a ring of buffers with the draws of the next points
+    while this thread runs the kernel on the current one; numpy releases the
+    GIL while it fills a buffer.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = _usable_cpus()
+    fit = MAX_RING_BYTES // (n_samples * 16 * 8)
+    ring = min(len(ops), max(2, min(workers + 1, fit)))
+    buffers = [np.empty((n_samples, 16)) for _ in range(ring)]
+    extremes = []
+    with ThreadPoolExecutor(max_workers=min(workers, ring)) as pool:
+        drawing = [pool.submit(_draw, buf, seed, g) for g, buf in enumerate(buffers)]
+        for g in range(len(ops)):
+            params = drawing[g % ring].result()
+            vals = kernels.batch_expectations(params, ops[g])
+            extremes.append((float(np.min(vals)), float(np.max(vals))))
+            if g + ring < len(ops):
+                drawing[g % ring] = pool.submit(_draw, params, seed, g + ring)
+    return extremes
 
 
 def eigencurves(

@@ -90,6 +90,33 @@ class TestBatchExpectations:
         assert np.all(vals <= w[-1] + 1e-10)
 
 
+class TestPairTraces:
+    @staticmethod
+    def matvec(op):
+        # the complex matrix-vector product the gather replaced
+        return (kernels._PAIR_PRODUCTS @ op.T.reshape(16)).real.reshape(16, 16)
+
+    def test_bitwise_equal_to_matvec(self):
+        # bytes, not values: a -0.0 where the matvec gives 0.0 is a difference
+        rng = np.random.default_rng(47)
+        for scale in 10.0 ** rng.uniform(-5, 11, size=5000):
+            op = rand_hermitian(rng, 4) * scale
+            assert kernels._pair_traces(op).tobytes() == self.matvec(op).tobytes()
+
+    def test_signed_zeros(self):
+        minus_zero = np.full((4, 4), complex(-0.0, -0.0))
+        diagonal = np.diag([-0.0, 0.0, -0.0, 1.0]).astype(complex)
+        for op in (np.zeros((4, 4), complex), minus_zero, diagonal):
+            assert kernels._pair_traces(op).tobytes() == self.matvec(op).tobytes()
+
+    def test_any_memory_layout(self):
+        rng = np.random.default_rng(48)
+        op = rand_hermitian(rng, 4)
+        want = self.matvec(op).tobytes()
+        assert kernels._pair_traces(np.asfortranarray(op)).tobytes() == want
+        assert kernels._pair_traces(op.tolist()).tobytes() == want
+
+
 entry_st = st.floats(-1.0, 1.0, allow_nan=False)
 param_st = st.floats(-10.0, 10.0, allow_nan=False)
 

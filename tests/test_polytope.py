@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import json
@@ -104,16 +105,46 @@ def assignment_symmetries(structure):
     return gens
 
 
-def permute_masks(masks, gen, n):
-    """Apply an assignment map to vertex bitmasks (binary counting order)."""
+def assignment_permutation(gen, n):
+    """An assignment map as a permutation of vertex indices (binary counting order)."""
     def index(t):
         return sum(t[e] << (n - e) for e in t)
 
-    perm = [
+    return [
         index(gen({e: (a >> (n - e)) & 1 for e in range(1, n + 1)}))
         for a in range(1 << n)
     ]
-    return {sum(1 << perm[a] for a in range(1 << n) if m >> a & 1) for m in masks}
+
+
+def permute_mask(mask, perm):
+    return sum(1 << perm[a] for a in range(len(perm)) if mask >> a & 1)
+
+
+def permute_masks(masks, gen, n):
+    """Apply an assignment map to vertex bitmasks."""
+    perm = assignment_permutation(gen, n)
+    return {permute_mask(m, perm) for m in masks}
+
+
+def orbit_sizes(masks, structure):
+    """Sizes of the orbits of the masks under the layout's symmetry group.
+
+    Union-find over the generators' images; the group is generated by them,
+    so a mask's orbit is its connected component.
+    """
+    parent = {m: m for m in masks}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    for gen in assignment_symmetries(structure):
+        perm = assignment_permutation(gen, structure.n_single)
+        for m in masks:
+            parent[find(m)] = find(permute_mask(m, perm))
+    return sorted(collections.Counter(find(m) for m in masks).values())
 
 
 class TestEventStructure:
@@ -225,6 +256,17 @@ class TestHullFacets:
         assert any(
             permute_masks(dropped, gen, structure.n_single) != dropped for gen in gens
         )
+
+    @pytest.mark.parametrize(
+        "name,sizes",
+        [("ch", [8, 16]), ("2x4", [32, 48]), ("i33", [36, 72, 576])],
+        ids=["ch", "2x4", "i33"],
+    )
+    def test_facet_classes(self, name, sizes):
+        # the classes of Collins & Gisin (J. Phys. A 37, 1775, 2004); on 3x3
+        # the 36 positivity facets, the 72 CH forms and the 576 I3322 forms
+        structure = LAYOUTS[name]
+        assert orbit_sizes(tight_masks(layout_facets(name), structure), structure) == sizes
 
     def test_hypercube_degenerate_structure(self):
         s = EventStructure(2, ((1,), (2,)), ())

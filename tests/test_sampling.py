@@ -1,10 +1,13 @@
+import concurrent.futures
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from bellbounds import catalog, kernels
+from bellbounds import catalog, kernels, sampling
 from bellbounds.errors import InputError, NumericError
 from bellbounds.qops import bell_operator, chsh_operator
 from bellbounds.sampling import (
@@ -219,6 +222,94 @@ class TestSweep:
                 n_samples=0,
                 seed=0,
             )
+
+
+SAMPLED_LAYOUTS = {
+    "ch": (catalog.ch_structure(), catalog.ch_inequality(), catalog.sweep_schedule_22),
+    "i33": (catalog.i33_structure(), catalog.i33_inequality(), catalog.symmetric_angles_33),
+}
+
+
+def sampled_sweep(layout, n_points, n_samples, seed=11):
+    structure, ineq, schedule = SAMPLED_LAYOUTS[layout]
+    grid = list(np.linspace(0.1, 3.0, n_points))
+    return sweep(ineq, structure, schedule, grid, n_samples, seed)
+
+
+def as_bytes(results):
+    return [np.float64([r.sampled_min, r.sampled_max]).tobytes() for r in results]
+
+
+class TestPooledDraws:
+    """The draw pool and its ring of buffers change no sampled value."""
+
+    @pytest.mark.parametrize("n_samples", [1, 7, 3000])
+    @pytest.mark.parametrize("n_points", [1, 2, 101])
+    @pytest.mark.parametrize("layout", ["ch", "i33"])
+    def test_equals_serial_reference(self, layout, n_points, n_samples):
+        structure, ineq, schedule = SAMPLED_LAYOUTS[layout]
+        results = sampled_sweep(layout, n_points, n_samples)
+        want = []
+        for g, r in enumerate(results):
+            op = bell_operator(ineq, schedule(r.parameter), structure).matrix
+            vals = kernels.batch_expectations(sample_params(n_samples, 11, g), op)
+            want.append(np.float64([np.min(vals), np.max(vals)]).tobytes())
+        assert as_bytes(results) == want
+
+    @pytest.mark.parametrize("cpus", [1, 3, 8])
+    def test_independent_of_cpu_count(self, monkeypatch, cpus):
+        # more threads than cores, switching often: a buffer refilled
+        # before the kernel has read it would change a value
+        want = as_bytes(sampled_sweep("ch", 40, 50))
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = as_bytes(sampled_sweep("ch", 40, 50))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("ring_bytes,buffers", [(1, 2), (50 * 128 * 2, 2), (50 * 128 * 3, 3)])
+    def test_ring_bytes_cap(self, monkeypatch, ring_bytes, buffers):
+        # with two usable CPUs the ring holds three buffers unless capped;
+        # it never holds fewer than two
+        want = as_bytes(sampled_sweep("ch", 9, 50))
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sampling, "MAX_RING_BYTES", ring_bytes)
+        filled = set()
+        draw = sampling._draw
+
+        def recording_draw(out, *key):
+            filled.add(id(out))
+            return draw(out, *key)
+
+        monkeypatch.setattr(sampling, "_draw", recording_draw)
+        assert as_bytes(sampled_sweep("ch", 9, 50)) == want
+        assert len(filled) == buffers
+
+    def test_no_thread_left_running(self):
+        before = threading.active_count()
+        sampled_sweep("ch", 5, 20)
+        assert threading.active_count() == before
+
+    def test_kernel_failure_leaves_no_thread(self, monkeypatch):
+        def failing(params, op):
+            raise NumericError("kernel failed")
+
+        monkeypatch.setattr(kernels, "batch_expectations", failing)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="kernel failed"):
+            sampled_sweep("ch", 5, 20)
+        assert threading.active_count() == before
+
+    def test_zero_samples_start_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep without samples started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        (r,) = sampled_sweep("ch", 1, 0)
+        assert r.sampled_min is None
 
 
 class TestPureStatePolish:
