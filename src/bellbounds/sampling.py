@@ -12,20 +12,25 @@ build and one stacked eigensolve give the analytic bounds of all G grid
 points.  The Monte Carlo bounds are then taken point by point, each from its
 own stream, by the quadratic-form kernel
 :func:`bellbounds.kernels.batch_expectations`, which never forms the density
-matrices.  The draws run ahead of the kernel on a thread pool, one thread per
-CPU the process may use; each grid point has its own stream, so the results
-do not depend on that count.  The threads fill a ring of preallocated (n, 16)
-buffers, one per thread plus one, but never more than MAX_RING_BYTES (64 MiB)
-of them and never fewer than two: a sweep of n samples per point holds at
-most max(64 MiB, 2 * 128n bytes) of samples.  A sweep without samples starts
-no thread.  Eigencurves build and split one operator per grid point, and
-take one route for the whole grid: Cardano columns when every point splits
-in the Bell basis, ascending eigenvalues otherwise.
+matrices.  The draws run on one thread per CPU the process may use: a pool
+of one thread fewer, and the calling thread, which also runs the kernel.
+Each thread takes the next grid point as it comes free, and each grid point
+has its own stream, so the results do not depend on the thread count or on
+which thread drew which point.  The calling thread draws into one
+preallocated (n, 16) buffer and each pool thread into two, but the buffers
+never take more than MAX_DRAW_BYTES (64 MiB) unless one alone does: a sweep
+of n samples per point holds at most max(64 MiB, 128n bytes) of samples, and
+draws on fewer threads when 64 MiB is too little for all of them.  A sweep
+without samples, or on one CPU, starts no thread.
+Eigencurves build and split one operator per grid point, and take one route
+for the whole grid: Cardano columns when every point splits in the Bell
+basis, ascending eigenvalues otherwise.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -45,8 +50,8 @@ from .spectra import cardano_eigenvalues, eigen, o33_block_decompose, stacked_ei
 MAX_GRID_POINTS = 100_001
 MAX_SAMPLES = 10**6
 MAX_SWEEP_SAMPLES = 10**9
-#: Bytes of sample buffers a sweep's draw ring may hold (it keeps at least two).
-MAX_RING_BYTES = 64 * 2**20
+#: Bytes of sample buffers a sweep's draws may hold (it keeps at least one).
+MAX_DRAW_BYTES = 64 * 2**20
 
 
 @dataclass
@@ -201,31 +206,79 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_size(n_samples: int) -> int:
+    """Pool threads for a sampled sweep: one per usable CPU but the caller's,
+    as far as their two buffers each and the caller's one fit in MAX_DRAW_BYTES."""
+    fit = MAX_DRAW_BYTES // (n_samples * 16 * 8)
+    return max(0, min(_usable_cpus() - 1, (fit - 1) // 2))
+
+
 def _sampled_extremes(
     ops: np.ndarray, n_samples: int, seed: int
 ) -> list[tuple[float, float]]:
     """(min, max) of the kernel over n_samples draws from stream (seed, g), per g.
 
-    Pool threads fill a ring of buffers with the draws of the next points
-    while this thread runs the kernel on the current one; numpy releases the
-    GIL while it fills a buffer.
+    Every drawing thread takes the next grid point from one shared counter
+    (its ``next`` is atomic under the GIL), so no thread waits for a given
+    point and a slow CPU only draws fewer of them.  Pool threads fill their
+    two buffers in turn and hand them to this thread, which runs the kernel
+    on them between draws of its own; numpy releases the GIL while it fills
+    a buffer.  Only this thread calls the kernel.
     """
+    helpers = _pool_size(n_samples)
+    buf = np.empty((n_samples, 16))
+    if helpers == 0:
+        return [_extremes(_draw(buf, seed, g), op) for g, op in enumerate(ops)]
+    import queue
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = _usable_cpus()
-    fit = MAX_RING_BYTES // (n_samples * 16 * 8)
-    ring = min(len(ops), max(2, min(workers + 1, fit)))
-    buffers = [np.empty((n_samples, 16)) for _ in range(ring)]
-    extremes = []
-    with ThreadPoolExecutor(max_workers=min(workers, ring)) as pool:
-        drawing = [pool.submit(_draw, buf, seed, g) for g, buf in enumerate(buffers)]
-        for g in range(len(ops)):
-            params = drawing[g % ring].result()
-            vals = kernels.batch_expectations(params, ops[g])
-            extremes.append((float(np.min(vals)), float(np.max(vals))))
-            if g + ring < len(ops):
-                drawing[g % ring] = pool.submit(_draw, params, seed, g + ring)
+    points = itertools.count()
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2 * helpers):
+        free.put(np.empty((n_samples, 16)))
+
+    def helper() -> None:
+        try:
+            while (out := free.get()) is not None and (g := next(points)) < len(ops):
+                ready.put((g, _draw(out, seed, g)))
+        finally:
+            ready.put(None)
+
+    extremes: list = [None] * len(ops)
+
+    def take(item) -> int:
+        """Run the kernel on a pool thread's draw; 1 for a thread's end marker."""
+        if item is None:
+            return 1
+        g, params = item
+        extremes[g] = _extremes(params, ops[g])
+        free.put(params)
+        return 0
+
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        running = [pool.submit(helper) for _ in range(helpers)]
+        live = helpers
+        try:
+            while (g := next(points)) < len(ops):
+                while not ready.empty():
+                    live -= take(ready.get())
+                extremes[g] = _extremes(_draw(buf, seed, g), ops[g])
+            while live:
+                live -= take(ready.get())
+        finally:
+            # stop the pool threads at their next buffer, also after a failure
+            while not free.empty():
+                free.get()
+            for _ in running:
+                free.put(None)
+    for done in running:
+        done.result()
     return extremes
+
+
+def _extremes(params: np.ndarray, op: np.ndarray) -> tuple[float, float]:
+    vals = kernels.batch_expectations(params, op)
+    return float(np.min(vals)), float(np.max(vals))
 
 
 def eigencurves(

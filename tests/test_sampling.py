@@ -241,7 +241,7 @@ def as_bytes(results):
 
 
 class TestPooledDraws:
-    """The draw pool and its ring of buffers change no sampled value."""
+    """The draw pool and its buffers change no sampled value."""
 
     @pytest.mark.parametrize("n_samples", [1, 7, 3000])
     @pytest.mark.parametrize("n_points", [1, 2, 101])
@@ -259,7 +259,8 @@ class TestPooledDraws:
     @pytest.mark.parametrize("cpus", [1, 3, 8])
     def test_independent_of_cpu_count(self, monkeypatch, cpus):
         # more threads than cores, switching often: a buffer refilled
-        # before the kernel has read it would change a value
+        # before the kernel has read it, or a point drawn twice or never,
+        # would change a value
         want = as_bytes(sampled_sweep("ch", 40, 50))
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
         interval = sys.getswitchinterval()
@@ -270,25 +271,33 @@ class TestPooledDraws:
             sys.setswitchinterval(interval)
         assert got == want
 
-    @pytest.mark.parametrize("ring_bytes,buffers", [(1, 2), (50 * 128 * 2, 2), (50 * 128 * 3, 3)])
-    def test_ring_bytes_cap(self, monkeypatch, ring_bytes, buffers):
-        # with two usable CPUs the ring holds three buffers unless capped;
-        # it never holds fewer than two
+    @pytest.mark.parametrize(
+        "cpus,draw_bytes,pool",
+        [
+            (1, 2**26, 0), (2, 1, 0), (2, 50 * 128 * 2, 0), (2, 50 * 128 * 3, 1),
+            (2, 2**26, 1), (3, 50 * 128 * 4, 1), (3, 50 * 128 * 5, 2), (8, 2**26, 7),
+        ],
+    )
+    def test_draw_bytes_cap(self, monkeypatch, cpus, draw_bytes, pool):
+        # one pool thread per usable CPU but the caller's, as far as the
+        # buffers fit: the caller holds one of 50 * 128 bytes, each pool thread two
         want = as_bytes(sampled_sweep("ch", 9, 50))
-        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(sampling, "MAX_RING_BYTES", ring_bytes)
-        filled = set()
-        draw = sampling._draw
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sampling, "MAX_DRAW_BYTES", draw_bytes)
+        sizes = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
-        def recording_draw(out, *key):
-            filled.add(id(out))
-            return draw(out, *key)
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers)
 
-        monkeypatch.setattr(sampling, "_draw", recording_draw)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         assert as_bytes(sampled_sweep("ch", 9, 50)) == want
-        assert len(filled) == buffers
+        assert sizes == ([pool] if pool else [])
+        assert (1 + 2 * pool) * 50 * 128 <= max(draw_bytes, 50 * 128)
 
-    def test_no_thread_left_running(self):
+    def test_no_thread_left_running(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
         before = threading.active_count()
         sampled_sweep("ch", 5, 20)
         assert threading.active_count() == before
@@ -298,9 +307,26 @@ class TestPooledDraws:
             raise NumericError("kernel failed")
 
         monkeypatch.setattr(kernels, "batch_expectations", failing)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
         before = threading.active_count()
         with pytest.raises(NumericError, match="kernel failed"):
             sampled_sweep("ch", 5, 20)
+        assert threading.active_count() == before
+
+    def test_draw_failure_leaves_no_thread(self, monkeypatch):
+        # whichever thread draws point 5 fails, the pool thread or this one
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
+        draw = sampling._draw
+
+        def failing_draw(out, seed, g):
+            if g == 5:
+                raise NumericError("draw failed")
+            return draw(out, seed, g)
+
+        monkeypatch.setattr(sampling, "_draw", failing_draw)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="draw failed"):
+            sampled_sweep("ch", 40, 50)
         assert threading.active_count() == before
 
     def test_zero_samples_start_no_pool(self, monkeypatch):
