@@ -136,8 +136,11 @@ class Inequality:
     @classmethod
     def from_json(cls, obj: dict) -> "Inequality":
         try:
+            items = obj["coeffs"]
+            if not isinstance(items, dict):
+                raise InputError(f"coeffs must be a JSON object, not {type(items).__name__}")
             coeffs = {}
-            for ks, v in obj["coeffs"].items():
+            for ks, v in items.items():
                 if "," in ks:
                     i, j = ks.split(",")
                     key: TermKey = (int(i), int(j))
@@ -420,12 +423,19 @@ def classical_range(
 def verify_facet(
     ineq: Inequality, vertices: list[Vertex], structure: EventStructure
 ) -> FacetCheck:
-    """Brute-force facet oracle: validity over all vertices plus tightness.
+    """Exact facet oracle: validity over all vertices plus tightness.
 
     ``valid`` means every vertex satisfies the inequality; a violating vertex
     is reported as ``witness``.  ``is_facet`` requires, for each finite bound,
     that the vertices attaining it affinely span a hyperplane of the
     polytope's affine hull.
+
+    A tight set T lies on the hyperplane ``vec . x = bound`` (``vec`` is
+    nonzero), so its affine rank is at most n - 1 for vertices of length n,
+    and its elimination stops once T spans that hyperplane.  If it does and
+    some vertex lies off it, the polytope is full-dimensional and the bound
+    passes without ranking the vertex set; otherwise the vertex set is
+    ranked, once per call.
     """
     vec, lo, up, _ = _integer_form(ineq, structure)
     values = list(zip(vertices, _values(vec, vertices)))
@@ -434,16 +444,32 @@ def verify_facet(
         if (lo is not None and val < lo) or (up is not None and val > up):
             witness = v
             break
-    dim = affine_rank(vertices)
     tight_sets = []
     for bound in (lo, up):
         if bound is not None:
             tight_sets.append([v for v, val in values if val == bound])
     tight_count = sum(len(t) for t in tight_sets)
+    hyperplane = len(vec) - 1
+    dim = None
+
+    def spans_facet(tight):
+        nonlocal dim
+        if not tight:
+            rank = -1
+        else:
+            t0 = tight[0]
+            rows = [[a - b for a, b in zip(t, t0)] for t in tight[1:]]
+            rank = len(_reduce(rows, hyperplane))
+        if rank == hyperplane and len(tight) < len(vertices):
+            return True
+        if dim is None:
+            dim = affine_rank(vertices)
+        return rank == dim - 1
+
     is_facet = (
         witness is None
         and bool(tight_sets)
-        and all(affine_rank(t) == dim - 1 for t in tight_sets)
+        and all(spans_facet(t) for t in tight_sets)
     )
     return FacetCheck(
         valid=witness is None,

@@ -153,6 +153,8 @@ class BellOperator:
             if basis not in (COMPUTATIONAL, BELL):
                 raise InputError(f"unknown basis tag {basis!r}")
             angles = obj.get("angles")
+            if angles is not None and not isinstance(angles, dict):
+                raise InputError(f"angles must be a JSON object, not {type(angles).__name__}")
             source = obj.get("source")
             return cls(
                 matrix=M,

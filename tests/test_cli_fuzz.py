@@ -11,12 +11,15 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellbounds import catalog
-from bellbounds.cli import main
+from bellbounds.cli import main, parse_angles
+from bellbounds.qops import bell_operator, to_bell_basis
+from bellbounds.states import PureState
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -34,6 +37,9 @@ ODD_NUMBERS = [
     "Infinity", "-Infinity", "NaN", "1e400", "-1e400", "1.7e308", "-9e307", "0", "-1", "7",
     "1.5", "1" + "0" * 400, "null", "true", "[]", "{}", '"1/2"',
 ]
+# Whole values swapped in for any node of a JSON document: each container
+# type, null and a string.
+ODD_VALUES = [[], [1], {}, None, "x"]
 # (structure, inequality, valid --angles, valid --schedule)
 LAYOUTS = [
     (catalog.single_setting_structure(), catalog.trivial_facet(), "1=0,2=pi/4", "1=0,2=t"),
@@ -80,14 +86,35 @@ grids = st.one_of(
 )
 
 
+def node_paths(doc, path=()):
+    """The key path of every node of a JSON document, the root's ``()`` first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from node_paths(value, (*path, key))
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return out
+
+
 @st.composite
 def odd_json(draw, doc):
-    """``doc`` as JSON text, a quarter of the time with one or two of its
-    integers swapped for odd tokens."""
+    """``doc`` as JSON text, a quarter of the time with one of its nodes
+    replaced by a value from ``ODD_VALUES``, and a quarter of the time with
+    one or two of its integers swapped for odd tokens."""
+    if draw(st.sampled_from([False] * 3 + [True])):
+        path = draw(st.sampled_from(list(node_paths(doc))))
+        doc = replaced(doc, path, draw(st.sampled_from(ODD_VALUES)))
     text = json.dumps(doc)
     spans = [m.span() for m in re.finditer(r"-?\d+", text)]
-    n = draw(st.sampled_from([0] * 6 + [1, 2]))
-    chosen = draw(st.sets(st.sampled_from(spans), min_size=n, max_size=n))
+    n = min(draw(st.sampled_from([0] * 6 + [1, 2])), len(spans))
+    chosen = draw(st.sets(st.sampled_from(spans), min_size=n, max_size=n)) if n else ()
     for start, end in sorted(chosen, reverse=True):
         text = text[:start] + draw(st.sampled_from(ODD_NUMBERS)) + text[end:]
     return text
@@ -168,7 +195,46 @@ def test_sweep(workdir, case, grid, samples, seed, eigencurves):
     )
 
 
+CH_STRUCTURE = json.dumps(catalog.ch_structure().to_json())
+
+
 @FUZZ
 @given(case=cases(2, angles), action=st.sampled_from(["vertices", "verify"]))
+@example(case=(CH_STRUCTURE, '{"coeffs": [], "lower": 0}', ""), action="verify")
+@example(case=(CH_STRUCTURE, '{"coeffs": null}', ""), action="verify")
 def test_polytope(workdir, case, action):
     run(["polytope", action, *write_documents(workdir, case)])
+
+
+def operator_docs():
+    """Each layout's operator at its valid angles, in both bases."""
+    docs = []
+    for structure, ineq, text, _ in LAYOUTS:
+        op = bell_operator(ineq, parse_angles(text), structure)
+        docs += [op.to_json(), to_bell_basis(op).to_json()]
+    return docs
+
+
+@FUZZ
+@given(doc=st.sampled_from(operator_docs()).flatmap(odd_json), out=st.booleans())
+@example(doc='{"dim": 1, "entries": [[[1, 0]]], "angles": [1]}', out=False)
+def test_spectrum(workdir, doc, out):
+    path = workdir / "operator.json"
+    path.write_text(doc)
+    out_args = ["--out", str(workdir / "spectrum.json")] if out else []
+    run(["spectrum", "--operator", str(path), *out_args])
+
+
+STATE_DOCS = [
+    PureState(np.array([1, 0, 0, 1]) / np.sqrt(2)).to_json(),
+    PureState(np.array([0, 1, 1j, 0]) / np.sqrt(2)).to_bell().to_json(),
+    PureState(np.array([0.6, 0, 0.8j, 0])).to_json(),
+]
+
+
+@FUZZ
+@given(doc=st.sampled_from(STATE_DOCS).flatmap(odd_json))
+def test_state(workdir, doc):
+    path = workdir / "state.json"
+    path.write_text(doc)
+    run(["state", "analyze", "--state", str(path)])

@@ -6,12 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bellbounds import catalog
 from bellbounds.cli import main
 from bellbounds.errors import BudgetError, InputError
 from bellbounds.polytope import (
     EventStructure,
+    FacetCheck,
     Inequality,
     affine_rank,
     classical_range,
@@ -59,6 +62,14 @@ LAYOUTS = {
 def layout_facets(name):
     structure = LAYOUTS[name]
     return hull_facets(enumerate_vertices(structure), structure)
+
+
+def relabelled(ineq, events):
+    """``ineq`` with each single event ``e`` renamed ``events[e]``."""
+    def key(k):
+        return events[k] if isinstance(k, int) else (events[k[0]], events[k[1]])
+
+    return Inequality({key(k): c for k, c in ineq.coeffs.items()}, ineq.lower, ineq.upper)
 
 
 def tight_masks(facets, structure):
@@ -226,19 +237,9 @@ class TestHullFacets:
     def test_symmetry_closure(self, ch, ch_vertices):
         # swapping the two left settings maps the facet set onto itself
         perm = {1: 2, 2: 1, 3: 3, 4: 4}
-
-        def relabel(ineq):
-            coeffs = {}
-            for k, c in ineq.coeffs.items():
-                if isinstance(k, int):
-                    coeffs[perm[k]] = c
-                else:
-                    coeffs[(perm[k[0]], perm[k[1]])] = c
-            return Inequality(coeffs, ineq.lower, ineq.upper)
-
         facets = hull_facets(ch_vertices, ch)
         assert canon_set(facets, ch) == canon_set(
-            [relabel(f) for f in facets], ch
+            [relabelled(f, perm) for f in facets], ch
         )
 
     @pytest.mark.parametrize("name", ["ch", "2x3", "i33"])
@@ -422,6 +423,158 @@ class TestVerifyFacet:
         assert check.valid and not check.is_facet
 
 
+class TestVerifyFacetLifted:
+    """The oracle on the 3x4 layout (dimension 19, 128 vertices).
+
+    Zero-lifting a facet to an added setting keeps it a facet (Pironio,
+    J. Math. Phys. 46, 062112, 2005), so the catalog inequalities, renamed
+    into 1-3 | 4-7, are 3x4 facets.
+    """
+
+    CH_EVENTS = {1: 1, 2: 2, 3: 4, 4: 5}
+    I33_EVENTS = {e: e for e in range(1, 7)}
+
+    @pytest.fixture(scope="class")
+    def layout(self):
+        structure = bipartite((1, 2, 3), (4, 5, 6, 7))
+        return structure, enumerate_vertices(structure)
+
+    def check(self, ineq, layout):
+        structure, vertices = layout
+        return verify_facet(ineq, vertices, structure)
+
+    def test_lifted_ch_both_bounds(self, layout):
+        ch = relabelled(catalog.ch_inequality(), self.CH_EVENTS)
+        assert self.check(ch, layout) == FacetCheck(True, 128, True)
+
+    def test_lifted_i33(self, layout):
+        i33 = relabelled(catalog.i33_inequality(), self.I33_EVENTS)
+        assert self.check(i33, layout) == FacetCheck(True, 40, True)
+
+    def test_positivity(self, layout):
+        assert self.check(Inequality({(3, 7): 1}, lower=0), layout) == FacetCheck(True, 96, True)
+
+    def test_sum_is_valid_not_facet(self, layout):
+        ch = relabelled(catalog.ch_inequality(), self.CH_EVENTS)
+        i33 = relabelled(catalog.i33_inequality(), self.I33_EVENTS)
+        total = {k: ch.coeffs.get(k, 0) + i33.coeffs.get(k, 0) for k in {*ch.coeffs, *i33.coeffs}}
+        check = self.check(Inequality(total, upper=0), layout)
+        assert check == FacetCheck(True, 28, False)
+
+    def test_lifted_printed_variant_invalid(self, layout):
+        printed = relabelled(catalog.ch_inequality_printed_variant(), self.CH_EVENTS)
+        check = self.check(printed, layout)
+        # settings 2 and 5 up, the rest down: -p25 - p5 = -2, below the lower bound -1
+        witness = (0, 1, 0, 0, 1, 0, 0) + (0,) * 5 + (1,) + (0,) * 6
+        assert check == FacetCheck(False, 96, False, witness)
+        assert printed.evaluate(witness, layout[0]) == -2
+
+
+def oracle_definition(ineq, vertices, structure):
+    """``verify_facet`` as defined: the first violating vertex in input order,
+    and for each finite bound a tight set one affine dimension below the
+    vertex set."""
+    order = structure.term_order()
+    values = [sum(ineq.coeffs.get(k, 0) * x for k, x in zip(order, v)) for v in vertices]
+    bounds = [b for b in (ineq.lower, ineq.upper) if b is not None]
+    witness = next(
+        (
+            v
+            for v, val in zip(vertices, values)
+            if (ineq.lower is not None and val < ineq.lower)
+            or (ineq.upper is not None and val > ineq.upper)
+        ),
+        None,
+    )
+    tight = [[v for v, val in zip(vertices, values) if val == b] for b in bounds]
+    dim = affine_rank(vertices)
+    is_facet = witness is None and bool(bounds) and all(affine_rank(t) == dim - 1 for t in tight)
+    return FacetCheck(witness is None, sum(map(len, tight)), is_facet, witness)
+
+
+@functools.cache
+def hull_of(structure):
+    return hull_facets(enumerate_vertices(structure), structure)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(inequality, vertex list, structure) on a random layout of up to five
+    events.
+
+    The vertices are all of them, a random subset, a random subset of a
+    face t_e = b, or a single vertex, in random order.  The coefficients are
+    random integers or those of a facet of the layout.  Each bound is absent,
+    one below, at or one above the least value over the vertices (lower), or
+    one above, at or one below the greatest (upper).
+    """
+    n_left = draw(st.integers(1, 3))
+    n_right = draw(st.integers(0, 5 - n_left))
+    left = tuple(range(1, n_left + 1))
+    right = tuple(range(n_left + 1, n_left + n_right + 1))
+    cross = [(i, j) for i in left for j in right]
+    joints = draw(st.lists(st.sampled_from(cross), unique=True)) if cross else []
+    structure = EventStructure(n_left + n_right, (left, right) if right else (left,), tuple(joints))
+    all_vertices = enumerate_vertices(structure)
+    kind = draw(st.sampled_from(["all"] * 3 + ["subset", "face"] * 2 + ["single"]))
+    if kind == "face":
+        e, b = draw(st.integers(0, structure.n_single - 1)), draw(st.integers(0, 1))
+        all_vertices = [v for v in all_vertices if v[e] == b]
+    if kind == "single":
+        vertices = [draw(st.sampled_from(all_vertices))]
+    elif kind == "all":
+        vertices = draw(st.permutations(all_vertices))
+    else:
+        vertices = draw(st.lists(st.sampled_from(all_vertices), min_size=1, unique=True))
+    order = structure.term_order()
+    if draw(st.booleans()):
+        coeffs = draw(st.sampled_from(hull_of(structure))).coeffs
+    else:
+        coeffs = draw(
+            st.dictionaries(st.sampled_from(order), st.integers(-2, 2).filter(bool), min_size=1)
+        )
+    values = [sum(coeffs.get(k, 0) * x for k, x in zip(order, v)) for v in vertices]
+    offsets = st.one_of(st.none(), st.sampled_from([-1, 0, 0, 1]))
+    lo, up = draw(offsets), draw(offsets)
+    lower = None if lo is None else min(values) + lo
+    upper = None if up is None else max(values) - up
+    assume(lower is None or upper is None or lower <= upper)
+    return Inequality(coeffs, lower, upper), vertices, structure
+
+
+class TestVerifyFacetDefinition:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=oracle_cases())
+    # the whole 3x3 vertex set under the catalog inequality
+    @example(
+        case=(
+            catalog.i33_inequality(),
+            enumerate_vertices(catalog.i33_structure()),
+            catalog.i33_structure(),
+        )
+    )
+    def test_matches_definition(self, case):
+        assert verify_facet(*case) == oracle_definition(*case)
+
+    def test_zero_dimensional(self, single):
+        # one vertex spans a point (rank 0): a valid bound no vertex attains
+        # has the empty tight set, rank -1 = 0 - 1, and counts as a facet;
+        # an attained bound leaves rank 0 and does not
+        vertex = [(1, 1, 1)]
+        assert verify_facet(Inequality({1: 1}, upper=2), vertex, single) == FacetCheck(
+            True, 0, True
+        )
+        assert verify_facet(Inequality({1: 1}, upper=1), vertex, single) == FacetCheck(
+            True, 1, False
+        )
+        assert verify_facet(Inequality({1: 1}, upper=0), vertex, single) == FacetCheck(
+            False, 0, False, (1, 1, 1)
+        )
+
+    def test_empty_vertex_list(self, single):
+        assert verify_facet(Inequality({1: 1}, upper=0), [], single) == FacetCheck(True, 0, False)
+
+
 class TestInequality:
     def test_json_roundtrip(self, ch):
         ineq = catalog.ch_inequality()
@@ -441,6 +594,15 @@ class TestInequality:
     def test_bounds_ordered(self):
         with pytest.raises(InputError):
             Inequality({1: 1}, lower=1, upper=0)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"coeffs": [], "lower": 0}, {"coeffs": None}, {"coeffs": "1"}, [], None],
+        ids=["coeffs-array", "coeffs-null", "coeffs-string", "array", "null"],
+    )
+    def test_from_json_wrong_container(self, doc):
+        with pytest.raises(InputError):
+            Inequality.from_json(doc)
 
 
 def test_affine_rank():
