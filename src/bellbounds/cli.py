@@ -117,6 +117,8 @@ def parse_angles(spec: str) -> dict[int, float]:
             idx = int(k)
         except ValueError as exc:
             raise InputError(f"bad event index {k!r}") from exc
+        if idx in out:
+            raise InputError(f"event {idx} given more than one angle")
         out[idx] = parse_scalar(v)
     if not out:
         raise InputError("empty angle list")
@@ -134,6 +136,8 @@ def parse_schedule(spec: str) -> Callable[[float], dict[int, float]]:
             idx = int(k)
         except ValueError as exc:
             raise InputError(f"bad event index {k!r}") from exc
+        if idx in affine:
+            raise InputError(f"event {idx} given more than one schedule entry")
         affine[idx] = parse_affine(v)
     if not affine:
         raise InputError("empty schedule")
@@ -267,6 +271,8 @@ def _cmd_sweep(args) -> int:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    if args.eigencurves and args.samples:
+        raise InputError("--eigencurves takes no samples: drop --samples")
     structure = EventStructure.from_json(_load_json(args.structure))
     ineq = Inequality.from_json(_load_json(args.ineq))
     schedule = parse_schedule(args.schedule)

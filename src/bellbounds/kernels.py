@@ -15,9 +15,9 @@ state W' = B^2 / Tr[B^2] makes Tr[W' op] a ratio of two quadratic forms in p:
                                       parameters, 2 on the off-diagonal ones
 
 Q is built once per operator, so a batch of rows costs one (n, 16) x (16, 16)
-matrix product and never forms B or B^2.  Q itself is gathered from op without
-a matrix product: each Re Tr[E_k E_l op] is a sum of at most two signed real or
-imaginary parts of op's entries.
+matrix product and never forms B or B^2.  Q itself is one np.einsum of op
+with the 256 products E_k E_l, which numpy sums in its own loop, so building
+it wakes no BLAS thread.
 """
 
 from __future__ import annotations
@@ -66,38 +66,16 @@ _PAIR_PRODUCTS = np.einsum("kab,lbc->klac", _BASIS, _BASIS).reshape(256, 16)
 _WEIGHTS = np.einsum("kab,kba->k", _BASIS, _BASIS).real
 
 
-def _term_indices() -> np.ndarray:
-    """(2, 256) positions of the terms of Re(_PAIR_PRODUCTS @ op.T.reshape(16)).
-
-    Each row of _PAIR_PRODUCTS has at most two nonzero entries, each one of
-    +-1, +-1j.  The positions index the 65 reals [op's entries as interleaved
-    (re, im) pairs, their negatives, 0.0]; a missing term reads the 0.0.
-    """
-    rows, cols = np.nonzero(_PAIR_PRODUCTS)
-    c = _PAIR_PRODUCTS[rows, cols]
-    # column j of _PAIR_PRODUCTS multiplies op.T's entry j, which is op's
-    # entry (j % 4, j // 4); Re(c z) is Re z, -Re z, -Im z, Im z for c = 1,
-    # -1, 1j, -1j
-    pos = 2 * ((cols % 4) * 4 + cols // 4) + (c.imag != 0) + 32 * (c.real < c.imag)
-    second = np.r_[False, rows[1:] == rows[:-1]]
-    terms = np.full((2, 256), 64)
-    terms[second.astype(int), rows] = pos
-    return terms
-
-
-_TERMS = _term_indices()
-
-
 def _pair_traces(op: np.ndarray) -> np.ndarray:
-    """(16, 16) Re Tr[E_k E_l op], gathered from op's entries.
+    """(16, 16) Re Tr[E_k E_l op], one sum over the 256 products E_k E_l.
 
-    Equal, bit for bit, to (_PAIR_PRODUCTS @ op.T.reshape(16)).real, a complex
-    matvec that wakes a BLAS worker thread, which then keeps a core spinning.
-    The + 0.0 matches the matvec's zero-started sum, which never ends at -0.0.
+    Equal, bit for bit, to (_PAIR_PRODUCTS @ op.T.reshape(16)).real, but
+    np.einsum without ``optimize`` sums in its own loop: the complex matvec
+    wakes a BLAS worker thread, which then keeps a core spinning.  The + 0.0
+    turns a -0.0 into the 0.0 that the matvec's zero-started sum gives.
     """
-    parts = np.ascontiguousarray(op, dtype=np.complex128).reshape(16).view(np.float64)
-    y = np.concatenate([parts, -parts, [0.0]])
-    return (y[_TERMS[0]] + y[_TERMS[1]] + 0.0).reshape(16, 16)
+    traces = np.einsum("kac,ca->k", _PAIR_PRODUCTS.reshape(256, 4, 4), op)
+    return (traces.real + 0.0).reshape(16, 16)
 
 
 def batch_expectations(params: np.ndarray, op: np.ndarray) -> np.ndarray:

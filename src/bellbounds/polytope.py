@@ -70,13 +70,24 @@ class EventStructure:
     @classmethod
     def from_json(cls, obj: dict) -> "EventStructure":
         try:
-            return cls(
-                n_single=int(obj["n_single"]),
-                sides=tuple(tuple(int(i) for i in s) for s in obj["sides"]),
-                joints=tuple((int(i), int(j)) for i, j in obj["joints"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n_single, sides, joints = obj["n_single"], obj["sides"], obj["joints"]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad structure JSON: {exc}") from exc
+        # json reads an integer as an int; a bool is an int subclass
+        if type(n_single) is not int:
+            raise InputError(f"n_single must be a JSON integer, not {type(n_single).__name__}")
+        if not _int_arrays(sides):
+            raise InputError("sides must be an array of arrays of integers")
+        if not _int_arrays(joints) or any(len(j) != 2 for j in joints):
+            raise InputError("joints must be an array of two-integer arrays")
+        return cls(n_single, tuple(map(tuple, sides)), tuple(map(tuple, joints)))
+
+
+def _int_arrays(x) -> bool:
+    """True for a JSON array of arrays of integers."""
+    return isinstance(x, list) and all(
+        isinstance(a, list) and all(type(i) is int for i in a) for a in x
+    )
 
 
 @dataclass

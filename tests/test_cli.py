@@ -98,6 +98,10 @@ class TestParseAngles:
         with pytest.raises(InputError):
             parse_angles("x=0")
 
+    def test_rejects_repeated_index(self):
+        with pytest.raises(InputError, match="event 1"):
+            parse_angles("1=0,1=5,2=pi/2")
+
 
 class TestParseSchedule:
     def test_two_setting_standard(self):
@@ -107,6 +111,10 @@ class TestParseSchedule:
         assert set(got) == set(want)
         for k in want:
             assert got[k] == pytest.approx(want[k], abs=1e-15)
+
+    def test_rejects_repeated_index(self):
+        with pytest.raises(InputError, match="event 1"):
+            parse_schedule("1=0,2=2t,3=t,4=3t,1=t")
 
 
 class TestParseGrid:
@@ -159,6 +167,21 @@ class TestPolytopeCommand:
         s = tmp_path / "structure.json"
         s.write_bytes(data)
         assert main(["polytope", "vertices", "--structure", str(s)]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n_single": 4, "sides": ["12", "34"], "joints": ["13", "14", "23", "24"]},
+            {**catalog.ch_structure().to_json(), "n_single": 4.9},
+        ],
+        ids=["digit-strings", "float-n-single"],
+    )
+    def test_structure_wrong_types_exit_code(self, ch_files, tmp_path, doc):
+        # a string of digits must not unpack into events, nor 4.9 truncate to 4
+        _, i = ch_files
+        s = tmp_path / "odd.json"
+        s.write_text(json.dumps(doc))
+        assert main(["polytope", "verify", "--structure", str(s), "--ineq", i]) == 2
 
     def test_budget_exit_code(self, tmp_path):
         big = tmp_path / "big.json"
@@ -328,6 +351,31 @@ class TestOperatorAndSpectrum:
         )
         assert rc == 2
 
+    def test_repeated_event_angle_exit_code(self, ch_files):
+        s, i = ch_files
+        rc = main(
+            ["bound", "--structure", s, "--ineq", i, "--angles", "1=0,1=5,2=pi/2,3=pi/4,4=3pi/4"]
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--eigencurves"]], ids=["sweep", "eigencurves"])
+    def test_repeated_event_schedule_exit_code(self, ch_files, tmp_path, extra):
+        s, i = ch_files
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "sweep",
+                "--structure", s,
+                "--ineq", i,
+                "--schedule", "1=0,2=2t,3=t,4=3t,1=t",
+                "--grid", "0:pi:5",
+                "--out", str(out),
+                *extra,
+            ]
+        )
+        assert rc == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--eigencurves"]], ids=["sweep", "eigencurves"])
     def test_unknown_event_schedule_exit_code(self, ch_files, tmp_path, extra):
         s, i = ch_files
@@ -428,7 +476,7 @@ class TestSweepCommand:
         assert out.read_bytes() == first
 
     def test_eigencurve_mode(self, ch_files, tmp_path):
-        rc, out = self.run_sweep(ch_files, tmp_path, extra=["--eigencurves"])
+        rc, out = self.run_sweep(ch_files, tmp_path, extra=["--eigencurves", "--samples", "0"])
         assert rc == 0
         header = out.read_text().splitlines()[0]
         assert header == "theta,lambda1,lambda2,lambda3,lambda4"
@@ -457,6 +505,13 @@ class TestSweepCommand:
             ]
         )
         assert rc == 2
+
+    def test_eigencurves_with_samples_exit_code(self, ch_files, tmp_path):
+        # eigencurves draw no samples, so a manifest must not claim any
+        rc, out = self.run_sweep(ch_files, tmp_path, extra=["--eigencurves"])
+        assert rc == 2
+        assert not out.exists()
+        assert not (tmp_path / "sweep.csv.manifest.json").exists()
 
     def test_negative_samples_exit_code(self, ch_files, tmp_path):
         rc, out = self.run_sweep(ch_files, tmp_path, extra=["--samples", "-5"])

@@ -196,12 +196,19 @@ def test_sweep(workdir, case, grid, samples, seed, eigencurves):
 
 
 CH_STRUCTURE = json.dumps(catalog.ch_structure().to_json())
+CH_INEQUALITY = json.dumps(catalog.ch_inequality().to_json())
+# the CH structure with its sides and joints written as strings of digits
+CH_DIGIT_STRINGS = '{"n_single": 4, "sides": ["12", "34"], "joints": ["13", "14", "23", "24"]}'
+# the CH structure with an event count that is not an integer
+CH_FLOAT_COUNT = CH_STRUCTURE.replace('"n_single": 4', '"n_single": 4.9')
 
 
 @FUZZ
 @given(case=cases(2, angles), action=st.sampled_from(["vertices", "verify"]))
 @example(case=(CH_STRUCTURE, '{"coeffs": [], "lower": 0}', ""), action="verify")
 @example(case=(CH_STRUCTURE, '{"coeffs": null}', ""), action="verify")
+@example(case=(CH_DIGIT_STRINGS, CH_INEQUALITY, ""), action="verify")
+@example(case=(CH_FLOAT_COUNT, CH_INEQUALITY, ""), action="verify")
 def test_polytope(workdir, case, action):
     run(["polytope", action, *write_documents(workdir, case)])
 

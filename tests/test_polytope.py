@@ -173,6 +173,23 @@ class TestEventStructure:
     def test_json_roundtrip(self, ch):
         assert EventStructure.from_json(json.loads(json.dumps(ch.to_json()))) == ch
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n_single": True, "sides": [[1]], "joints": []},
+            {"n_single": 1.0, "sides": [[1]], "joints": []},
+            {"n_single": 1, "sides": [[True]], "joints": []},
+            {"n_single": 2, "sides": [[1], ["2"]], "joints": []},
+            {"n_single": 2, "sides": [[1], [2]], "joints": ["12"]},
+        ],
+        ids=["bool-count", "float-count", "bool-event", "string-event", "string-joint"],
+    )
+    def test_from_json_wrong_types(self, doc):
+        # each would read as a valid layout if converted: int(True), int(1.0),
+        # int("2"), or "12" unpacked into (1, 2)
+        with pytest.raises(InputError):
+            EventStructure.from_json(doc)
+
 
 class TestEnumerateVertices:
     def test_single_setting(self, single):

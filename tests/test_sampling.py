@@ -241,7 +241,7 @@ def as_bytes(results):
 
 
 class TestPooledDraws:
-    """The draw pool and its buffers change no sampled value."""
+    """The drawing threads and their buffers change no sampled value."""
 
     @pytest.mark.parametrize("n_samples", [1, 7, 3000])
     @pytest.mark.parametrize("n_points", [1, 2, 101])
@@ -274,13 +274,15 @@ class TestPooledDraws:
     @pytest.mark.parametrize(
         "cpus,draw_bytes,pool",
         [
-            (1, 2**26, 0), (2, 1, 0), (2, 50 * 128 * 2, 0), (2, 50 * 128 * 3, 1),
-            (2, 2**26, 1), (3, 50 * 128 * 4, 1), (3, 50 * 128 * 5, 2), (8, 2**26, 7),
+            (1, 2**26, 0), (2, 1, 0), (2, 50 * 128 * 2, 1), (2, 50 * 128 * 3, 1),
+            (2, 2**26, 1), (3, 50 * 128 * 2, 1), (3, 50 * 128 * 4, 2), (3, 50 * 128 * 5, 2),
+            (8, 2**26, 7), (16, 2**26, 8),
         ],
     )
     def test_draw_bytes_cap(self, monkeypatch, cpus, draw_bytes, pool):
-        # one pool thread per usable CPU but the caller's, as far as the
-        # buffers fit: the caller holds one of 50 * 128 bytes, each pool thread two
+        # one drawing thread per usable CPU, the caller's included, as far as
+        # their buffers of 50 * 128 bytes fit and there are grid points (9)
+        # for them; the pool holds all but the caller
         want = as_bytes(sampled_sweep("ch", 9, 50))
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(sampling, "MAX_DRAW_BYTES", draw_bytes)
@@ -294,7 +296,33 @@ class TestPooledDraws:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         assert as_bytes(sampled_sweep("ch", 9, 50)) == want
         assert sizes == ([pool] if pool else [])
-        assert (1 + 2 * pool) * 50 * 128 <= max(draw_bytes, 50 * 128)
+        assert (1 + pool) * 50 * 128 <= max(draw_bytes, 50 * 128)
+
+    def test_draw_failure_stops_every_thread(self, monkeypatch):
+        # a failing draw empties the shared points, so no other thread starts
+        # more than the point it holds; repeated, because the failing draw
+        # lands on the calling thread or on a pool thread by chance
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
+        draw = sampling._draw
+        started = []
+
+        def failing_draw(out, seed, g):
+            started.append(g)
+            if g == 5:
+                raise NumericError("draw failed")
+            return draw(out, seed, g)
+
+        monkeypatch.setattr(sampling, "_draw", failing_draw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                started.clear()
+                with pytest.raises(NumericError, match="draw failed"):
+                    sampled_sweep("ch", 40, 50)
+                assert len(started) <= 8, sorted(started)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_no_thread_left_running(self, monkeypatch):
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
