@@ -24,6 +24,7 @@ from .errors import BudgetError, InputError, NumericError
 from .polytope import (
     EventStructure,
     Inequality,
+    check_hull_budget,
     classical_range,
     enumerate_vertices,
     hull_facets,
@@ -195,6 +196,9 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_polytope(args) -> int:
     structure = EventStructure.from_json(_load_json(args.structure))
+    if args.action == "facets":
+        # the hull's size follows from the structure; refuse before enumerating
+        check_hull_budget(structure.dimension, 2**structure.n_single)
     vertices = enumerate_vertices(structure)
     if args.action == "vertices":
         _emit({"vertices": [list(v) for v in vertices]}, args.out)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from .errors import BudgetError, InputError
 
 TermKey = Union[int, tuple[int, int]]
@@ -24,6 +26,10 @@ Vertex = tuple[int, ...]
 MAX_SINGLE_EVENTS = 20
 MAX_HULL_DIMENSION = 16
 MAX_HULL_VERTICES = 128
+# positive x negative ray pairs per packed prefilter block in _dd_rays;
+# keeps its temporary arrays near 200 KB (32 k pairs left about 0.6 MB more
+# heap behind after repeated 3x3 hulls, at no measurable speed difference)
+PAIR_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -271,19 +277,35 @@ def affine_rank(points: Iterable[Vertex]) -> int:
     return len(_reduce(rows, len(p0)))
 
 
+def _pack(masks: list[int], words: int):
+    """Bitmasks as an (R, words) uint64 array, low word first."""
+    data = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
+
+
 def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     """Extreme rays (a0, a1..ad) of the dual cone: a0 + a.x >= 0 on conv(V).
 
-    Double description with combinatorial adjacency; deterministic insertion
-    order, integer arithmetic throughout.  Each ray carries the bitmask of
-    the steps (inserted rows) it is zero on.  A positive and a negative ray
-    are adjacent iff no other current ray's mask contains their common zero
-    set z.  That test runs on an inverted index: every ray gets a stable id
-    when made, and for each step one Python-int bitset holds the ids of the
-    rays zero on it, so the rays containing z are the AND of z's bitsets
-    restricted to the ids of the current rays.  The index is updated in
-    place: a step adds its own bitset (its zero rays), new rays add their id
-    to the bitsets of their mask, and dropped rays leave the live set.
+    Double description with combinatorial adjacency (Fukuda & Prodon,
+    "Double description method revisited", 1996), integer arithmetic
+    throughout.  Rows are inserted in the given order, which sets how many
+    intermediate rays there are: ``hull_facets`` passes the vertices sorted
+    (binary counting order), as a shuffled 3x3 list takes about 30 times as
+    long.  Each ray carries the bitmask of the steps (inserted rows) it is
+    zero on.  A positive and a negative ray are adjacent iff no other
+    current ray's mask contains their common zero set z.
+
+    Each step first counts the common zeros of every positive x negative
+    pair at once: the masks are packed into uint64 words and ANDed, and
+    ``np.bitwise_count`` counts the bits, ``PAIR_BLOCK`` pairs at a time.
+    Only pairs with at least dim - 2 common zeros can be adjacent.  Those
+    go to an inverted index: every ray gets a stable id when made, and for
+    each step one Python-int bitset holds the ids of the rays zero on it, so
+    the rays containing z are the AND of z's bitsets restricted to the ids
+    of the current rays.  The AND takes z's newest step first and stops once
+    only the pair itself is left.  The index is updated in place: a step
+    adds its own bitset (its zero rays), new rays add their id to the
+    bitsets of their mask, and dropped rays leave the live set.
     """
     dim = len(vertices[0]) + 1
     rows: list[Vertex] = [(1,) + v for v in vertices]
@@ -304,6 +326,7 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
         for _, p, r in sorted(_reduce(aug, dim, dim), key=lambda t: t[1])
     ]
     order = idx + [k for k in range(len(rows)) if k not in set(idx)]
+    words = -(-len(rows) // 64)
     full = (1 << dim) - 1
     masks = [full & ~(1 << j) for j in range(dim)]
     # ids[i] is ray i's id; holders[s] has bit k set when the ray with id k,
@@ -327,20 +350,24 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
         pos = [i for i, x in enumerate(dots) if x > 0]
         new_rays, new_masks = [], []
         need = dim - 2
-        for ip in pos:
-            mp = masks[ip]
-            bp = 1 << ids[ip]
-            for im in neg:
-                z = mp & masks[im]
-                if z.bit_count() < need:
-                    continue
-                # adjacent iff no other current ray's zero set contains z
-                pair = bp | 1 << ids[im]
+        packed_neg = _pack([masks[i] for i in neg], words)[None]
+        packed_pos = _pack([masks[i] for i in pos], words)[:, None]
+        block = max(1, PAIR_BLOCK // len(neg))
+        for start in range(0, len(pos), block):
+            counts = np.bitwise_count(
+                packed_pos[start : start + block] & packed_neg
+            ).sum(axis=2)
+            for row, col in np.argwhere(counts >= need).tolist():
+                ip, im = pos[start + row], neg[col]
+                z = masks[ip] & masks[im]
+                # adjacent iff no other current ray's zero set contains z;
+                # ip and im are zero on every step of z, so common keeps pair
+                pair = 1 << ids[ip] | 1 << ids[im]
                 common, rest = live, z
                 while rest and common != pair:
-                    low = rest & -rest
-                    common &= holders[low.bit_length() - 1]
-                    rest ^= low
+                    top = rest.bit_length() - 1
+                    common &= holders[top]
+                    rest ^= 1 << top
                 if common != pair:
                     continue
                 r = tuple(
@@ -387,6 +414,15 @@ def _ray_to_inequality(ray: tuple[int, ...], structure: EventStructure) -> Inequ
     )
 
 
+def check_hull_budget(dim: int, n_vertices: int) -> None:
+    """Raise ``BudgetError`` for a hull above ``MAX_HULL_DIMENSION`` or ``MAX_HULL_VERTICES``."""
+    if dim > MAX_HULL_DIMENSION or n_vertices > MAX_HULL_VERTICES:
+        raise BudgetError(
+            f"hull budget exceeded: dim {dim} (max {MAX_HULL_DIMENSION}), "
+            f"{n_vertices} vertices (max {MAX_HULL_VERTICES})"
+        )
+
+
 def hull_facets(
     vertices: list[Vertex], structure: EventStructure
 ) -> list[Inequality]:
@@ -400,12 +436,10 @@ def hull_facets(
     dim = len(vertices[0])
     if any(len(v) != dim for v in vertices):
         raise InputError("vertices of mixed dimension")
-    if dim > MAX_HULL_DIMENSION or len(vertices) > MAX_HULL_VERTICES:
-        raise BudgetError(
-            f"hull budget exceeded: dim {dim} (max {MAX_HULL_DIMENSION}), "
-            f"{len(vertices)} vertices (max {MAX_HULL_VERTICES})"
-        )
-    facets = [_ray_to_inequality(r, structure) for r in _dd_rays(vertices)]
+    check_hull_budget(dim, len(vertices))
+    # the input order sets only DD's cost (see _dd_rays), as the facets are
+    # sorted below
+    facets = [_ray_to_inequality(r, structure) for r in _dd_rays(sorted(vertices))]
 
     def sort_key(f):
         vec, lo, up = f.canonical_key(structure)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bellbounds import catalog
+from bellbounds import catalog, cli
 from bellbounds.cli import (
     main,
     parse_affine,
@@ -195,6 +195,25 @@ class TestPolytopeCommand:
             )
         )
         assert main(["polytope", "vertices", "--structure", str(big)]) == 3
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # dim 20 and 2^20 vertices, a quarter of a GB to build
+            {"n_single": 20, "sides": [list(range(1, 11)), list(range(11, 21))], "joints": []},
+            # dim 8 but 256 vertices
+            {"n_single": 8, "sides": [[1, 2, 3, 4], [5, 6, 7, 8]], "joints": []},
+        ],
+        ids=["dimension", "vertices"],
+    )
+    def test_facets_budget_before_enumeration(self, tmp_path, monkeypatch, doc):
+        def refuse(structure):
+            raise AssertionError("vertices enumerated before the hull budget check")
+
+        monkeypatch.setattr(cli, "enumerate_vertices", refuse)
+        s = tmp_path / "s.json"
+        s.write_text(json.dumps(doc))
+        assert main(["polytope", "facets", "--structure", str(s)]) == 3
 
 
 class TestNonFiniteJson:

@@ -5,17 +5,20 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellbounds import catalog
-from bellbounds.cli import main
+from bellbounds.cli import _emit, main
 from bellbounds.errors import BudgetError, InputError
 from bellbounds.polytope import (
     EventStructure,
     FacetCheck,
     Inequality,
+    _dd_rays,
+    _pack,
     affine_rank,
     classical_range,
     enumerate_vertices,
@@ -55,6 +58,12 @@ LAYOUTS = {
     "2x3": bipartite((1, 2), (3, 4, 5)),
     "2x4": bipartite((1, 2), (3, 4, 5, 6)),
     "i33": catalog.i33_structure(),
+    # three settings against four, joints along a 6-cycle plus (1,4)
+    "wide": EventStructure(
+        7,
+        ((1, 2, 3), (4, 5, 6, 7)),
+        ((1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7), (1, 7)),
+    ),
 }
 
 
@@ -297,32 +306,19 @@ class TestHullFacets:
         ]
         assert canon_set(facets, s) == canon_set(expected, s)
 
-    @pytest.mark.parametrize(
-        "name,seeds,block",
-        [
-            ("ch", range(20), None),
-            ("2x3", range(5), None),
-            ("2x4", range(5), None),
-            # a full shuffle of the 64 vertices makes the hull about 30
-            # times slower (the insertion order sets the intermediate ray
-            # count), so this one shuffles within consecutive blocks of 8
-            ("i33", range(2), 8),
-        ],
-        ids=["ch", "2x3", "2x4", "i33"],
-    )
-    def test_vertex_order_invariance(self, name, seeds, block):
+    @pytest.mark.parametrize("name", ["2x4", "i33"])
+    def test_vertex_order_invariance(self, name, tmp_path):
+        # hull_facets sorts its input, so a full shuffle gives the pinned
+        # bytes; TestDDRays checks DD itself on shuffled rows
         structure = LAYOUTS[name]
         vertices = enumerate_vertices(structure)
-        block = block or len(vertices)
-        want = [f.to_json() for f in layout_facets(name)]
-        for seed in seeds:
-            rng = random.Random(seed)
-            shuffled = []
-            for k in range(0, len(vertices), block):
-                part = vertices[k : k + block]
-                rng.shuffle(part)
-                shuffled += part
-            assert [f.to_json() for f in hull_facets(shuffled, structure)] == want
+        out = tmp_path / "facets.json"
+        for seed in range(2):
+            random.Random(seed).shuffle(vertices)
+            facets = hull_facets(vertices, structure)
+            _emit({"count": len(facets), "facets": facets}, str(out))
+            data = out.read_bytes()
+            assert (len(data), hashlib.sha256(data).hexdigest()) == FACET_BYTES[name]
 
     def test_budget(self, ch):
         with pytest.raises(BudgetError):
@@ -331,6 +327,36 @@ class TestHullFacets:
     def test_not_full_dimensional(self, single):
         with pytest.raises(InputError):
             hull_facets([(0, 0, 0), (1, 1, 1)], single)
+
+
+class TestDDRays:
+    @pytest.mark.parametrize(
+        "name,seeds",
+        [("ch", range(20)), ("2x3", range(5)), ("2x4", range(5))],
+        ids=["ch", "2x3", "2x4"],
+    )
+    def test_vertex_order_invariance(self, name, seeds):
+        # the insertion order changes the intermediate rays, not the result
+        vertices = enumerate_vertices(LAYOUTS[name])
+        want = set(_dd_rays(vertices))
+        for seed in seeds:
+            random.Random(seed).shuffle(vertices)
+            assert set(_dd_rays(vertices)) == want
+
+    @given(st.lists(st.tuples(*[st.integers(0, 2**128 - 1)] * 2), max_size=8))
+    def test_packed_counts_match_bit_count(self, pairs):
+        # the prefilter's word-packed popcount against Python's int.bit_count
+        packed = [_pack([a for a, _ in pairs], 2), _pack([b for _, b in pairs], 2)]
+        counts = np.bitwise_count(packed[0] & packed[1]).sum(axis=1)
+        assert counts.tolist() == [(a & b).bit_count() for a, b in pairs]
+
+
+# (length, sha256) of the ``polytope facets`` output
+FACET_BYTES = {
+    "2x4": (12444, "4609c3756b6d3772afffcd4ad61f0969efd6956254147c42e133eaf9e7dfa481"),
+    "i33": (180334, "315393c30bccec62c21291673811501c799627ce3836ec6bbff53aad8308b4f8"),
+    "wide": (10775, "acc66888227a4d38239b339a1d44a68057d0711424b13ed9b28de89d1f3d2a03"),
+}
 
 
 def facets_file(tmp_path_factory, structure):
@@ -361,11 +387,7 @@ class TestI33Hull:
 
     def test_facets_output_bytes(self, i33_facets_file):
         data = i33_facets_file.read_bytes()
-        assert len(data) == 180334
-        assert (
-            hashlib.sha256(data).hexdigest()
-            == "315393c30bccec62c21291673811501c799627ce3836ec6bbff53aad8308b4f8"
-        )
+        assert (len(data), hashlib.sha256(data).hexdigest()) == FACET_BYTES["i33"]
 
     def test_every_facet_passes_oracle(self, i33_facets_file):
         assert_oracle_passes(i33_facets_file, catalog.i33_structure(), 684)
@@ -380,14 +402,29 @@ class TestTwoByFourHull:
 
     def test_facets_output_bytes(self, facets_2x4_file):
         data = facets_2x4_file.read_bytes()
-        assert len(data) == 12444
-        assert (
-            hashlib.sha256(data).hexdigest()
-            == "4609c3756b6d3772afffcd4ad61f0969efd6956254147c42e133eaf9e7dfa481"
-        )
+        assert (len(data), hashlib.sha256(data).hexdigest()) == FACET_BYTES["2x4"]
 
     def test_every_facet_passes_oracle(self, facets_2x4_file):
         assert_oracle_passes(facets_2x4_file, LAYOUTS["2x4"], 80)
+
+
+class TestWideMaskHull:
+    """128 vertices, so DD's step masks need two 64-bit words."""
+
+    @pytest.fixture(scope="class")
+    def wide_facets_file(self, tmp_path_factory):
+        return facets_file(tmp_path_factory, LAYOUTS["wide"])
+
+    def test_layout_size(self):
+        structure = LAYOUTS["wide"]
+        assert (structure.dimension, len(enumerate_vertices(structure))) == (14, 128)
+
+    def test_facets_output_bytes(self, wide_facets_file):
+        data = wide_facets_file.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == FACET_BYTES["wide"]
+
+    def test_every_facet_passes_oracle(self, wide_facets_file):
+        assert_oracle_passes(wide_facets_file, LAYOUTS["wide"], 60)
 
 
 class TestClassicalRange:
