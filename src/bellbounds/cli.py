@@ -51,30 +51,36 @@ def _num(x) -> str:
 def parse_scalar(tok: str) -> float:
     """Finite numeric literal with optional 'pi' factor and '/' division.
 
-    Division is left-associative: '1/2/3' is (1/2)/3.
+    Division is left-associative: '1/2/3' is (1/2)/3, and '1/2pi' is 1/(2 pi).
     """
     tok = tok.strip().replace(" ", "")
-    if not tok:
-        raise InputError("empty numeric token")
-    if "/" in tok:
-        num, den = tok.rsplit("/", 1)
-        d = parse_scalar(den)
+    num, *dens = tok.split("/")
+    value = _parse_factor(num)
+    for den in dens:
+        d = _parse_factor(den)
         if d == 0:
             raise InputError("division by zero in numeric token")
-        value = parse_scalar(num) / d
-    elif tok.endswith("pi"):
-        head = tok[: -2]
-        if head in ("", "+"):
-            value = math.pi
-        elif head == "-":
-            value = -math.pi
-        else:
-            value = parse_scalar(head) * math.pi
+        value /= d
+    if not math.isfinite(value):
+        raise InputError(f"numeric token {tok!r} is not finite")
+    return value
+
+
+def _parse_factor(tok: str) -> float:
+    """Finite number with any count of 'pi' factors appended, as in '2pi'."""
+    end = len(tok)
+    while tok.endswith("pi", 0, end):
+        end -= 2
+    head = tok[:end]
+    if head != tok and head in ("", "+", "-"):
+        value = -1.0 if head == "-" else 1.0
     else:
         try:
-            value = float(tok)
+            value = float(head)
         except ValueError as exc:
             raise InputError(f"bad numeric token {tok!r}") from exc
+    for _ in range((len(tok) - len(head)) // 2):
+        value *= math.pi
     if not math.isfinite(value):
         raise InputError(f"numeric token {tok!r} is not finite")
     return value
@@ -127,7 +133,7 @@ def parse_angles(spec: str) -> dict[int, float]:
 
 
 def parse_schedule(spec: str) -> Callable[[float], dict[int, float]]:
-    """'1=0,2=2t,3=t,4=3t' -> function theta -> angle map."""
+    """'1=0,2=2t,3=t,4=3t' -> function theta -> angle map; it rejects non-finite values."""
     affine = {}
     for item in spec.split(","):
         if "=" not in item:
@@ -144,7 +150,10 @@ def parse_schedule(spec: str) -> Callable[[float], dict[int, float]]:
         raise InputError("empty schedule")
 
     def schedule(theta: float) -> dict[int, float]:
-        return {i: m * theta + c for i, (m, c) in affine.items()}
+        angles = {i: m * theta + c for i, (m, c) in affine.items()}
+        if not all(map(math.isfinite, [theta, *angles.values()])):
+            raise InputError(f"grid point theta = {theta} gives angles {angles}, not all finite")
+        return angles
 
     return schedule
 
@@ -163,7 +172,9 @@ def parse_grid(spec: str) -> list[float]:
         raise InputError("grid needs at least one point")
     if n > MAX_GRID_POINTS:
         raise BudgetError(f"{n} grid points above limit {MAX_GRID_POINTS}")
-    return [float(x) for x in np.linspace(lo, hi, n)]
+    # hi - lo may overflow; the schedule rejects the non-finite points
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(lo, hi, n).tolist()
 
 
 def _load_json(path: str) -> dict:
@@ -174,6 +185,14 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _open_out(path: str):
+    """``path`` opened for writing text; a path that cannot be written is bad input."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -188,7 +207,7 @@ def _emit(payload: dict, out: str | None) -> None:
         fh.write("\n")
 
     if out:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             write(fh)
     else:
         write(sys.stdout)
@@ -289,7 +308,8 @@ def _cmd_sweep(args) -> int:
         rows = sweep(ineq, structure, schedule, grid, args.samples, args.seed)
         write_sweep_csv(rows, buf)
     data = buf.getvalue()
-    with open(args.out, "w") as fh:
+    # the CSV first, so that a manifest never names a file that was not written
+    with _open_out(args.out) as fh:
         fh.write(data)
     manifest = {
         "command": "sweep",
@@ -306,9 +326,7 @@ def _cmd_sweep(args) -> int:
         "output": args.out,
         "output_sha256": hashlib.sha256(data.encode()).hexdigest(),
     }
-    with open(args.out + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _emit(manifest, args.out + ".manifest.json")
     print(f"wrote {args.out} ({len(data.splitlines()) - 1} rows)")
     return 0
 

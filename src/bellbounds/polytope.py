@@ -295,17 +295,16 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     zero on.  A positive and a negative ray are adjacent iff no other
     current ray's mask contains their common zero set z.
 
-    Each step first counts the common zeros of every positive x negative
-    pair at once: the masks are packed into uint64 words and ANDed, and
-    ``np.bitwise_count`` counts the bits, ``PAIR_BLOCK`` pairs at a time.
-    Only pairs with at least dim - 2 common zeros can be adjacent.  Those
-    go to an inverted index: every ray gets a stable id when made, and for
-    each step one Python-int bitset holds the ids of the rays zero on it, so
-    the rays containing z are the AND of z's bitsets restricted to the ids
-    of the current rays.  The AND takes z's newest step first and stops once
-    only the pair itself is left.  The index is updated in place: a step
-    adds its own bitset (its zero rays), new rays add their id to the
-    bitsets of their mask, and dropped rays leave the live set.
+    Each step with negative rays packs the masks of the current rays into
+    uint64 words.  It first counts the common zeros of every positive x
+    negative pair at once: their words are ANDed and ``np.bitwise_count``
+    counts the bits, ``PAIR_BLOCK`` pairs at a time.  Only pairs with at
+    least dim - 2 common zeros can be adjacent.  Those go to an inverted
+    index, rebuilt from the same words at every such step: for each step s
+    one Python-int bitset has bit i set when current ray i is zero on s, so
+    the rays containing z are the AND of z's bitsets.  The AND takes z's
+    newest step first and stops once only the pair itself is left.  Rays
+    carry no ids across steps.
     """
     dim = len(vertices[0]) + 1
     rows: list[Vertex] = [(1,) + v for v in vertices]
@@ -327,31 +326,29 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     ]
     order = idx + [k for k in range(len(rows)) if k not in set(idx)]
     words = -(-len(rows) // 64)
-    full = (1 << dim) - 1
-    masks = [full & ~(1 << j) for j in range(dim)]
-    # ids[i] is ray i's id; holders[s] has bit k set when the ray with id k,
-    # current or dropped, is zero on step s; live holds the current ids.
-    # Initial ray j is zero on every basis step but j, so holders == masks.
-    ids = list(range(dim))
-    holders = list(masks)
-    live = full
-    next_id = dim
+    masks = [((1 << dim) - 1) & ~(1 << j) for j in range(dim)]
 
     for step in range(dim, len(rows)):
+        # the rows are 0/1, so the dot product sums the ray over the support
         mk = rows[order[step]]
-        dots = [sum(a * b for a, b in zip(mk, r)) for r in rays]
+        dots = [sum(itertools.compress(r, mk)) for r in rays]
         neg = [i for i, x in enumerate(dots) if x < 0]
         bit = 1 << step
-        zer = [i for i, x in enumerate(dots) if x == 0]
-        holders.append(sum(1 << ids[i] for i in zer))
         if not neg:
             masks = [m | bit if dots[i] == 0 else m for i, m in enumerate(masks)]
             continue
         pos = [i for i, x in enumerate(dots) if x > 0]
+        zer = [i for i, x in enumerate(dots) if x == 0]
+        packed = _pack(masks, words)
+        # holders[s] has bit i set when current ray i is zero on step s
+        bits = np.unpackbits(packed.view(np.uint8), axis=1, count=step, bitorder="little")
+        by_step = np.packbits(bits.T, axis=1, bitorder="little")
+        holders = [int.from_bytes(b, "little") for b in by_step.tolist()]
+        everyone = (1 << len(rays)) - 1
         new_rays, new_masks = [], []
         need = dim - 2
-        packed_neg = _pack([masks[i] for i in neg], words)[None]
-        packed_pos = _pack([masks[i] for i in pos], words)[:, None]
+        packed_neg = packed[neg][None]
+        packed_pos = packed[pos][:, None]
         block = max(1, PAIR_BLOCK // len(neg))
         for start in range(0, len(pos), block):
             counts = np.bitwise_count(
@@ -362,8 +359,8 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
                 z = masks[ip] & masks[im]
                 # adjacent iff no other current ray's zero set contains z;
                 # ip and im are zero on every step of z, so common keeps pair
-                pair = 1 << ids[ip] | 1 << ids[im]
-                common, rest = live, z
+                pair = 1 << ip | 1 << im
+                common, rest = everyone, z
                 while rest and common != pair:
                     top = rest.bit_length() - 1
                     common &= holders[top]
@@ -380,17 +377,6 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
                 new_rays.append(r)
                 new_masks.append(z | bit)
         keep = pos + zer
-        for i in neg:
-            live ^= 1 << ids[i]
-        new_ids = range(next_id, next_id + len(new_masks))
-        for k, m in zip(new_ids, new_masks):
-            live |= 1 << k
-            while m:
-                low = m & -m
-                holders[low.bit_length() - 1] |= 1 << k
-                m ^= low
-        next_id += len(new_masks)
-        ids = [ids[i] for i in keep] + list(new_ids)
         rays = [rays[i] for i in keep] + new_rays
         masks = [masks[i] | bit if dots[i] == 0 else masks[i] for i in keep] + new_masks
     return rays
@@ -438,15 +424,18 @@ def hull_facets(
         raise InputError("vertices of mixed dimension")
     check_hull_budget(dim, len(vertices))
     # the input order sets only DD's cost (see _dd_rays), as the facets are
-    # sorted below
-    facets = [_ray_to_inequality(r, structure) for r in _dd_rays(sorted(vertices))]
+    # sorted below, in the order of Inequality.canonical_key read off the
+    # integer ray a0 + a.x >= 0: a over its gcd g with its first nonzero
+    # entry positive, then the lower bound -a0/g or else the upper bound a0/g
+    def sort_key(ray):
+        a0, coeffs = ray[0], ray[1:]
+        g = math.gcd(*coeffs)
+        if next(c for c in coeffs if c) > 0:
+            return tuple(c // g for c in coeffs), False, Fraction(-a0, g)
+        return tuple(-c // g for c in coeffs), True, Fraction(a0, g)
 
-    def sort_key(f):
-        vec, lo, up = f.canonical_key(structure)
-        return (vec, lo is None, lo or 0, up is None, up or 0)
-
-    facets.sort(key=sort_key)
-    return facets
+    rays = sorted(_dd_rays(sorted(vertices)), key=sort_key)
+    return [_ray_to_inequality(r, structure) for r in rays]
 
 
 def _values(vec: list[int], vertices: list[Vertex]) -> list[int]:

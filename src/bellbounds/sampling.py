@@ -264,19 +264,20 @@ def eigencurves(
     reports its eigenvalues ascending, so a column never changes meaning
     from one row to the next.
     """
+    # every angle first, so that a schedule that rejects a point builds nothing
+    schedules = [angle_schedule(theta) for theta in theta_grid]
 
-    def operator(theta: float) -> BellOperator:
-        return bell_operator(ineq, angle_schedule(theta), structure)
+    def operator(angles: dict[int, float]) -> BellOperator:
+        return bell_operator(ineq, angles, structure)
 
     curves = []
-    for theta in theta_grid:
-        O = operator(theta)
+    for theta, angles in zip(theta_grid, schedules):
         try:
-            o1, o3 = o33_block_decompose(to_bell_basis(O))
+            o1, o3 = o33_block_decompose(to_bell_basis(operator(angles)))
         except InputError:
             return [
-                (float(t), [float(x) for x in eigen(operator(t).matrix).eigenvalues])
-                for t in theta_grid
+                (float(t), [float(x) for x in eigen(operator(a).matrix).eigenvalues])
+                for t, a in zip(theta_grid, schedules)
             ]
         curves.append((float(theta), [o1] + cardano_eigenvalues(o3)))
     return curves

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bellbounds import catalog, cli
+from bellbounds import catalog, cli, sampling
 from bellbounds.cli import (
     main,
     parse_affine,
@@ -57,6 +58,20 @@ class TestParseScalar:
     )
     def test_values(self, tok, val):
         assert parse_scalar(tok) == pytest.approx(val, abs=1e-15)
+
+    def test_left_fold_is_exact(self):
+        # '/' folds left to right, and 'pi' binds to its own factor
+        assert parse_scalar("1/2/3") == (1 / 2) / 3
+        assert parse_scalar("1/2pi") == 1 / (2 * math.pi)
+
+    def test_long_division_chain(self, ch_files, capsys):
+        # 3000 divisions are folded in a loop, not by recursion
+        tok = "1" + "/1" * 3000
+        assert parse_scalar(tok) == 1.0
+        s, i = ch_files
+        rc = main(["bound", "--structure", s, "--ineq", i, "--angles", f"1={tok},2=0,3=1,4=2"])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_rejects_garbage(self):
         for bad in ("", "x", "pi/0", "1..2", "nan", "inf", "-inf", "1e400", "1e308pi"):
@@ -129,6 +144,46 @@ class TestParseGrid:
         for bad in ("0:1", "0:1:0", "0:1:x"):
             with pytest.raises(InputError):
                 parse_grid(bad)
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be opened for writing is bad input, exit 2."""
+
+    def assert_refused(self, argv, capsys):
+        assert main(argv) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_polytope(self, ch_files, tmp_path, capsys):
+        s, _ = ch_files
+        out = tmp_path / "missing" / "f.json"
+        self.assert_refused(["polytope", "facets", "--structure", s, "--out", str(out)], capsys)
+
+    def test_operator(self, ch_files, tmp_path, capsys):
+        s, i = ch_files
+        out = tmp_path / "missing" / "o.json"
+        self.assert_refused(
+            ["operator", "build", "--structure", s, "--ineq", i,
+             "--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4", "--out", str(out)],
+            capsys,
+        )
+
+    def test_spectrum(self, tmp_path, capsys):
+        op = tmp_path / "op.json"
+        op.write_text('{"dim": 1, "entries": [[[1, 0]]]}')
+        out = tmp_path / "missing" / "s.json"
+        self.assert_refused(["spectrum", "--operator", str(op), "--out", str(out)], capsys)
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+    def test_sweep(self, ch_files, tmp_path, capsys, target):
+        s, i = ch_files
+        out = tmp_path / target
+        self.assert_refused(
+            ["sweep", "--structure", s, "--ineq", i, "--schedule", "1=0,2=2t,3=t,4=3t",
+             "--grid", "0:pi:3", "--out", str(out)],
+            capsys,
+        )
+        # no manifest without its CSV
+        assert not list(tmp_path.rglob("*.manifest.json"))
 
 
 class TestPolytopeCommand:
@@ -524,6 +579,38 @@ class TestSweepCommand:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "schedule,grid,where",
+        [
+            ("1=0,2=2t,3=t,4=3t", "-1e308:1e308:3", "grid point theta = nan"),
+            ("1=1e308t,2=t,3=t,4=t", "0:10:3", "grid point theta = 5.0"),
+        ],
+        ids=["grid-point", "angle"],
+    )
+    @pytest.mark.parametrize("extra", [[], ["--eigencurves"]], ids=["sweep", "eigencurves"])
+    def test_non_finite_point_exit_code(
+        self, ch_files, tmp_path, capsys, monkeypatch, schedule, grid, where, extra
+    ):
+        # refused before any operator is built
+        def no_build(*args):
+            raise AssertionError("operator built")
+
+        monkeypatch.setattr(sampling, "bell_operator", no_build)
+        monkeypatch.setattr(sampling, "bell_operators", no_build)
+        s, i = ch_files
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(
+                ["sweep", "--structure", s, "--ineq", i, "--schedule", schedule,
+                 f"--grid={grid}", "--out", str(out), *extra]
+            )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert where in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     def test_eigencurves_with_samples_exit_code(self, ch_files, tmp_path):
         # eigencurves draw no samples, so a manifest must not claim any

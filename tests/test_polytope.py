@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bellbounds import catalog
+from bellbounds import catalog, polytope
 from bellbounds.cli import _emit, main
 from bellbounds.errors import BudgetError, InputError
 from bellbounds.polytope import (
@@ -63,6 +63,12 @@ LAYOUTS = {
         7,
         ((1, 2, 3), (4, 5, 6, 7)),
         ((1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7), (1, 7)),
+    ),
+    # the same sides with nine joints: dimension 16, the hull budget's edge
+    "dim16": EventStructure(
+        7,
+        ((1, 2, 3), (4, 5, 6, 7)),
+        ((1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 7), (3, 4), (3, 6), (3, 7)),
     ),
 }
 
@@ -343,6 +349,15 @@ class TestDDRays:
             random.Random(seed).shuffle(vertices)
             assert set(_dd_rays(vertices)) == want
 
+    @pytest.mark.parametrize("name", ["2x4", "wide"])
+    def test_pair_block_invariance(self, name, monkeypatch):
+        # the prefilter's block size sets only how the pairs are batched
+        vertices = enumerate_vertices(LAYOUTS[name])
+        want = _dd_rays(vertices)
+        for block in (1, 7):
+            monkeypatch.setattr(polytope, "PAIR_BLOCK", block)
+            assert _dd_rays(vertices) == want
+
     @given(st.lists(st.tuples(*[st.integers(0, 2**128 - 1)] * 2), max_size=8))
     def test_packed_counts_match_bit_count(self, pairs):
         # the prefilter's word-packed popcount against Python's int.bit_count
@@ -356,6 +371,7 @@ FACET_BYTES = {
     "2x4": (12444, "4609c3756b6d3772afffcd4ad61f0969efd6956254147c42e133eaf9e7dfa481"),
     "i33": (180334, "315393c30bccec62c21291673811501c799627ce3836ec6bbff53aad8308b4f8"),
     "wide": (10775, "acc66888227a4d38239b339a1d44a68057d0711424b13ed9b28de89d1f3d2a03"),
+    "dim16": (55747, "275481ef4c49c1bef373475654addd915961d90de2006e6dc05cd20056425981"),
 }
 
 
@@ -425,6 +441,26 @@ class TestWideMaskHull:
 
     def test_every_facet_passes_oracle(self, wide_facets_file):
         assert_oracle_passes(wide_facets_file, LAYOUTS["wide"], 60)
+
+
+class TestDim16Hull:
+    """The largest layout within the hull budget: dimension 16, 128 vertices."""
+
+    @pytest.fixture(scope="class")
+    def dim16_facets_file(self, tmp_path_factory):
+        return facets_file(tmp_path_factory, LAYOUTS["dim16"])
+
+    def test_layout_size(self):
+        structure = LAYOUTS["dim16"]
+        assert structure.dimension == polytope.MAX_HULL_DIMENSION
+        assert len(enumerate_vertices(structure)) == polytope.MAX_HULL_VERTICES
+
+    def test_facets_output_bytes(self, dim16_facets_file):
+        data = dim16_facets_file.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == FACET_BYTES["dim16"]
+
+    def test_every_facet_passes_oracle(self, dim16_facets_file):
+        assert_oracle_passes(dim16_facets_file, LAYOUTS["dim16"], 220)
 
 
 class TestClassicalRange:
