@@ -56,26 +56,39 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
 
 
+def _components(M: np.ndarray) -> np.ndarray:
+    """|real| and |imaginary| parts of a complex matrix (or stack) side by
+    side, each row twice as long; NaN where an entry is NaN."""
+    return np.abs(np.ascontiguousarray(M, dtype=np.complex128).view(np.float64))
+
+
+def _unit(big: float) -> float:
+    """The power of two at or below big, or 1 for big = 0: the unit of a
+    matrix whose largest real or imaginary component is big.  Dividing by
+    it is exact, so a check on the matrix in its units decides the same way
+    for the matrix times any power of two."""
+    return math.ldexp(1.0, math.frexp(big)[1] - 1) if big else 1.0
+
+
 def _check_hermitian(M: np.ndarray) -> float:
-    """Check that M is finite and Hermitian; return max(1, ||M||_F).
+    """Check that M is finite and Hermitian; return its :func:`_unit`.
 
     Non-finite entries, or a norm beyond the float range, raise NumericError;
     an entry of M - M^dag above 1e-12 * max(1, ||M||_F) raises InputError.
-    The test and the norm are computed on M divided by max(1, its largest
-    real or imaginary component), so entries near the float maximum cannot
-    overflow the norm and pass the test that way.
+    The test and the norm are computed on M in its units, so entries near
+    the float maximum cannot overflow the norm and pass the test that way.
     """
-    big = float(np.maximum(np.abs(M.real), np.abs(M.imag)).max())  # NaN if any entry is
+    big = float(_components(M).max())  # NaN if any entry is
     if not math.isfinite(big):
         raise NumericError("matrix has non-finite entries")
-    unit = max(1.0, big)
+    unit = _unit(big)
     A = M / unit
     norm = math.sqrt(np.vdot(A, A).real)
     if not math.isfinite(unit * norm):
         raise NumericError("matrix norm exceeds the float range")
     if float(np.abs(A - A.conj().T).max()) > 1e-12 * max(1.0 / unit, norm):
         raise InputError("matrix is not Hermitian")
-    return max(1.0, unit * norm)
+    return unit
 
 
 def sigma(theta: float) -> np.ndarray:

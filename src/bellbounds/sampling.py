@@ -22,9 +22,10 @@ thread took which point.  The buffers never take more than MAX_DRAW_BYTES
 max(64 MiB, 128n bytes) of samples, and runs on fewer threads when 64 MiB is
 too little for all of them, or when it has fewer grid points than CPUs.  A
 sweep without samples, of one grid point, or on one CPU, starts no thread.
-Eigencurves build and split one operator per grid point, and take one route
-for the whole grid: Cardano columns when every point splits in the Bell
-basis, ascending eigenvalues otherwise.
+Eigencurves take one route for the whole grid.  They build and split one
+operator per grid point, and give Cardano columns when every point splits
+in the Bell basis.  Otherwise every row gives the ascending eigenvalues from
+the same operator stack and stacked eigensolve that a sweep uses.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from . import kernels
 from .errors import BudgetError, InputError
 from .polytope import EventStructure, Inequality, classical_range, enumerate_vertices
 from .qops import BellOperator, DensityMatrix, bell_operator, bell_operators, to_bell_basis
-from .spectra import cardano_eigenvalues, eigen, o33_block_decompose, stacked_eigenvalues
+from .spectra import _solve, cardano_eigenvalues, o33_block_decompose, stacked_eigenvalues
 
 #: Budgets on the sizes a sweep's caller controls: grid points, samples per
 #: point, and samples over the whole grid.
@@ -161,10 +162,7 @@ def sweep(
     stacked eigensolve; the samples of grid point g come from the stream
     keyed by (seed, g).
     """
-    if not theta_grid:
-        raise InputError("empty parameter grid")
-    if len(theta_grid) > MAX_GRID_POINTS:
-        raise BudgetError(f"{len(theta_grid)} grid points above limit {MAX_GRID_POINTS}")
+    _check_grid(theta_grid)
     if n_samples > MAX_SAMPLES:
         raise BudgetError(f"{n_samples} samples per point above limit {MAX_SAMPLES}")
     if len(theta_grid) * n_samples > MAX_SWEEP_SAMPLES:
@@ -173,14 +171,10 @@ def sweep(
         )
     vertices = enumerate_vertices(structure)
     classical = classical_range(ineq, vertices, structure)
-    schedules = [angle_schedule(theta) for theta in theta_grid]
-    events = schedules[0].keys()
-    if any(a.keys() != events for a in schedules):
-        raise InputError("the angle schedule must name the same events at every grid point")
-    ops = bell_operators(ineq, {e: [a[e] for a in schedules] for e in events}, structure)
-    eigenvalues = stacked_eigenvalues(ops)
+    ops = _operator_stack(ineq, structure, [angle_schedule(theta) for theta in theta_grid])
+    eigenvalues, _, units = _solve(ops)
     if n_samples > 0:
-        sampled = _sampled_extremes(ops, n_samples, seed)
+        sampled = _sampled_extremes(ops, units.tolist(), n_samples, seed)
     else:
         sampled = [(None, None)] * len(theta_grid)
     results = []
@@ -200,6 +194,23 @@ def sweep(
     return results
 
 
+def _check_grid(theta_grid: list[float]) -> None:
+    if not theta_grid:
+        raise InputError("empty parameter grid")
+    if len(theta_grid) > MAX_GRID_POINTS:
+        raise BudgetError(f"{len(theta_grid)} grid points above limit {MAX_GRID_POINTS}")
+
+
+def _operator_stack(
+    ineq: Inequality, structure: EventStructure, schedules: list[dict[int, float]]
+) -> np.ndarray:
+    """The (G, 4, 4) :func:`bell_operators` stack of the grid's angle maps."""
+    events = schedules[0].keys()
+    if any(a.keys() != events for a in schedules):
+        raise InputError("the angle schedule must name the same events at every grid point")
+    return bell_operators(ineq, {e: [a[e] for a in schedules] for e in events}, structure)
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -208,7 +219,7 @@ def _usable_cpus() -> int:
 
 
 def _sampled_extremes(
-    ops: np.ndarray, n_samples: int, seed: int
+    ops: np.ndarray, units: list[float], n_samples: int, seed: int
 ) -> list[tuple[float, float]]:
     """(min, max) of the kernel over n_samples draws from stream (seed, g), per g.
 
@@ -227,7 +238,7 @@ def _sampled_extremes(
         buf = np.empty((n_samples, 16))
         try:
             for g in points:
-                extremes[g] = _extremes(_draw(buf, seed, g), ops[g])
+                extremes[g] = _extremes(_draw(buf, seed, g), ops[g], units[g])
         except BaseException:
             collections.deque(points, maxlen=0)
             raise
@@ -245,9 +256,11 @@ def _sampled_extremes(
     return extremes
 
 
-def _extremes(params: np.ndarray, op: np.ndarray) -> tuple[float, float]:
-    vals = kernels.batch_expectations(params, op)
-    return float(np.min(vals)), float(np.max(vals))
+def _extremes(params: np.ndarray, op: np.ndarray, unit: float) -> tuple[float, float]:
+    # Tr[W' op] is linear in op: run the kernel in op's units, where it
+    # cannot overflow, and scale the extremes back exactly
+    vals = kernels.batch_expectations(params, op / unit)
+    return float(np.min(vals)) * unit, float(np.max(vals)) * unit
 
 
 def eigencurves(
@@ -264,21 +277,16 @@ def eigencurves(
     reports its eigenvalues ascending, so a column never changes meaning
     from one row to the next.
     """
+    _check_grid(theta_grid)
     # every angle first, so that a schedule that rejects a point builds nothing
     schedules = [angle_schedule(theta) for theta in theta_grid]
-
-    def operator(angles: dict[int, float]) -> BellOperator:
-        return bell_operator(ineq, angles, structure)
-
     curves = []
     for theta, angles in zip(theta_grid, schedules):
         try:
-            o1, o3 = o33_block_decompose(to_bell_basis(operator(angles)))
+            o1, o3 = o33_block_decompose(to_bell_basis(bell_operator(ineq, angles, structure)))
         except InputError:
-            return [
-                (float(t), [float(x) for x in eigen(operator(a).matrix).eigenvalues])
-                for t, a in zip(theta_grid, schedules)
-            ]
+            eigenvalues = stacked_eigenvalues(_operator_stack(ineq, structure, schedules))
+            return [(float(t), w) for t, w in zip(theta_grid, eigenvalues.tolist())]
         curves.append((float(theta), [o1] + cardano_eigenvalues(o3)))
     return curves
 

@@ -6,6 +6,10 @@ for the two-setting operator and the trigonometric (Cardano) form for the 3x3
 block of the three-setting operator.  The operator norm of a self-adjoint
 operator is its largest absolute eigenvalue, which is what bounds quantum
 violations.
+
+Every tolerance on a matrix is relative to its unit (:func:`qops._unit`), so
+scaling an inequality scales its spectrum without changing what any check
+decides.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetError, InputError, NumericError
-from .qops import BELL, BellOperator, _check_hermitian
+from .qops import BELL, BellOperator, _check_hermitian, _components, _unit
 
 MAX_EIG_DIM = 16
 DEGENERACY_GAP = 1e-9
@@ -65,10 +69,38 @@ class CardanoCoefficients:
     xi: float
 
 
-def _canonical_vectors(
-    w: np.ndarray, V: np.ndarray
-) -> tuple[np.ndarray, bool, float]:
-    """Deterministic eigenvector orientation.
+def _solve(
+    H: np.ndarray, unit: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked eigensolve of a (G, n, n) Hermitian stack: (w, V, unit).
+
+    LAPACK runs on H itself; the check runs on H / unit, per matrix, where
+    unit is :func:`_unit` of the matrix, computed here for the whole stack
+    unless given.  Non-finite entries, a solver failure, or a residual
+    max_k ||H v_k - w_k v_k|| / unit above RESIDUAL_TOL raise NumericError.
+    """
+    H = np.asarray(H, dtype=np.complex128)
+    if unit is None:
+        big = _components(H).max(axis=(-2, -1))
+        if not np.isfinite(big).all():
+            raise NumericError("matrix stack has non-finite entries")
+        unit = np.ldexp(1.0, np.frexp(big)[1] - (big > 0))  # 2^0 for a zero matrix
+    w, V = kernels.eigh(H)
+    u = unit[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite eigenvalue fails below
+        R = H / u[:, :, None] @ V - V * (w / u)[:, None, :]
+        residual = np.sqrt((R.conj() * R).real.sum(axis=-2).max(axis=-1))
+    ok = residual <= RESIDUAL_TOL  # NaN fails too
+    if not ok.all():
+        g = int(np.argmin(ok))
+        r = float(unit[g]) * float(residual[g])
+        raise NumericError(f"eigen residual {r} above tolerance at matrix {g}")
+    return w, V, unit
+
+
+def _canonical_vectors(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Deterministic eigenvector orientation (V is overwritten), for
+    eigenvalues w in units.
 
     Inside each degenerate cluster (gap below DEGENERACY_GAP) the eigenspace
     basis is rebuilt by Gram-Schmidt over projections of the canonical unit
@@ -76,13 +108,8 @@ def _canonical_vectors(
     positive.
     """
     n = len(w)
-    V = V.copy()
     degenerate = False
-    width = 0.0
-    # a gap between eigenvalues of opposite sign near the float maximum
-    # overflows to +inf, which is never degenerate
-    with np.errstate(over="ignore"):
-        gaps = np.diff(w)
+    gaps = np.diff(w)
     i = 0
     while i < n:
         j = i
@@ -90,7 +117,6 @@ def _canonical_vectors(
             j += 1
         if j > i:
             degenerate = True
-            width = max(width, float(w[j] - w[i]))
             block = V[:, i : j + 1]
             proj = block @ block.conj().T
             cols: list[np.ndarray] = []
@@ -105,11 +131,9 @@ def _canonical_vectors(
                     break
             V[:, i : j + 1] = np.column_stack(cols)
         i = j + 1
-    for k in range(n):
-        idx = int(np.argmax(np.abs(V[:, k])))
-        ph = V[idx, k] / abs(V[idx, k])
-        V[:, k] = V[:, k] * np.conj(ph)
-    return V, degenerate, width
+    # each phase by scalar division: numpy's array division rounds differently
+    ph = [V[i, k] / abs(V[i, k]) for k, i in enumerate(np.argmax(np.abs(V), axis=0))]
+    return V * np.conj(ph), degenerate
 
 
 def eigen(H: np.ndarray) -> Spectrum:
@@ -119,52 +143,34 @@ def eigen(H: np.ndarray) -> Spectrum:
         raise InputError("eigen expects a square matrix")
     if H.shape[0] > MAX_EIG_DIM:
         raise BudgetError(f"dimension {H.shape[0]} above limit {MAX_EIG_DIM}")
-    scale = _check_hermitian(H)
-    w, V = kernels.eigh(H)
-    V, degenerate, width = _canonical_vectors(w, V)
-    # in units of a power of two near ||H||, so that it cannot overflow;
-    # dividing and multiplying back by a power of two is exact
-    unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)
+    unit = _check_hermitian(H)
+    (w,), (V,), _ = _solve(H[None], np.array([unit]))
+    V, degenerate = _canonical_vectors(w / unit, V)
+    # the residual of the vectors returned, which may mix a degenerate cluster
     residual = unit * float(np.max(np.linalg.norm(H / unit @ V - V * (w / unit), axis=0)))
-    # mixing inside a near-degenerate cluster contributes up to its width
-    if residual > RESIDUAL_TOL * scale + 2.0 * width:
-        raise NumericError(f"eigen residual {residual} above tolerance")
     return Spectrum(
         eigenvalues=w, eigenvectors=V, residual=residual, degenerate=degenerate
     )
 
 
 def stacked_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of every matrix in a (G, n, n) Hermitian stack.
-
-    One stacked eigensolve with :func:`eigen`'s numeric checks applied per
-    matrix: non-finite entries, a solver failure, or a residual
-    max_k ||H v_k - lambda_k v_k|| above RESIDUAL_TOL * max(1, ||H||) raise
-    NumericError.
-    """
-    H = np.asarray(H, dtype=np.complex128)
-    if not np.all(np.isfinite(H)):
-        raise NumericError("matrix stack has non-finite entries")
-    w, V = kernels.eigh(H)
-    residual = np.max(np.linalg.norm(H @ V - V * w[..., None, :], axis=-2), axis=-1)
-    scale = np.maximum(1.0, np.linalg.norm(H, axis=(-2, -1)))
-    bad = np.flatnonzero(~(residual <= RESIDUAL_TOL * scale))  # NaN fails too
-    if bad.size:
-        g = int(bad[0])
-        raise NumericError(f"eigen residual {residual[g]} above tolerance at matrix {g}")
-    return w
+    """Ascending eigenvalues of every matrix in a (G, n, n) Hermitian stack,
+    with :func:`_solve`'s checks applied per matrix."""
+    return _solve(H)[0]
 
 
 def quantum_bound(O: BellOperator) -> QuantumBound:
     """Extreme eigenvalues of a Bell operator and the state attaining the max.
 
-    Ties at the maximum (within 1e-12) resolve to the lowest eigenvalue
-    index, which is deterministic given the eigenvector orientation rules.
+    Ties at the maximum (within 1e-12 in the operator's units) resolve to the
+    lowest eigenvalue index, which is deterministic given the eigenvector
+    orientation rules.
     """
     spec = eigen(O.matrix)
     w = spec.eigenvalues
     top = float(w[-1])
-    argmax_idx = int(np.nonzero(w >= top - 1e-12)[0][0])
+    tie = 1e-12 * _unit(float(_components(O.matrix).max()))
+    argmax_idx = int(np.nonzero(w >= top - tie)[0][0])
     return QuantumBound(
         lambda_min=float(w[0]),
         lambda_max=top,
@@ -198,15 +204,16 @@ def o33_block_decompose(O_bell_basis: BellOperator) -> tuple[float, np.ndarray]:
     M = O_bell_basis.matrix
     if M.shape != (4, 4):
         raise InputError("block decomposition expects a 4x4 operator")
-    off = max(float(np.max(np.abs(M[0, 1:]))), float(np.max(np.abs(M[1:, 0]))))
-    if off > 1e-10:
+    C = _components(M)  # column 2k holds |Re M[:, k]|, column 2k + 1 |Im M[:, k]|
+    tol = 1e-10 * _unit(float(C.max()))
+    off = max(float(C[0, 2:].max()), float(C[1:, :2].max()))
+    if off > tol:
         raise InputError(
             f"operator is not block-diagonal in the Bell basis (off-block {off})"
         )
-    o3 = M[1:, 1:]
-    if float(np.max(np.abs(o3.imag))) > 1e-10:
+    if float(C[1:, 3::2].max()) > tol:
         raise InputError("trailing block is not real symmetric")
-    return float(M[0, 0].real), np.array(o3.real, dtype=np.float64)
+    return float(M[0, 0].real), np.array(M[1:, 1:].real, dtype=np.float64)
 
 
 def cardano_coefficients(o3: np.ndarray) -> CardanoCoefficients:
@@ -222,7 +229,7 @@ def cardano_coefficients(o3: np.ndarray) -> CardanoCoefficients:
     scale = max(1.0, b * b, abs(c), abs(d) ** (2.0 / 3.0))
     if abs(u) <= 1e-14 * scale:
         # u -> 0 with three real roots forces a triple root at -b/3
-        return CardanoCoefficients(b=b, c=c, d=d, u=u, xi=0.0)
+        return CardanoCoefficients(b=b, c=c, d=d, u=0.0, xi=0.0)
     cos_xi = (9.0 * b * c - 2.0 * b**3 - 27.0 * d) / (
         54.0 * u * math.sqrt(abs(u))
     )
@@ -239,15 +246,13 @@ def cardano_eigenvalues(o3: np.ndarray) -> list[float]:
     then cos(xi/3) +/- sqrt(3)*sin(xi/3).  The sqrt(3) factor on the sine
     term is required for agreement with the numeric eigensolver.
     """
-    cc = cardano_coefficients(o3)
+    unit = _unit(float(np.abs(o3).max(initial=0.0)))
+    cc = cardano_coefficients(np.divide(o3, unit))
     shift = -cc.b / 3.0
-    scale = max(1.0, cc.b * cc.b, abs(cc.c), abs(cc.d) ** (2.0 / 3.0))
-    if abs(cc.u) <= 1e-14 * scale:
-        return [shift, shift, shift]
     m = math.sqrt(abs(cc.u))
     cos3, sin3 = math.cos(cc.xi / 3.0), math.sin(cc.xi / 3.0)
     return [
-        -2.0 * m * cos3 + shift,
-        m * (cos3 + math.sqrt(3.0) * sin3) + shift,
-        m * (cos3 - math.sqrt(3.0) * sin3) + shift,
+        unit * (-2.0 * m * cos3 + shift),
+        unit * (m * (cos3 + math.sqrt(3.0) * sin3) + shift),
+        unit * (m * (cos3 - math.sqrt(3.0) * sin3) + shift),
     ]

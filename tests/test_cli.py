@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -642,6 +643,30 @@ class TestSweepCommand:
         )
         assert rc == 3
         assert not out.exists()
+
+    def test_eigencurves_of_huge_coefficients(self, tmp_path):
+        # I3322 x 2^600: the Cardano cubic runs in the block's units, so b**3
+        # cannot overflow
+        s = tmp_path / "structure.json"
+        s.write_text(json.dumps(catalog.i33_structure().to_json()))
+        ineq = catalog.i33_inequality().to_json()
+        ineq["coeffs"] = {k: str(2**600 * Fraction(v)) for k, v in ineq["coeffs"].items()}
+        ineq["lower"] = ineq["upper"] = None
+        i = tmp_path / "ineq.json"
+        i.write_text(json.dumps(ineq))
+        out = tmp_path / "curves.csv"
+        rc = main(
+            [
+                "sweep", "--structure", str(s), "--ineq", str(i),
+                "--schedule", "1=0,2=t,3=2t,4=0,5=t,6=2t", "--grid", "0:pi:101",
+                "--eigencurves", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        values = np.array([[float(x) for x in row.split(",")] for row in rows])
+        assert values.shape == (101, 5)
+        assert np.all(np.isfinite(values))
 
 
 class TestReadmeSweepDigests:

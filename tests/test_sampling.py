@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bellbounds import catalog, kernels, sampling
-from bellbounds.errors import InputError, NumericError
+from bellbounds.errors import BudgetError, InputError, NumericError
 from bellbounds.qops import bell_operator, chsh_operator
 from bellbounds.sampling import (
     DensityParams,
@@ -21,7 +21,7 @@ from bellbounds.sampling import (
     write_eigencurves_csv,
     write_sweep_csv,
 )
-from bellbounds.spectra import quantum_bound
+from bellbounds.spectra import eigen, quantum_bound
 
 
 def analytic_max_22(theta):
@@ -439,6 +439,29 @@ class TestEigencurves:
         )
         for _, lams in curves:
             assert lams == sorted(lams)
+
+    def test_stacked_route_matches_per_point_eigen(self):
+        grid = [float(t) for t in np.linspace(0.0, 2 * math.pi, 201)]
+        ineq, structure = catalog.ch_inequality(), catalog.ch_structure()
+        curves = eigencurves(ineq, structure, catalog.sweep_schedule_22, grid)
+        for theta, lams in curves:
+            O = bell_operator(ineq, catalog.sweep_schedule_22(theta), structure)
+            assert lams == eigen(O.matrix).eigenvalues.tolist()
+
+    @pytest.mark.parametrize(
+        "n,error", [(0, InputError), (sampling.MAX_GRID_POINTS + 1, BudgetError)]
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [eigencurves, lambda *args: sweep(*args, n_samples=0, seed=0)],
+        ids=["eigencurves", "sweep"],
+    )
+    def test_grid_checked_before_any_schedule_call(self, run, n, error):
+        def schedule(theta):
+            raise AssertionError("the schedule was called")
+
+        with pytest.raises(error):
+            run(catalog.ch_inequality(), catalog.ch_structure(), schedule, [0.0] * n)
 
 
 class TestCsvOutput:
