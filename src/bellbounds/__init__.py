@@ -42,7 +42,6 @@ from .sampling import (
     sweep,
 )
 from .spectra import (
-    CardanoCoefficients,
     QuantumBound,
     Spectrum,
     cardano_eigenvalues,

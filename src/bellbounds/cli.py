@@ -87,17 +87,19 @@ def _parse_factor(tok: str) -> float:
 
 
 def parse_affine(expr: str) -> tuple[float, float]:
-    """Affine expression in t, e.g. '2t', 'pi/4', '0.5t+pi/4' -> (slope, const)."""
+    """Affine expression in t, e.g. '2t', 'pi/4', '0.5t+1e-3' -> (slope, const).
+
+    Terms split at each sign that does not follow an exponent's 'e' or 'E';
+    each is a :func:`parse_scalar` literal, with an optional 't' (or '*t').
+    """
     expr = expr.strip().replace(" ", "")
     if not expr:
         raise InputError("empty schedule expression")
     slope = const = 0.0
-    terms = re.findall(r"[+-]?[^+-]+", expr)
+    terms = re.findall(r"[+-]?(?:[^+-]|(?<=[eE])[+-])+", expr)
     if "".join(terms) != expr:
         raise InputError(f"bad schedule expression {expr!r}")
     for term in terms:
-        if term.rstrip("+-") == "":
-            raise InputError(f"bad schedule expression {expr!r}")
         if term.endswith("t"):
             head = term[:-1]
             if head in ("", "+"):
@@ -113,41 +115,32 @@ def parse_affine(expr: str) -> tuple[float, float]:
     return slope, const
 
 
-def parse_angles(spec: str) -> dict[int, float]:
-    """'1=0,2=pi/2,...' -> event-index-to-angle map."""
+def _parse_indexed(spec: str, parse_value: Callable[[str], object], what: str) -> dict:
+    """'1=v1,2=v2,...' -> {event index: parse_value(v)}; ``what`` names a
+    value in the errors, and a repeated index is an error."""
     out = {}
     for item in spec.split(","):
-        if "=" not in item:
-            raise InputError(f"bad angle assignment {item!r} (want idx=value)")
-        k, v = item.split("=", 1)
+        k, eq, v = item.partition("=")
+        if not eq:
+            raise InputError(f"bad {what} {item!r} (want idx=value)")
         try:
             idx = int(k)
         except ValueError as exc:
             raise InputError(f"bad event index {k!r}") from exc
         if idx in out:
-            raise InputError(f"event {idx} given more than one angle")
-        out[idx] = parse_scalar(v)
-    if not out:
-        raise InputError("empty angle list")
+            raise InputError(f"event {idx} given more than one {what}")
+        out[idx] = parse_value(v)
     return out
+
+
+def parse_angles(spec: str) -> dict[int, float]:
+    """'1=0,2=pi/2,...' -> event-index-to-angle map."""
+    return _parse_indexed(spec, parse_scalar, "angle")
 
 
 def parse_schedule(spec: str) -> Callable[[float], dict[int, float]]:
     """'1=0,2=2t,3=t,4=3t' -> function theta -> angle map; it rejects non-finite values."""
-    affine = {}
-    for item in spec.split(","):
-        if "=" not in item:
-            raise InputError(f"bad schedule entry {item!r} (want idx=expr)")
-        k, v = item.split("=", 1)
-        try:
-            idx = int(k)
-        except ValueError as exc:
-            raise InputError(f"bad event index {k!r}") from exc
-        if idx in affine:
-            raise InputError(f"event {idx} given more than one schedule entry")
-        affine[idx] = parse_affine(v)
-    if not affine:
-        raise InputError("empty schedule")
+    affine = _parse_indexed(spec, parse_affine, "schedule entry")
 
     def schedule(theta: float) -> dict[int, float]:
         angles = {i: m * theta + c for i, (m, c) in affine.items()}

@@ -41,6 +41,8 @@ class EventStructure:
     joints: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # a joint may name either event first; it is kept as (smaller, larger)
+        object.__setattr__(self, "joints", tuple(map(_norm_key, self.joints)))
         if self.n_single < 1:
             raise InputError("need at least one single event")
         seen = [i for side in self.sides for i in side]
@@ -89,6 +91,14 @@ class EventStructure:
         return cls(n_single, tuple(map(tuple, sides)), tuple(map(tuple, joints)))
 
 
+def _norm_key(k) -> TermKey:
+    """A single-event index as is; a joint pair as (smaller, larger)."""
+    if isinstance(k, int):
+        return k
+    i, j = k
+    return (i, j) if i < j else (j, i)
+
+
 def _int_arrays(x) -> bool:
     """True for a JSON array of arrays of integers."""
     return isinstance(x, list) and all(
@@ -110,7 +120,7 @@ class Inequality:
 
     def __post_init__(self):
         self.coeffs = {
-            self._norm_key(k): Fraction(v) for k, v in self.coeffs.items() if v
+            _norm_key(k): Fraction(v) for k, v in self.coeffs.items() if v
         }
         if not self.coeffs:
             raise InputError("inequality needs at least one nonzero coefficient")
@@ -118,13 +128,6 @@ class Inequality:
         self.upper = None if self.upper is None else Fraction(self.upper)
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise InputError("lower bound exceeds upper bound")
-
-    @staticmethod
-    def _norm_key(k) -> TermKey:
-        if isinstance(k, int):
-            return k
-        i, j = k
-        return (i, j) if i < j else (j, i)
 
     def check_keys(self, structure: EventStructure):
         valid = set(structure.term_order())
@@ -175,21 +178,28 @@ class Inequality:
             raise InputError(f"bad inequality JSON: {exc}") from exc
 
     def canonical_key(self, structure: EventStructure):
-        """Hashable canonical form used for facet-set comparisons.
-
-        Integer coefficients with gcd 1, first nonzero coefficient positive
-        (flipping the bounds when the sign is switched).
-        """
+        """Hashable canonical form used for facet-set comparisons: see
+        :func:`_canonical`."""
         vec, lo, up, _ = _integer_form(self, structure)
-        g = math.gcd(*vec)
-        vec = [v // g for v in vec]
-        lo = None if lo is None else Fraction(lo, g)
-        up = None if up is None else Fraction(up, g)
-        first = next(v for v in vec if v)
-        if first < 0:
-            vec = [-v for v in vec]
-            lo, up = (None if up is None else -up), (None if lo is None else -lo)
-        return (tuple(vec), lo, up)
+        return _canonical(vec, lo, up)
+
+
+def _canonical(vec, lo, up):
+    """Canonical form ``(coefficients, lower, upper)`` of lo <= vec.x <= up.
+
+    ``vec`` holds integers and ``lo``/``up`` integers or ``None`` (unbounded).
+    The coefficients are divided by their gcd g, the bounds become Fractions
+    over g, and when the first nonzero coefficient is negative every
+    coefficient changes sign and the bounds swap and change sign.
+    """
+    g = math.gcd(*vec)
+    vec = [v // g for v in vec]
+    lo = None if lo is None else Fraction(lo, g)
+    up = None if up is None else Fraction(up, g)
+    if next(v for v in vec if v) < 0:
+        vec = [-v for v in vec]
+        lo, up = (None if up is None else -up), (None if lo is None else -lo)
+    return (tuple(vec), lo, up)
 
 
 def _integer_form(ineq: Inequality, structure: EventStructure):
@@ -382,24 +392,6 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     return rays
 
 
-def _ray_to_inequality(ray: tuple[int, ...], structure: EventStructure) -> Inequality:
-    a0, coeffs = ray[0], ray[1:]
-    order = structure.term_order()
-    first = next((c for c in coeffs if c), 0)
-    if first >= 0:
-        # sum a_i x_i >= -a0
-        return Inequality(
-            {k: Fraction(c) for k, c in zip(order, coeffs) if c},
-            lower=Fraction(-a0),
-            upper=None,
-        )
-    return Inequality(
-        {k: Fraction(-c) for k, c in zip(order, coeffs) if c},
-        lower=None,
-        upper=Fraction(a0),
-    )
-
-
 def check_hull_budget(dim: int, n_vertices: int) -> None:
     """Raise ``BudgetError`` for a hull above ``MAX_HULL_DIMENSION`` or ``MAX_HULL_VERTICES``."""
     if dim > MAX_HULL_DIMENSION or n_vertices > MAX_HULL_VERTICES:
@@ -424,18 +416,14 @@ def hull_facets(
         raise InputError("vertices of mixed dimension")
     check_hull_budget(dim, len(vertices))
     # the input order sets only DD's cost (see _dd_rays), as the facets are
-    # sorted below, in the order of Inequality.canonical_key read off the
-    # integer ray a0 + a.x >= 0: a over its gcd g with its first nonzero
-    # entry positive, then the lower bound -a0/g or else the upper bound a0/g
-    def sort_key(ray):
-        a0, coeffs = ray[0], ray[1:]
-        g = math.gcd(*coeffs)
-        if next(c for c in coeffs if c) > 0:
-            return tuple(c // g for c in coeffs), False, Fraction(-a0, g)
-        return tuple(-c // g for c in coeffs), True, Fraction(a0, g)
-
-    rays = sorted(_dd_rays(sorted(vertices)), key=sort_key)
-    return [_ray_to_inequality(r, structure) for r in rays]
+    # sorted on the canonical form of each ray a0 + a.x >= 0, a lower bound
+    # before an upper one
+    forms = sorted(
+        (_canonical(ray[1:], -ray[0], None) for ray in _dd_rays(sorted(vertices))),
+        key=lambda f: (f[0], f[1] is None, f[1:]),
+    )
+    order = structure.term_order()
+    return [Inequality(dict(zip(order, vec)), lo, up) for vec, lo, up in forms]
 
 
 def _values(vec: list[int], vertices: list[Vertex]) -> list[int]:

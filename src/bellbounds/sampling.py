@@ -43,7 +43,15 @@ import numpy as np
 from . import kernels
 from .errors import BudgetError, InputError
 from .polytope import EventStructure, Inequality, classical_range, enumerate_vertices
-from .qops import BellOperator, DensityMatrix, bell_operator, bell_operators, to_bell_basis
+from .qops import (
+    BellOperator,
+    DensityMatrix,
+    _components,
+    _unit,
+    bell_operator,
+    bell_operators,
+    to_bell_basis,
+)
 from .spectra import _solve, cardano_eigenvalues, o33_block_decompose, stacked_eigenvalues
 
 #: Budgets on the sizes a sweep's caller controls: grid points, samples per
@@ -122,9 +130,12 @@ def pure_state_polish(
     Extracts the dominant pure component of W, then runs shifted power
     iteration on the operator; every step is monotone in the Rayleigh
     quotient, so the result closes the gap between sampled and analytic
-    bounds.  Independent of the eigensolver route.
+    bounds.  Independent of the eigensolver route.  It runs on the operator
+    in its units (:func:`qops._unit`), shift and stopping rule included, so
+    the value scales exactly with the operator.
     """
-    M = np.asarray(O.matrix, dtype=np.complex128)
+    unit = _unit(float(_components(O.matrix).max()))
+    M = np.asarray(O.matrix, dtype=np.complex128) / unit
     # dominant eigenvector of W by plain power iteration
     psi = np.full(4, 0.5, dtype=np.complex128)
     for _ in range(100):
@@ -145,7 +156,7 @@ def pure_state_polish(
             prev = val
             break
         prev = val
-    return prev, psi
+    return unit * prev, psi
 
 
 def sweep(

@@ -58,17 +58,6 @@ class QuantumBound:
     degenerate: bool = False
 
 
-@dataclass
-class CardanoCoefficients:
-    """Characteristic-polynomial data of a symmetric 3x3 block."""
-
-    b: float
-    c: float
-    d: float
-    u: float
-    xi: float
-
-
 def _solve(
     H: np.ndarray, unit: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,11 +205,21 @@ def o33_block_decompose(O_bell_basis: BellOperator) -> tuple[float, np.ndarray]:
     return float(M[0, 0].real), np.array(M[1:, 1:].real, dtype=np.float64)
 
 
-def cardano_coefficients(o3: np.ndarray) -> CardanoCoefficients:
-    """Characteristic-polynomial data for the trigonometric cubic solution."""
-    o3 = np.asarray(o3, dtype=np.float64)
+def cardano_eigenvalues(o3: np.ndarray) -> list[float]:
+    """Trigonometric closed-form eigenvalues of a symmetric 3x3 matrix.
+
+    Returned in the formula's order: the -2*sqrt(|u|)*cos(xi/3) root first,
+    then cos(xi/3) +/- sqrt(3)*sin(xi/3).  The sqrt(3) factor on the sine
+    term is required for agreement with the numeric eigensolver.  The cubic
+    is solved on the matrix in its units (:func:`_unit` of its largest
+    entry), where the symmetry and triple-root tests are taken, and the
+    roots are scaled back.
+    """
+    unit = _unit(float(np.abs(o3).max(initial=0.0)))
+    o3 = np.asarray(np.divide(o3, unit), dtype=np.float64)
     if o3.shape != (3, 3) or float(np.max(np.abs(o3 - o3.T))) > 1e-10:
         raise InputError("expected a symmetric 3x3 matrix")
+    # characteristic polynomial x^3 + b x^2 + c x + d
     tr = float(np.trace(o3))
     b = -tr
     c = 0.5 * (tr * tr - float(np.trace(o3 @ o3)))
@@ -229,28 +228,17 @@ def cardano_coefficients(o3: np.ndarray) -> CardanoCoefficients:
     scale = max(1.0, b * b, abs(c), abs(d) ** (2.0 / 3.0))
     if abs(u) <= 1e-14 * scale:
         # u -> 0 with three real roots forces a triple root at -b/3
-        return CardanoCoefficients(b=b, c=c, d=d, u=0.0, xi=0.0)
-    cos_xi = (9.0 * b * c - 2.0 * b**3 - 27.0 * d) / (
-        54.0 * u * math.sqrt(abs(u))
-    )
-    if abs(cos_xi) > 1.0 + 1e-12:
-        raise NumericError(f"cos(xi) = {cos_xi} outside [-1, 1]")
-    xi = math.acos(min(1.0, max(-1.0, cos_xi)))
-    return CardanoCoefficients(b=b, c=c, d=d, u=u, xi=xi)
-
-
-def cardano_eigenvalues(o3: np.ndarray) -> list[float]:
-    """Trigonometric closed-form eigenvalues of a symmetric 3x3 matrix.
-
-    Returned in the formula's order: the -2*sqrt(|u|)*cos(xi/3) root first,
-    then cos(xi/3) +/- sqrt(3)*sin(xi/3).  The sqrt(3) factor on the sine
-    term is required for agreement with the numeric eigensolver.
-    """
-    unit = _unit(float(np.abs(o3).max(initial=0.0)))
-    cc = cardano_coefficients(np.divide(o3, unit))
-    shift = -cc.b / 3.0
-    m = math.sqrt(abs(cc.u))
-    cos3, sin3 = math.cos(cc.xi / 3.0), math.sin(cc.xi / 3.0)
+        u = xi = 0.0
+    else:
+        cos_xi = (9.0 * b * c - 2.0 * b**3 - 27.0 * d) / (
+            54.0 * u * math.sqrt(abs(u))
+        )
+        if abs(cos_xi) > 1.0 + 1e-12:
+            raise NumericError(f"cos(xi) = {cos_xi} outside [-1, 1]")
+        xi = math.acos(min(1.0, max(-1.0, cos_xi)))
+    shift = -b / 3.0
+    m = math.sqrt(abs(u))
+    cos3, sin3 = math.cos(xi / 3.0), math.sin(xi / 3.0)
     return [
         unit * (-2.0 * m * cos3 + shift),
         unit * (m * (cos3 + math.sqrt(3.0) * sin3) + shift),

@@ -91,6 +91,11 @@ class TestParseAffine:
             ("0.5t+pi/4", (0.5, math.pi / 4)),
             ("3t-pi", (3.0, -math.pi)),
             ("0", (0.0, 0.0)),
+            # a sign after 'e' or 'E' belongs to the exponent, not a new term
+            ("1e-3t", (1e-3, 0.0)),
+            ("2.5e+1", (0.0, 25.0)),
+            ("t+1e-3", (1.0, 1e-3)),
+            ("-2E-1*t-1e+0", (-0.2, -1.0)),
         ],
     )
     def test_values(self, expr, mc):
@@ -98,7 +103,7 @@ class TestParseAffine:
         assert (m, c) == pytest.approx(mc, abs=1e-15)
 
     def test_rejects_garbage(self):
-        for bad in ("", "+", "t+"):
+        for bad in ("", "+", "t+", "1e+", "1e-t", "t+e", "1e--3"):
             with pytest.raises(InputError):
                 parse_affine(bad)
 
@@ -238,6 +243,39 @@ class TestPolytopeCommand:
         s = tmp_path / "odd.json"
         s.write_text(json.dumps(doc))
         assert main(["polytope", "verify", "--structure", str(s), "--ineq", i]) == 2
+
+    def test_joints_in_either_order(self, ch_files, tmp_path, capsys):
+        # CH with every joint written right event first: facets, then each
+        # facet verified, then bound, all as for CH itself
+        s, i = ch_files
+        doc = {**catalog.ch_structure().to_json(), "joints": [[3, 1], [4, 1], [3, 2], [4, 2]]}
+        rev = tmp_path / "reversed.json"
+        rev.write_text(json.dumps(doc))
+        outs = {}
+        for name, path in (("ch", s), ("reversed", str(rev))):
+            out = tmp_path / f"{name}.facets.json"
+            assert main(["polytope", "facets", "--structure", path, "--out", str(out)]) == 0
+            outs[name] = out.read_bytes()
+        assert outs["reversed"] == outs["ch"]
+        facet = tmp_path / "facet.json"
+        for doc in json.loads(outs["reversed"])["facets"]:
+            facet.write_text(json.dumps(doc))
+            assert main(["polytope", "verify", "--structure", str(rev), "--ineq", str(facet)]) == 0
+            check = json.loads(capsys.readouterr().out)
+            assert check["valid"] and check["is_facet"]
+        angles = ["--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4"]
+        assert main(["bound", "--structure", s, "--ineq", i, *angles]) == 0
+        want = capsys.readouterr().out
+        assert main(["bound", "--structure", str(rev), "--ineq", i, *angles]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_duplicate_joint_either_order(self, tmp_path, capsys):
+        joints = [[1, 3], [3, 1], [1, 4], [2, 3], [2, 4]]
+        doc = {**catalog.ch_structure().to_json(), "joints": joints}
+        s = tmp_path / "s.json"
+        s.write_text(json.dumps(doc))
+        assert main(["polytope", "facets", "--structure", str(s)]) == 2
+        assert "duplicate joint terms" in capsys.readouterr().err
 
     def test_budget_exit_code(self, tmp_path):
         big = tmp_path / "big.json"
@@ -549,6 +587,15 @@ class TestSweepCommand:
         first = out.read_bytes()
         rc, out = self.run_sweep(ch_files, tmp_path)
         assert out.read_bytes() == first
+
+    def test_schedule_exponents(self, ch_files, tmp_path):
+        # 1e-3 in a schedule term reads as 0.001 does, as in --angles
+        data = []
+        for schedule in ("1=0,2=2t+0.001,3=t,4=3t", "1=0,2=2t+1e-3,3=t,4=3t"):
+            rc, out = self.run_sweep(ch_files, tmp_path, extra=["--schedule", schedule])
+            assert rc == 0
+            data.append(out.read_bytes())
+        assert data[0] == data[1]
 
     def test_eigencurve_mode(self, ch_files, tmp_path):
         rc, out = self.run_sweep(ch_files, tmp_path, extra=["--eigencurves", "--samples", "0"])

@@ -326,6 +326,14 @@ class TestHullFacets:
             data = out.read_bytes()
             assert (len(data), hashlib.sha256(data).hexdigest()) == FACET_BYTES[name]
 
+    @pytest.mark.parametrize("name", ["ch", "i33"])
+    def test_repeated_vertices(self, name):
+        # a repeated vertex makes a DD step with no negative ray
+        structure = LAYOUTS[name]
+        vertices = enumerate_vertices(structure)
+        facets = hull_facets(vertices + vertices[::5], structure)
+        assert [f.to_json() for f in facets] == [f.to_json() for f in layout_facets(name)]
+
     def test_budget(self, ch):
         with pytest.raises(BudgetError):
             hull_facets([(0,) * 17, tuple([1] + [0] * 16)], ch)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bellbounds import catalog
 from bellbounds.errors import BasisError, InputError, NumericError
-from bellbounds.polytope import Inequality
+from bellbounds.polytope import EventStructure, Inequality
 from bellbounds.qops import (
     BELL,
     BELL_BASIS,
@@ -176,6 +176,25 @@ class TestBellOperator:
         a = bell_operator(Inequality({(1, 3): 1}), angles, ch).matrix
         b = bell_operator(Inequality({(3, 1): 1}), angles, ch).matrix
         assert np.allclose(a, b)
+
+    def test_right_side_numbered_first(self):
+        # CH with events 1, 2 and 3, 4 swapped, so the left side is 3, 4:
+        # each joint is stored (right, left) and built left event first
+        swap = {1: 3, 2: 4, 3: 1, 4: 2}
+        ch, ineq = catalog.ch_structure(), catalog.ch_inequality()
+        relabelled = EventStructure(
+            4, ((3, 4), (1, 2)), tuple((swap[i], swap[j]) for i, j in ch.joints)
+        )
+        moved = Inequality(
+            {
+                swap[k] if isinstance(k, int) else (swap[k[0]], swap[k[1]]): c
+                for k, c in ineq.coeffs.items()
+            }
+        )
+        angles = {1: 0.2, 2: 0.9, 3: 1.7, 4: 2.5}
+        want = bell_operator(ineq, angles, ch).matrix
+        got = bell_operator(moved, {swap[k]: v for k, v in angles.items()}, relabelled).matrix
+        assert got.tobytes() == want.tobytes()
 
 
 def per_point_operator(ineq, angles, structure):

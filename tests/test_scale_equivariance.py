@@ -1,10 +1,10 @@
 """Scaling an inequality by 2^k scales every spectral result by 2^k.
 
-The quantum bound, the eigencurves and a sampled sweep of the scaled
-inequality must match 2^k times the unscaled results, to 1e-12 * 2^k * ||O||,
-with the same argmax state up to a global phase, the same degeneracy flag
-and the same eigencurve route, from 2^-60 up to 2^1010, near the top of the
-float range.
+The quantum bound, the eigencurves, a sampled sweep and the power-iteration
+polish of the scaled inequality must match 2^k times the unscaled results,
+to 1e-12 * 2^k * ||O||, with the same argmax state up to a global phase, the
+same degeneracy flag and the same eigencurve route, from 2^-60 up to 2^1010,
+near the top of the float range.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 from bellbounds import catalog, sampling
 from bellbounds.polytope import Inequality
 from bellbounds.qops import bell_operator
-from bellbounds.sampling import eigencurves, sweep
+from bellbounds.sampling import eigencurves, pure_state_polish, sample_states, sweep
 from bellbounds.spectra import quantum_bound
 from bellbounds.states import PureState, phase_aligned_distance
 
@@ -121,3 +121,16 @@ class TestScaleEquivariance:
                 math.ldexp(r.sampled_min, k),
                 math.ldexp(r.sampled_max, k),
             )
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+def test_pure_state_polish(k):
+    # the polish runs in the operator's units, so its value scales bit for bit
+    structure, ineq, _, (angles, *_) = LAYOUTS["ch"]
+    W = next(sample_states(1, 17))
+    ref, ref_psi = pure_state_polish(bell_operator(ineq, angles, structure), W)
+    got, psi = pure_state_polish(bell_operator(scaled(ineq, k), angles, structure), W)
+    assert got == math.ldexp(ref, k)
+    assert np.array_equal(psi, ref_psi)
+    lam = quantum_bound(bell_operator(ineq, angles, structure)).lambda_max
+    assert abs(ref - lam) <= 1e-12

@@ -13,7 +13,6 @@ from bellbounds.qops import (
     to_bell_basis,
 )
 from bellbounds.spectra import (
-    cardano_coefficients,
     cardano_eigenvalues,
     eigen,
     o22_closed_form,
@@ -295,16 +294,13 @@ class TestCardano:
             assert np.allclose(cv, ev, atol=1e-9 * max(1, np.linalg.norm(M)))
 
     def test_coefficients(self):
-        M = np.diag([1.0, 2.0, 3.0])
-        cc = cardano_coefficients(M)
-        assert cc.b == pytest.approx(-6.0)
-        assert cc.c == pytest.approx(11.0)
-        assert cc.d == pytest.approx(-6.0)
-        assert abs(math.cos(cc.xi)) <= 1 + 1e-12
+        # x^3 - 6x^2 + 11x - 6 = (x - 1)(x - 2)(x - 3)
+        vals = cardano_eigenvalues(np.diag([1.0, 2.0, 3.0]))
+        assert sorted(vals) == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InputError):
-            cardano_coefficients(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
+            cardano_eigenvalues(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
 
 
 def test_spectrum_json():
