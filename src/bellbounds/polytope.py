@@ -30,6 +30,8 @@ MAX_HULL_VERTICES = 128
 # keeps its temporary arrays near 200 KB (32 k pairs left about 0.6 MB more
 # heap behind after repeated 3x3 hulls, at no measurable speed difference)
 PAIR_BLOCK = 1 << 13
+# most recent non-adjacency witnesses kept per DD step in _dd_rays
+WITNESSES = 8
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,7 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     "Double description method revisited", 1996), integer arithmetic
     throughout.  Rows are inserted in the given order, which sets how many
     intermediate rays there are: ``hull_facets`` passes the vertices sorted
-    (binary counting order), as a shuffled 3x3 list takes about 30 times as
+    (binary counting order), as a shuffled 3x3 list takes about 15 times as
     long.  Each ray carries the bitmask of the steps (inserted rows) it is
     zero on.  A positive and a negative ray are adjacent iff no other
     current ray's mask contains their common zero set z.
@@ -315,6 +317,16 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     the rays containing z are the AND of z's bitsets.  The AND takes z's
     newest step first and stops once only the pair itself is left.  Rays
     carry no ids across steps.
+
+    Most candidate pairs are not adjacent, and a ray that proves one pair
+    non-adjacent often proves the next.  So each step keeps the indices of
+    its last ``WITNESSES`` such rays, newest first, starting empty since
+    indices name that step's current rays.  A pair is skipped when a listed
+    ray other than its own two is zero on all of z (its own two always
+    are).  Only the other pairs run the AND, and when it ends with more than
+    the pair, the other ray left with the highest index joins the front of
+    the list.  Every adjacency decision, and so the returned list, is the
+    same as without the list.
     """
     dim = len(vertices[0]) + 1
     rows: list[Vertex] = [(1,) + v for v in vertices]
@@ -355,6 +367,7 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
         by_step = np.packbits(bits.T, axis=1, bitorder="little")
         holders = [int.from_bytes(b, "little") for b in by_step.tolist()]
         everyone = (1 << len(rays)) - 1
+        witnesses: list[int] = []
         new_rays, new_masks = [], []
         need = dim - 2
         packed_neg = packed[neg][None]
@@ -368,24 +381,31 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
                 ip, im = pos[start + row], neg[col]
                 z = masks[ip] & masks[im]
                 # adjacent iff no other current ray's zero set contains z;
-                # ip and im are zero on every step of z, so common keeps pair
-                pair = 1 << ip | 1 << im
-                common, rest = everyone, z
-                while rest and common != pair:
-                    top = rest.bit_length() - 1
-                    common &= holders[top]
-                    rest ^= 1 << top
-                if common != pair:
-                    continue
-                r = tuple(
-                    dots[ip] * a - dots[im] * b
-                    for a, b in zip(rays[im], rays[ip])
-                )
-                g = math.gcd(*r)
-                if g > 1:
-                    r = tuple(x // g for x in r)
-                new_rays.append(r)
-                new_masks.append(z | bit)
+                # a recent witness of non-adjacency often contains it
+                for w in witnesses:
+                    if masks[w] & z == z and w != ip and w != im:
+                        break
+                else:
+                    # ip and im are zero on every step of z, so common keeps pair
+                    pair = 1 << ip | 1 << im
+                    common, rest = everyone, z
+                    while rest and common != pair:
+                        top = rest.bit_length() - 1
+                        common &= holders[top]
+                        rest ^= 1 << top
+                    if common != pair:
+                        witnesses.insert(0, (common & ~pair).bit_length() - 1)
+                        del witnesses[WITNESSES:]
+                        continue
+                    r = tuple(
+                        dots[ip] * a - dots[im] * b
+                        for a, b in zip(rays[im], rays[ip])
+                    )
+                    g = math.gcd(*r)
+                    if g > 1:
+                        r = tuple(x // g for x in r)
+                    new_rays.append(r)
+                    new_masks.append(z | bit)
         keep = pos + zer
         rays = [rays[i] for i in keep] + new_rays
         masks = [masks[i] | bit if dots[i] == 0 else masks[i] for i in keep] + new_masks
@@ -415,6 +435,12 @@ def hull_facets(
     if any(len(v) != dim for v in vertices):
         raise InputError("vertices of mixed dimension")
     check_hull_budget(dim, len(vertices))
+    # each ray's coefficients are zipped with term_order() below
+    if dim != structure.dimension:
+        raise InputError(
+            f"vertices have length {dim}, but the structure has dimension "
+            f"{structure.dimension}"
+        )
     # the input order sets only DD's cost (see _dd_rays), as the facets are
     # sorted on the canonical form of each ray a0 + a.x >= 0, a lower bound
     # before an upper one

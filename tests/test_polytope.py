@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -342,15 +343,86 @@ class TestHullFacets:
         with pytest.raises(InputError):
             hull_facets([(0, 0, 0), (1, 1, 1)], single)
 
+    def test_structure_dimension_mismatch(self, ch, ch_vertices, single):
+        # facet coefficients are matched to the structure's terms, so a
+        # structure with fewer or more terms than the vertices is refused
+        short = EventStructure(ch.n_single, ch.sides, ch.joints[:-1])
+        for structure in (single, short):
+            with pytest.raises(InputError, match=f"length 8, .* dimension {structure.dimension}$"):
+                hull_facets(ch_vertices, structure)
+        with pytest.raises(InputError, match="length 3, .* dimension 8$"):
+            hull_facets(enumerate_vertices(single), ch)
+
+
+def brute_force_facets(vertices, structure):
+    """Canonical keys of the facets of a full-dimensional conv(vertices).
+
+    Each facet is a hyperplane through d affinely independent vertices that
+    leaves every vertex on one side.  The normal of a d-subset is the vector
+    of signed (d-1)-minors of its difference rows, zero when the subset is
+    affinely dependent; the minors of these small 0/+-1 matrices are float
+    determinants, exact once rounded.  Nothing here is shared with DD.
+    """
+    d = len(vertices[0])
+    points = np.array(vertices)
+    subsets = points[list(itertools.combinations(range(len(points)), d))]
+    diff = subsets[:, 1:] - subsets[:, :1]
+    minors = np.stack([np.delete(diff, j, axis=2) for j in range(d)], axis=1)
+    normals = np.rint(np.linalg.det(minors)).astype(np.int64) * (-1) ** np.arange(d)
+    offsets = (normals * subsets[:, 0]).sum(axis=1)
+    keys = set()
+    for normal, b, values in zip(normals.tolist(), offsets.tolist(), normals @ points.T):
+        if not any(normal):
+            continue
+        coeffs = dict(enumerate(normal, 1))
+        if (values >= b).all():
+            keys.add(Inequality(coeffs, lower=b).canonical_key(structure))
+        elif (values <= b).all():
+            keys.add(Inequality(coeffs, upper=b).canonical_key(structure))
+    return keys
+
+
+@st.composite
+def full_dimensional_vertex_sets(draw):
+    """A full-dimensional set of 0/1 points in dimension 3 to 5, in random order."""
+    d = draw(st.integers(3, 5))
+    cube = list(itertools.product((0, 1), repeat=d))
+    size = draw(st.integers(d + 1, min(len(cube), 14)))
+    vertices = draw(st.lists(st.sampled_from(cube), min_size=size, max_size=size, unique=True))
+    assume(np.linalg.matrix_rank(np.subtract(vertices[1:], vertices[0])) == d)
+    return vertices
+
+
+class TestHullCompleteness:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(vertices=full_dimensional_vertex_sets())
+    # DD loses facets here if a pair's own negative ray counts as a witness
+    @example(
+        vertices=[
+            (0, 0, 0, 0, 0), (0, 0, 1, 1, 1), (0, 1, 1, 0, 0), (0, 1, 1, 1, 0),
+            (1, 0, 0, 0, 0), (1, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 0, 1, 1, 0),
+            (1, 1, 0, 0, 1), (1, 1, 0, 1, 1), (1, 1, 1, 1, 0), (1, 1, 1, 1, 1),
+        ]
+    )
+    def test_matches_brute_force(self, vertices):
+        # an adjacent pair that DD wrongly skips shows here as a missing facet
+        d = len(vertices[0])
+        structure = EventStructure(d, (tuple(range(1, d + 1)),), ())
+        facets = hull_facets(vertices, structure)
+        keys = canon_set(facets, structure)
+        assert len(keys) == len(facets)
+        assert keys == brute_force_facets(vertices, structure)
+
 
 class TestDDRays:
     @pytest.mark.parametrize(
         "name,seeds",
-        [("ch", range(20)), ("2x3", range(5)), ("2x4", range(5))],
-        ids=["ch", "2x3", "2x4"],
+        [("ch", range(20)), ("2x3", range(5)), ("2x4", range(5)), ("wide", range(1))],
+        ids=["ch", "2x3", "2x4", "wide"],
     )
     def test_vertex_order_invariance(self, name, seeds):
-        # the insertion order changes the intermediate rays, not the result
+        # the insertion order changes the intermediate rays and the witnesses
+        # the adjacency test meets, not the result; wide has two-word masks
         vertices = enumerate_vertices(LAYOUTS[name])
         want = set(_dd_rays(vertices))
         for seed in seeds:
@@ -364,6 +436,16 @@ class TestDDRays:
         want = _dd_rays(vertices)
         for block in (1, 7):
             monkeypatch.setattr(polytope, "PAIR_BLOCK", block)
+            assert _dd_rays(vertices) == want
+
+    @pytest.mark.parametrize("name", ["2x4", "i33", "wide"])
+    def test_witness_list_invariance(self, name, monkeypatch):
+        # the witness list only spares pairs the AND would reject; with no
+        # list every pair runs the AND
+        vertices = enumerate_vertices(LAYOUTS[name])
+        want = _dd_rays(vertices)
+        for length in (0, 1):
+            monkeypatch.setattr(polytope, "WITNESSES", length)
             assert _dd_rays(vertices) == want
 
     @given(st.lists(st.tuples(*[st.integers(0, 2**128 - 1)] * 2), max_size=8))
