@@ -9,10 +9,12 @@ needed to reproduce the output byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 from typing import Callable
@@ -25,10 +27,12 @@ from .polytope import (
     EventStructure,
     Inequality,
     check_hull_budget,
+    check_vertex_budget,
     classical_range,
     enumerate_vertices,
-    hull_facets,
+    hull_forms,
     verify_facet,
+    write_facets_json,
 )
 from .qops import BellOperator, bell_operator, to_bell_basis
 from .sampling import (
@@ -180,25 +184,39 @@ def _load_json(path: str) -> dict:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _open_out(path: str):
+def _open_out(path: str, mode: str = "w"):
     """``path`` opened for writing text; a path that cannot be written is bad input."""
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    """Write ``payload`` as indented JSON plus a newline.
+@contextlib.contextmanager
+def _reserved(*paths: str | None):
+    """Check that each given output path can be written, before the work.
 
-    ``json.dump`` streams chunk by chunk (``json.dumps`` would hold every
-    chunk of a large facet list before joining them), and objects with a
-    ``to_json`` method are converted one at a time as they are written.
+    Each path is opened for appending and closed at once, which creates a
+    missing file and truncates none.  If the block then raises, the files
+    this created are removed again, so a failed run leaves no empty output.
     """
-    def write(fh):
-        json.dump(payload, fh, indent=2, default=lambda obj: obj.to_json())
-        fh.write("\n")
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.lexists(path)
+            _open_out(path, "a").close()
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
+
+def _write(out: str | None, write: Callable) -> None:
+    """Call ``write`` on ``out`` opened for writing, or on stdout without ``out``."""
     if out:
         with _open_out(out) as fh:
             write(fh)
@@ -206,31 +224,47 @@ def _emit(payload: dict, out: str | None) -> None:
         write(sys.stdout)
 
 
+def _emit(payload: dict, out: str | None) -> None:
+    """Write ``payload`` as indented JSON plus a newline.
+
+    ``json.dump`` streams chunk by chunk, where ``json.dumps`` would hold
+    every chunk of a large vertex list before joining them.
+    """
+    def write(fh):
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+    _write(out, write)
+
+
 def _cmd_polytope(args) -> int:
     structure = EventStructure.from_json(_load_json(args.structure))
+    # the work's size follows from the structure; refuse before enumerating
     if args.action == "facets":
-        # the hull's size follows from the structure; refuse before enumerating
         check_hull_budget(structure.dimension, 2**structure.n_single)
-    vertices = enumerate_vertices(structure)
-    if args.action == "vertices":
-        _emit({"vertices": [list(v) for v in vertices]}, args.out)
-    elif args.action == "facets":
-        facets = hull_facets(vertices, structure)
-        _emit({"count": len(facets), "facets": facets}, args.out)
-    else:  # verify
-        if not args.ineq:
-            raise InputError("verify needs --ineq")
-        ineq = Inequality.from_json(_load_json(args.ineq))
-        check = verify_facet(ineq, vertices, structure)
-        _emit(
-            {
-                "valid": check.valid,
-                "tight_count": check.tight_count,
-                "is_facet": check.is_facet,
-                "witness": None if check.witness is None else list(check.witness),
-            },
-            args.out,
-        )
+    else:
+        check_vertex_budget(structure)
+    with _reserved(args.out):
+        vertices = enumerate_vertices(structure)
+        if args.action == "vertices":
+            _emit({"vertices": [list(v) for v in vertices]}, args.out)
+        elif args.action == "facets":
+            forms = hull_forms(vertices, structure)
+            _write(args.out, lambda fh: write_facets_json(forms, structure, fh))
+        else:  # verify
+            if not args.ineq:
+                raise InputError("verify needs --ineq")
+            ineq = Inequality.from_json(_load_json(args.ineq))
+            check = verify_facet(ineq, vertices, structure)
+            _emit(
+                {
+                    "valid": check.valid,
+                    "tight_count": check.tight_count,
+                    "is_facet": check.is_facet,
+                    "witness": None if check.witness is None else list(check.witness),
+                },
+                args.out,
+            )
     return 0
 
 
@@ -251,7 +285,7 @@ def _cmd_operator(args) -> int:
 
 def _cmd_bound(args) -> int:
     O, structure, ineq = _build_operator(args)
-    lo, hi = classical_range(ineq, enumerate_vertices(structure), structure)
+    lo, hi = classical_range(ineq, structure)
     qb = quantum_bound(O)
     state = PureState(qb.argmax_state).canonical_phase()
     print(f"classical range   [{_num(lo)}, {_num(hi)}]")
@@ -293,33 +327,35 @@ def _cmd_sweep(args) -> int:
     ineq = Inequality.from_json(_load_json(args.ineq))
     schedule = parse_schedule(args.schedule)
     grid = parse_grid(args.grid)
-    buf = io.StringIO()
-    if args.eigencurves:
-        curves = eigencurves(ineq, structure, schedule, grid)
-        write_eigencurves_csv(curves, buf)
-    else:
-        rows = sweep(ineq, structure, schedule, grid, args.samples, args.seed)
-        write_sweep_csv(rows, buf)
-    data = buf.getvalue()
-    # the CSV first, so that a manifest never names a file that was not written
-    with _open_out(args.out) as fh:
-        fh.write(data)
-    manifest = {
-        "command": "sweep",
-        "arguments": {
-            "structure": args.structure,
-            "ineq": args.ineq,
-            "schedule": args.schedule,
-            "eigencurves": bool(args.eigencurves),
-        },
-        "grid": args.grid,
-        "samples": args.samples,
-        "seed": args.seed,
-        "version": __version__,
-        "output": args.out,
-        "output_sha256": hashlib.sha256(data.encode()).hexdigest(),
-    }
-    _emit(manifest, args.out + ".manifest.json")
+    manifest_path = args.out + ".manifest.json"
+    with _reserved(args.out, manifest_path):
+        buf = io.StringIO()
+        if args.eigencurves:
+            curves = eigencurves(ineq, structure, schedule, grid)
+            write_eigencurves_csv(curves, buf)
+        else:
+            rows = sweep(ineq, structure, schedule, grid, args.samples, args.seed)
+            write_sweep_csv(rows, buf)
+        data = buf.getvalue()
+        # the CSV first, so that a manifest never names a file that was not written
+        with _open_out(args.out) as fh:
+            fh.write(data)
+        manifest = {
+            "command": "sweep",
+            "arguments": {
+                "structure": args.structure,
+                "ineq": args.ineq,
+                "schedule": args.schedule,
+                "eigencurves": bool(args.eigencurves),
+            },
+            "grid": args.grid,
+            "samples": args.samples,
+            "seed": args.seed,
+            "version": __version__,
+            "output": args.out,
+            "output_sha256": hashlib.sha256(data.encode()).hexdigest(),
+        }
+        _emit(manifest, manifest_path)
     print(f"wrote {args.out} ({len(data.splitlines()) - 1} rows)")
     return 0
 

@@ -4,7 +4,9 @@ Vertices are the 0/1 truth-table rows of single events together with the
 products for the selected joint events.  The convex hull of those vertices is
 the correlation polytope; its facets are Bell-type inequalities.  Facet
 enumeration runs the double description (Motzkin) method over exact integer
-arithmetic, so there are no tolerances anywhere in this module.
+arithmetic, so there are no tolerances anywhere in this module.  The
+classical range of a form is found without listing the vertices: see
+:func:`classical_range`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ Vertex = tuple[int, ...]
 MAX_SINGLE_EVENTS = 20
 MAX_HULL_DIMENSION = 16
 MAX_HULL_VERTICES = 128
+# entries (vertices x dimension) of the vertex list that ``polytope
+# vertices`` and ``polytope verify`` build: peak RSS grows by about 25 bytes
+# per entry, so at the limit (8|8 with 48 joints) ``verify`` peaks near
+# 130 MB and takes about 8 s of CPU on a 2-core VM
+MAX_VERTEX_ENTRIES = 1 << 22
 # positive x negative ray pairs per packed prefilter block in _dd_rays;
 # keeps its temporary arrays near 200 KB (32 k pairs left about 0.6 MB more
 # heap behind after repeated 3x3 hulls, at no measurable speed difference)
@@ -138,21 +145,14 @@ class Inequality:
                 raise InputError(f"term key {k!r} not present in structure")
 
     def evaluate(self, vertex: Vertex, structure: EventStructure) -> Fraction:
-        return classical_range(self, [vertex], structure)[0]
+        vec, _, _, den = _integer_form(self, structure)
+        return Fraction(_values(vec, [vertex])[0], den)
 
     def to_json(self) -> dict:
-        def key_str(k):
-            return str(k) if isinstance(k, int) else f"{k[0]},{k[1]}"
-
-        def frac(v):
-            if v is None:
-                return None
-            return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
         return {
-            "coeffs": {key_str(k): frac(c) for k, c in self.coeffs.items()},
-            "lower": frac(self.lower),
-            "upper": frac(self.upper),
+            "coeffs": {_key_str(k): _frac_json(c) for k, c in self.coeffs.items()},
+            "lower": _frac_json(self.lower),
+            "upper": _frac_json(self.upper),
         }
 
     @classmethod
@@ -184,6 +184,18 @@ class Inequality:
         :func:`_canonical`."""
         vec, lo, up, _ = _integer_form(self, structure)
         return _canonical(vec, lo, up)
+
+
+def _key_str(k: TermKey) -> str:
+    """A term key as a JSON object key: ``"1"`` or ``"1,4"``."""
+    return str(k) if isinstance(k, int) else f"{k[0]},{k[1]}"
+
+
+def _frac_json(v: Optional[Fraction]):
+    """A bound or coefficient as JSON: an integer, a ``"p/q"`` string or None."""
+    if v is None:
+        return None
+    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def _canonical(vec, lo, up):
@@ -231,13 +243,28 @@ class FacetCheck:
     witness: Optional[Vertex] = None
 
 
-def enumerate_vertices(structure: EventStructure) -> list[Vertex]:
-    """All truth-table rows, in binary counting order on (t_1, ..., t_n)."""
+def _check_events(structure: EventStructure) -> None:
     if structure.n_single > MAX_SINGLE_EVENTS:
         raise BudgetError(
-            f"refusing to enumerate 2^{structure.n_single} vertices "
-            f"(limit {MAX_SINGLE_EVENTS} single events)"
+            f"{structure.n_single} single events above limit {MAX_SINGLE_EVENTS}"
         )
+
+
+def check_vertex_budget(structure: EventStructure) -> None:
+    """Raise ``BudgetError`` when the vertex list would hold more than
+    ``MAX_VERTEX_ENTRIES`` entries (vertices x dimension)."""
+    _check_events(structure)
+    entries = 2**structure.n_single * structure.dimension
+    if entries > MAX_VERTEX_ENTRIES:
+        raise BudgetError(
+            f"vertex list budget exceeded: 2^{structure.n_single} vertices x dimension "
+            f"{structure.dimension} = {entries} entries (max {MAX_VERTEX_ENTRIES})"
+        )
+
+
+def enumerate_vertices(structure: EventStructure) -> list[Vertex]:
+    """All truth-table rows, in binary counting order on (t_1, ..., t_n)."""
+    _check_events(structure)
     verts = []
     for bits in itertools.product((0, 1), repeat=structure.n_single):
         row = list(bits)
@@ -421,13 +448,16 @@ def check_hull_budget(dim: int, n_vertices: int) -> None:
         )
 
 
-def hull_facets(
-    vertices: list[Vertex], structure: EventStructure
-) -> list[Inequality]:
-    """Complete irredundant facet list of conv(vertices), exact arithmetic.
+Form = tuple[tuple[int, ...], Optional[Fraction], Optional[Fraction]]
 
-    Each facet comes back canonicalized: coprime integer coefficients, first
-    nonzero coefficient positive, constant folded into the bound.
+
+def hull_forms(vertices: list[Vertex], structure: EventStructure) -> list[Form]:
+    """Complete irredundant facet list of conv(vertices) as sorted canonical
+    forms ``(coefficients, lower, upper)`` (see :func:`_canonical`).
+
+    The coefficients are in ``structure.term_order()``; each form has one
+    finite bound, and the forms are sorted on the coefficients, a lower bound
+    before an upper one.
     """
     if not vertices:
         raise InputError("empty vertex list")
@@ -435,21 +465,57 @@ def hull_facets(
     if any(len(v) != dim for v in vertices):
         raise InputError("vertices of mixed dimension")
     check_hull_budget(dim, len(vertices))
-    # each ray's coefficients are zipped with term_order() below
+    # each ray's coefficients are read in term_order()
     if dim != structure.dimension:
         raise InputError(
             f"vertices have length {dim}, but the structure has dimension "
             f"{structure.dimension}"
         )
-    # the input order sets only DD's cost (see _dd_rays), as the facets are
-    # sorted on the canonical form of each ray a0 + a.x >= 0, a lower bound
-    # before an upper one
-    forms = sorted(
+    # the input order sets only DD's cost (see _dd_rays), as the forms of
+    # the rays a0 + a.x >= 0 are sorted
+    return sorted(
         (_canonical(ray[1:], -ray[0], None) for ray in _dd_rays(sorted(vertices))),
         key=lambda f: (f[0], f[1] is None, f[1:]),
     )
+
+
+def hull_facets(
+    vertices: list[Vertex], structure: EventStructure
+) -> list[Inequality]:
+    """Complete irredundant facet list of conv(vertices), exact arithmetic.
+
+    Each facet comes back canonicalized: coprime integer coefficients, first
+    nonzero coefficient positive, constant folded into the bound; they are
+    the forms of :func:`hull_forms`, in its order.
+    """
     order = structure.term_order()
-    return [Inequality(dict(zip(order, vec)), lo, up) for vec, lo, up in forms]
+    return [
+        Inequality(dict(zip(order, vec)), lo, up)
+        for vec, lo, up in hull_forms(vertices, structure)
+    ]
+
+
+def write_facets_json(forms: list[Form], structure: EventStructure, fh) -> None:
+    """Write ``{"count": ..., "facets": [...]}`` for the canonical ``forms``.
+
+    The text is that of ``json.dump(..., indent=2)`` of the facets'
+    ``Inequality.to_json()``, plus a newline, written without building the
+    inequalities: the schema is fixed, and no key or value needs escaping.
+    """
+    keys = [f'\n        "{_key_str(k)}": ' for k in structure.term_order()]
+
+    def bound(v):
+        v = _frac_json(v)
+        return "null" if v is None else f'"{v}"' if isinstance(v, str) else str(v)
+
+    facets = [
+        '\n    {\n      "coeffs": {'
+        + ",".join(keys[i] + str(c) for i, c in enumerate(vec) if c)
+        + f'\n      }},\n      "lower": {bound(lo)},\n      "upper": {bound(up)}\n    }}'
+        for vec, lo, up in forms
+    ]
+    body = ",".join(facets) + "\n  " if facets else ""
+    fh.write(f'{{\n  "count": {len(forms)},\n  "facets": [{body}]\n}}\n')
 
 
 def _values(vec: list[int], vertices: list[Vertex]) -> list[int]:
@@ -459,13 +525,49 @@ def _values(vec: list[int], vertices: list[Vertex]) -> list[int]:
     return [sum(map(operator.mul, vec, v)) for v in vertices]
 
 
-def classical_range(
-    ineq: Inequality, vertices: list[Vertex], structure: EventStructure
-) -> tuple[Fraction, Fraction]:
-    """Exact (min, max) of the linear form over the polytope's vertices."""
+def classical_range(ineq: Inequality, structure: EventStructure) -> tuple[Fraction, Fraction]:
+    """Exact (min, max) of the linear form over the polytope's vertices.
+
+    No vertex is listed.  No joint pairs two events of one side, so once the
+    events of every other side are fixed, the form is a constant plus, for
+    each event e of the largest side, t_e times an effective coefficient c_e
+    (e's own coefficient plus those of its joints with the fixed events set
+    to 1), and its extremes add min(0, c_e) or max(0, c_e) for each e on its
+    own.  The cost is 2^(n - size of the largest side) assignments, taken
+    depth first, one event at a time, in integer form.
+    """
+    _check_events(structure)
     vec, _, _, den = _integer_form(ineq, structure)
-    values = _values(vec, vertices)
-    return Fraction(min(values), den), Fraction(max(values), den)
+    n = structure.n_single
+    sides = sorted(structure.sides, key=len)
+    fixed = [e - 1 for side in sides[:-1] for e in side]
+    rank = {e: r for r, e in enumerate(fixed)}
+    # links[e]: (event, joint coefficient) of e's joints with the events
+    # fixed after it or left free
+    links: dict[int, list[tuple[int, int]]] = {e: [] for e in fixed}
+    for (i, j), c in zip(structure.joints, vec[n:]):
+        i, j = sorted((i - 1, j - 1), key=lambda e: rank.get(e, n))
+        if c:
+            links[i].append((j, c))
+    tail = [e - 1 for e in sides[-1]]
+
+    def extremes(depth: int, base: int, eff: list[int]) -> tuple[int, int]:
+        # eff: effective coefficients of the events not yet fixed
+        if depth == len(fixed):
+            last = [eff[e] for e in tail]
+            return base + sum(c for c in last if c < 0), base + sum(c for c in last if c > 0)
+        e = fixed[depth]
+        lo0, hi0 = extremes(depth + 1, base, eff)
+        base += eff[e]
+        if links[e]:
+            eff = eff.copy()
+            for j, c in links[e]:
+                eff[j] += c
+        lo1, hi1 = extremes(depth + 1, base, eff)
+        return min(lo0, lo1), max(hi0, hi1)
+
+    lo, hi = extremes(0, 0, list(vec[:n]))
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def verify_facet(

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetError, InputError
-from .polytope import EventStructure, Inequality, classical_range, enumerate_vertices
+from .polytope import EventStructure, Inequality, classical_range
 from .qops import (
     BellOperator,
     DensityMatrix,
@@ -171,7 +171,9 @@ def sweep(
 
     The whole grid's operators are built as one stack and diagonalized in one
     stacked eigensolve; the samples of grid point g come from the stream
-    keyed by (seed, g).
+    keyed by (seed, g).  The exact classical range lists no vertex: it takes
+    2^(n - size of the largest side) assignments (see
+    :func:`bellbounds.polytope.classical_range`).
     """
     _check_grid(theta_grid)
     if n_samples > MAX_SAMPLES:
@@ -180,8 +182,7 @@ def sweep(
         raise BudgetError(
             f"{len(theta_grid)} grid points x {n_samples} samples above limit {MAX_SWEEP_SAMPLES}"
         )
-    vertices = enumerate_vertices(structure)
-    classical = classical_range(ineq, vertices, structure)
+    classical = classical_range(ineq, structure)
     ops = _operator_stack(ineq, structure, [angle_schedule(theta) for theta in theta_grid])
     eigenvalues, _, units = _solve(ops)
     if n_samples > 0:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellbounds import catalog, cli, sampling
+from bellbounds import catalog, cli, polytope, sampling
 from bellbounds.cli import (
     main,
     parse_affine,
@@ -16,7 +16,7 @@ from bellbounds.cli import (
     parse_scalar,
     parse_schedule,
 )
-from bellbounds.errors import InputError
+from bellbounds.errors import BudgetError, InputError, NumericError
 
 
 @pytest.fixture()
@@ -190,6 +190,94 @@ class TestUnwritableOutput:
         )
         # no manifest without its CSV
         assert not list(tmp_path.rglob("*.manifest.json"))
+
+
+class TestEarlyOutputCheck:
+    """``polytope`` and ``sweep`` check ``--out`` before their work, and a
+    run that fails later leaves no new file and truncates no old one."""
+
+    SWEEP = ["--schedule", "1=0,2=2t,3=t,4=3t", "--grid", "0:pi:3", "--samples", "10"]
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    def test_polytope_facets(self, ch_files, monkeypatch, capsys):
+        monkeypatch.setattr(polytope, "_dd_rays", self.refuse)
+        s, _ = ch_files
+        assert main(["polytope", "facets", "--structure", s, "--out", "/nonexistent/x.json"]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_sweep(self, ch_files, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "sweep", self.refuse)
+        s, i = ch_files
+        argv = ["sweep", "--structure", s, "--ineq", i, *self.SWEEP, "--out", "/nonexistent/x.csv"]
+        assert main(argv) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error,code", [(BudgetError, 3), (NumericError, 4)])
+    def test_late_failure_polytope(self, ch_files, tmp_path, monkeypatch, error, code):
+        def fail(vertices):
+            raise error("late")
+
+        monkeypatch.setattr(polytope, "_dd_rays", fail)
+        s, _ = ch_files
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("kept")
+        for out in (new, old):
+            assert main(["polytope", "facets", "--structure", s, "--out", str(out)]) == code
+        assert not new.exists()
+        assert old.read_text() == "kept"
+
+    @pytest.mark.parametrize("error,code", [(BudgetError, 3), (NumericError, 4)])
+    def test_late_failure_sweep(self, ch_files, tmp_path, monkeypatch, error, code):
+        def fail(*args):
+            raise error("late")
+
+        monkeypatch.setattr(cli, "sweep", fail)
+        s, i = ch_files
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept")
+        for out in (new, old):
+            argv = ["sweep", "--structure", s, "--ineq", i, *self.SWEEP, "--out", str(out)]
+            assert main(argv) == code
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ineq.json", "old.csv", "structure.json"]
+        assert old.read_text() == "kept"
+
+
+class TestVertexBudget:
+    """``polytope vertices`` and ``verify`` refuse a vertex list above
+    ``MAX_VERTEX_ENTRIES`` entries before listing any vertex."""
+
+    @staticmethod
+    def layout(n_joints):
+        # 2^16 vertices of dimension 16 + n_joints: 48 joints reach the budget
+        left, right = range(1, 9), range(9, 17)
+        joints = [[i, j] for i in left for j in right][:n_joints]
+        return {"n_single": 16, "sides": [list(left), list(right)], "joints": joints}
+
+    def test_edge_is_the_budget(self):
+        assert 2**16 * (16 + 48) == polytope.MAX_VERTEX_ENTRIES
+
+    @pytest.mark.parametrize("action", ["vertices", "verify"])
+    def test_just_over_budget(self, tmp_path, monkeypatch, capsys, action):
+        def refuse(structure):
+            raise AssertionError("vertices enumerated before the vertex budget check")
+
+        monkeypatch.setattr(cli, "enumerate_vertices", refuse)
+        s, i = tmp_path / "s.json", tmp_path / "i.json"
+        s.write_text(json.dumps(self.layout(49)))
+        i.write_text(json.dumps({"coeffs": {"1": 1}, "lower": 0}))
+        out = tmp_path / "out.json"
+        argv = ["polytope", action, "--structure", str(s), "--ineq", str(i), "--out", str(out)]
+        assert main(argv) == 3
+        assert "vertex list budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layout", [catalog.ch_structure, catalog.i33_structure])
+    def test_catalog_layouts_well_inside(self, layout):
+        structure = layout()
+        assert 2**structure.n_single * structure.dimension * 1000 < polytope.MAX_VERTEX_ENTRIES
 
 
 class TestPolytopeCommand:
@@ -509,6 +597,26 @@ class TestOperatorAndSpectrum:
 
 
 class TestBoundCommand:
+    def test_ten_by_ten_lists_no_vertex(self, tmp_path, monkeypatch, capsys):
+        # the classical range sums over one side's 2^10 assignments
+        def refuse(structure):
+            raise AssertionError("bound listed the vertices")
+
+        monkeypatch.setattr(cli, "enumerate_vertices", refuse)
+        monkeypatch.setattr(polytope, "enumerate_vertices", refuse)
+        left, right = range(1, 11), range(11, 21)
+        s, i = tmp_path / "s.json", tmp_path / "i.json"
+        s.write_text(json.dumps(
+            {"n_single": 20, "sides": [list(left), list(right)],
+             "joints": [[a, b] for a in left for b in right]}
+        ))
+        # the CH form on settings 1, 2 | 11, 12
+        i.write_text(json.dumps({"coeffs": {"1,11": 1, "1,12": 1, "2,11": 1, "2,12": -1,
+                                            "1": -1, "11": -1}, "upper": 0}))
+        angles = ",".join(f"{e}={e}" for e in range(1, 21))
+        assert main(["bound", "--structure", str(s), "--ineq", str(i), "--angles", angles]) == 0
+        assert "classical range   [-1, 0]" in capsys.readouterr().out
+
     def test_two_setting_peak(self, ch_files, capsys):
         s, i = ch_files
         rc = main(

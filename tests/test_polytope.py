@@ -1,8 +1,10 @@
 import collections
 import functools
 import hashlib
+import io
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellbounds import catalog, polytope
-from bellbounds.cli import _emit, main
+from bellbounds.cli import main
 from bellbounds.errors import BudgetError, InputError
 from bellbounds.polytope import (
     EventStructure,
@@ -24,7 +26,9 @@ from bellbounds.polytope import (
     classical_range,
     enumerate_vertices,
     hull_facets,
+    hull_forms,
     verify_facet,
+    write_facets_json,
 )
 
 
@@ -261,7 +265,7 @@ class TestHullFacets:
 
     def test_facet_bounds_are_classical_range(self, ch, ch_vertices):
         for f in hull_facets(ch_vertices, ch):
-            lo, hi = classical_range(f, ch_vertices, ch)
+            lo, hi = classical_range(f, ch)
             if f.lower is not None:
                 assert f.lower == lo
             if f.upper is not None:
@@ -314,17 +318,14 @@ class TestHullFacets:
         assert canon_set(facets, s) == canon_set(expected, s)
 
     @pytest.mark.parametrize("name", ["2x4", "i33"])
-    def test_vertex_order_invariance(self, name, tmp_path):
+    def test_vertex_order_invariance(self, name):
         # hull_facets sorts its input, so a full shuffle gives the pinned
         # bytes; TestDDRays checks DD itself on shuffled rows
         structure = LAYOUTS[name]
         vertices = enumerate_vertices(structure)
-        out = tmp_path / "facets.json"
         for seed in range(2):
             random.Random(seed).shuffle(vertices)
-            facets = hull_facets(vertices, structure)
-            _emit({"count": len(facets), "facets": facets}, str(out))
-            data = out.read_bytes()
+            data = facets_json(hull_facets(vertices, structure)).encode()
             assert (len(data), hashlib.sha256(data).hexdigest()) == FACET_BYTES[name]
 
     @pytest.mark.parametrize("name", ["ch", "i33"])
@@ -456,6 +457,11 @@ class TestDDRays:
         assert counts.tolist() == [(a & b).bit_count() for a, b in pairs]
 
 
+def facets_json(facets):
+    """The ``polytope facets`` schema through the stdlib encoder."""
+    return json.dumps({"count": len(facets), "facets": [f.to_json() for f in facets]}, indent=2) + "\n"
+
+
 # (length, sha256) of the ``polytope facets`` output
 FACET_BYTES = {
     "2x4": (12444, "4609c3756b6d3772afffcd4ad61f0969efd6956254147c42e133eaf9e7dfa481"),
@@ -463,6 +469,55 @@ FACET_BYTES = {
     "wide": (10775, "acc66888227a4d38239b339a1d44a68057d0711424b13ed9b28de89d1f3d2a03"),
     "dim16": (55747, "275481ef4c49c1bef373475654addd915961d90de2006e6dc05cd20056425981"),
 }
+
+
+@st.composite
+def form_lists(draw):
+    """(forms, structure): random ``(coefficients, lower, upper)`` forms on
+    a random layout with joints, negative and large coefficients and
+    integer, fractional or absent bounds."""
+    n_left = draw(st.integers(1, 3))
+    n_right = draw(st.integers(1, 3))
+    structure = full_layout(n_left, n_right)
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    bound = st.one_of(st.none(), st.fractions(max_denominator=12), st.integers(-(2**70), 2**70))
+    forms = []
+    for _ in range(draw(st.integers(0, 4))):
+        vec = draw(st.lists(coeff, min_size=structure.dimension, max_size=structure.dimension))
+        assume(any(vec))
+        lo, up = draw(bound), draw(bound)
+        if lo is not None and up is not None and lo > up:
+            lo, up = up, lo
+        forms.append((tuple(vec), lo, up))
+    return forms, structure
+
+
+class TestFacetWriter:
+    """``write_facets_json`` against the stdlib encoder on the same facets."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=form_lists())
+    def test_matches_json_dump(self, case):
+        forms, structure = case
+        out = io.StringIO()
+        write_facets_json(forms, structure, out)
+        order = structure.term_order()
+        facets = [Inequality(dict(zip(order, vec)), lo, up) for vec, lo, up in forms]
+        assert out.getvalue() == facets_json(facets)
+
+    @pytest.mark.parametrize("name", ["ch", "2x4", "wide"])
+    def test_hull_forms(self, name):
+        structure = LAYOUTS[name]
+        out = io.StringIO()
+        write_facets_json(hull_forms(enumerate_vertices(structure), structure), structure, out)
+        assert out.getvalue() == facets_json(layout_facets(name))
+
+    def test_stdout(self, tmp_path, capsys):
+        s = tmp_path / "structure.json"
+        s.write_text(json.dumps(LAYOUTS["2x4"].to_json()))
+        assert main(["polytope", "facets", "--structure", str(s)]) == 0
+        data = capsys.readouterr().out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == FACET_BYTES["2x4"]
 
 
 def facets_file(tmp_path_factory, structure):
@@ -553,24 +608,112 @@ class TestDim16Hull:
         assert_oracle_passes(dim16_facets_file, LAYOUTS["dim16"], 220)
 
 
+def vertex_range(ineq, structure):
+    """(min, max) of the form over the listed vertices: the oracle that
+    ``classical_range`` replaced, with its own common denominator."""
+    order = structure.term_order()
+    den = math.lcm(*(c.denominator for c in ineq.coeffs.values()))
+    terms = [(p, int(ineq.coeffs[k] * den)) for p, k in enumerate(order) if k in ineq.coeffs]
+    values = [sum(c for p, c in terms if v[p]) for v in enumerate_vertices(structure)]
+    return Fraction(min(values), den), Fraction(max(values), den)
+
+
+@st.composite
+def range_cases(draw, max_events=9):
+    """(inequality, structure) on a random layout of two or three sides
+    with at most ``max_events`` events, random cross joints, Fraction
+    coefficients and at most one bound."""
+    n_sides = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n_sides, max_size=n_sides))
+    assume(sum(sizes) <= max_events)
+    events = draw(st.permutations(range(1, sum(sizes) + 1)))
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    sides = tuple(tuple(sorted(events[a:b])) for a, b in zip(cuts, cuts[1:]))
+    cross = [(i, j) for s, t in itertools.combinations(sides, 2) for i in s for j in t]
+    joints = draw(st.lists(st.sampled_from(cross), unique=True))
+    structure = EventStructure(sum(sizes), sides, tuple(joints))
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coeffs = draw(
+        st.dictionaries(st.sampled_from(structure.term_order()), fractions.filter(bool), min_size=1)
+    )
+    bound = draw(st.one_of(st.none(), fractions))
+    lower, upper = draw(st.sampled_from([(bound, None), (None, bound)]))
+    return Inequality(coeffs, lower, upper), structure
+
+
+def full_layout(left, right):
+    return bipartite(tuple(range(1, left + 1)), tuple(range(left + 1, left + right + 1)))
+
+
 class TestClassicalRange:
-    def test_ch_form(self, ch, ch_vertices):
-        lo, hi = classical_range(catalog.ch_inequality(), ch_vertices, ch)
+    def test_ch_form(self, ch):
+        lo, hi = classical_range(catalog.ch_inequality(), ch)
         assert (lo, hi) == (Fraction(-1), Fraction(0))
 
     def test_i33_max(self):
         s = catalog.i33_structure()
-        lo, hi = classical_range(catalog.i33_inequality(), enumerate_vertices(s), s)
+        lo, hi = classical_range(catalog.i33_inequality(), s)
         assert hi == 0
         assert lo < 0
 
     def test_single_point(self, single):
+        # evaluate gives the form's value at one vertex
         ineq = Inequality({1: 5, (1, 2): -3})
-        assert classical_range(ineq, [(0, 0, 0)], single) == (0, 0)
+        assert ineq.evaluate((0, 0, 0), single) == 0
+        assert ineq.evaluate((1, 1, 1), single) == 2
+        assert classical_range(ineq, single) == (0, 5)
 
     def test_key_mismatch(self, single):
         with pytest.raises(InputError):
-            classical_range(Inequality({7: 1}), enumerate_vertices(single), single)
+            classical_range(Inequality({7: 1}), single)
+
+    @pytest.mark.parametrize(
+        "structure,ineqs",
+        [
+            (catalog.single_setting_structure(), [catalog.trivial_facet()]),
+            (
+                catalog.ch_structure(),
+                [catalog.ch_inequality(), catalog.ch_inequality_printed_variant(),
+                 *catalog.ch_family()],
+            ),
+            (catalog.i33_structure(), [catalog.i33_inequality()]),
+        ],
+        ids=["single", "ch", "i33"],
+    )
+    def test_catalog_layouts(self, structure, ineqs):
+        for ineq in ineqs + hull_of(structure):
+            assert classical_range(ineq, structure) == vertex_range(ineq, structure)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=range_cases())
+    @example(
+        case=(
+            Inequality({(1, 9): Fraction(-3, 2), 2: Fraction(5, 3), (8, 16): -1, 16: 2}, upper=1),
+            full_layout(8, 8),
+        )
+    )
+    @example(
+        case=(
+            Inequality({(1, 3): 1, (2, 4): 1, (3, 5): -1, (1, 5): Fraction(1, 2), 4: -1}),
+            EventStructure(5, ((1, 2), (3, 4), (5,)), ((1, 3), (2, 4), (3, 5), (1, 5), (2, 5))),
+        )
+    )
+    def test_matches_vertex_oracle(self, case):
+        ineq, structure = case
+        assert classical_range(ineq, structure) == vertex_range(ineq, structure)
+
+    def test_ten_by_ten_lists_no_vertex(self, monkeypatch):
+        structure = full_layout(10, 10)
+        rng = random.Random(5)
+        ineq = Inequality({k: rng.randint(-9, 9) for k in structure.term_order()})
+        monkeypatch.setattr(polytope, "enumerate_vertices", None)
+        lo, hi = classical_range(ineq, structure)
+        assert lo <= 0 <= hi and lo < hi
+
+    def test_event_budget(self):
+        s = EventStructure(21, (tuple(range(1, 11)), tuple(range(11, 22))), ())
+        with pytest.raises(BudgetError):
+            classical_range(Inequality({1: 1}), s)
 
 
 class TestVerifyFacet:
