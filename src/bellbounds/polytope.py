@@ -33,9 +33,11 @@ MAX_HULL_VERTICES = 128
 # per entry, so at the limit (8|8 with 48 joints) ``verify`` peaks near
 # 130 MB and takes about 8 s of CPU on a 2-core VM
 MAX_VERTEX_ENTRIES = 1 << 22
-# positive x negative ray pairs per packed prefilter block in _dd_rays;
-# keeps its temporary arrays near 200 KB (32 k pairs left about 0.6 MB more
-# heap behind after repeated 3x3 hulls, at no measurable speed difference)
+# positive x negative ray pairs per packed prefilter block in _dd_rays; at
+# any number of mask words a block holds one word's uint64 AND (64 KB), its
+# uint8 popcount and the uint8 counts (8 KB each), about 80 KB in all
+# (larger blocks left more heap behind after repeated 3x3 hulls, at no
+# measurable speed difference)
 PAIR_BLOCK = 1 << 13
 # most recent non-adjacency witnesses kept per DD step in _dd_rays
 WITNESSES = 8
@@ -322,6 +324,17 @@ def _pack(masks: list[int], words: int):
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
 
 
+def _common_counts(a, b):
+    """(len(a), len(b)) uint8 counts of the bits set in both masks of each
+    pair of rows of two packed (R, words) arrays, one word at a time.  A
+    count cannot exceed the bits of the masks, at most ``MAX_HULL_VERTICES``
+    = 128 here, so it fits in uint8."""
+    counts = np.bitwise_count(a[:, None, 0] & b[:, 0])
+    for w in range(1, a.shape[1]):
+        counts += np.bitwise_count(a[:, None, w] & b[:, w])
+    return counts
+
+
 def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     """Extreme rays (a0, a1..ad) of the dual cone: a0 + a.x >= 0 on conv(V).
 
@@ -334,10 +347,27 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     zero on.  A positive and a negative ray are adjacent iff no other
     current ray's mask contains their common zero set z.
 
+    The current rays are the rows of one (R, dim) int64 array.  A step takes
+    their dot products with the inserted row as one matrix-vector product,
+    and builds all its new rays at once: d[p]*r[m] - d[m]*r[p] for each
+    adjacent pair (p, m), each row divided by the gcd of its entries.  The
+    kept rays come first, then the new ones in pair order.
+
+    int64 is exact for 0/1 vertices (``hull_forms`` refuses others) of
+    length at most 21.  The rows (1, v) are then 0/1.  Each gcd-reduced
+    ray, current or final, is the primitive normal of dim - 1 linearly
+    independent inserted rows, so it divides their cofactor vector, and each
+    of its entries is at most the largest (dim-1)-minor of a 0/1 matrix,
+    H(k) = (k+1)^((k+1)/2) / 2^k for k = dim - 1 (Hadamard's bound).  A dot
+    product is then at most dim*H, and a combination before its division at
+    most 2*dim*H^2: 6.5e12 at the budget's dim 17, 1.5e16 at the 3x4
+    layout's dim 20 and 3.4e18 < 2^63 at dim 22.
+
     Each step with negative rays packs the masks of the current rays into
     uint64 words.  It first counts the common zeros of every positive x
-    negative pair at once: their words are ANDed and ``np.bitwise_count``
-    counts the bits, ``PAIR_BLOCK`` pairs at a time.  Only pairs with at
+    negative pair at once, ``PAIR_BLOCK`` pairs at a time: word by word,
+    the words are ANDed and ``np.bitwise_count`` of each AND is added into
+    one uint8 count per pair (:func:`_common_counts`).  Only pairs with at
     least dim - 2 common zeros can be adjacent.  Those go to an inverted
     index, rebuilt from the same words at every such step: for each step s
     one Python-int bitset has bit i set when current ray i is zero on s, so
@@ -369,25 +399,28 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
         col + tuple(int(i == j) for j in range(dim))
         for i, col in enumerate(zip(*(rows[k] for k in idx)))
     ]
-    rays = [
-        tuple(x if r[p] > 0 else -x for x in r[dim:])
-        for _, p, r in sorted(_reduce(aug, dim, dim), key=lambda t: t[1])
-    ]
+    rays = np.array(
+        [
+            [x if r[p] > 0 else -x for x in r[dim:]]
+            for _, p, r in sorted(_reduce(aug, dim, dim), key=lambda t: t[1])
+        ],
+        dtype=np.int64,
+    )
     order = idx + [k for k in range(len(rows)) if k not in set(idx)]
+    inserted = np.array([rows[k] for k in order], dtype=np.int64)
     words = -(-len(rows) // 64)
     masks = [((1 << dim) - 1) & ~(1 << j) for j in range(dim)]
 
     for step in range(dim, len(rows)):
-        # the rows are 0/1, so the dot product sums the ray over the support
-        mk = rows[order[step]]
-        dots = [sum(itertools.compress(r, mk)) for r in rays]
-        neg = [i for i, x in enumerate(dots) if x < 0]
+        dots = rays @ inserted[step]
+        neg = np.flatnonzero(dots < 0).tolist()
+        zer = np.flatnonzero(dots == 0).tolist()
         bit = 1 << step
         if not neg:
-            masks = [m | bit if dots[i] == 0 else m for i, m in enumerate(masks)]
+            for i in zer:
+                masks[i] |= bit
             continue
-        pos = [i for i, x in enumerate(dots) if x > 0]
-        zer = [i for i, x in enumerate(dots) if x == 0]
+        pos = np.flatnonzero(dots > 0).tolist()
         packed = _pack(masks, words)
         # holders[s] has bit i set when current ray i is zero on step s
         bits = np.unpackbits(packed.view(np.uint8), axis=1, count=step, bitorder="little")
@@ -395,15 +428,14 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
         holders = [int.from_bytes(b, "little") for b in by_step.tolist()]
         everyone = (1 << len(rays)) - 1
         witnesses: list[int] = []
-        new_rays, new_masks = [], []
+        pairs: list[tuple[int, int]] = []
+        new_masks = []
         need = dim - 2
-        packed_neg = packed[neg][None]
-        packed_pos = packed[pos][:, None]
+        packed_neg = packed[neg]
+        packed_pos = packed[pos]
         block = max(1, PAIR_BLOCK // len(neg))
         for start in range(0, len(pos), block):
-            counts = np.bitwise_count(
-                packed_pos[start : start + block] & packed_neg
-            ).sum(axis=2)
+            counts = _common_counts(packed_pos[start : start + block], packed_neg)
             for row, col in np.argwhere(counts >= need).tolist():
                 ip, im = pos[start + row], neg[col]
                 z = masks[ip] & masks[im]
@@ -424,19 +456,14 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
                         witnesses.insert(0, (common & ~pair).bit_length() - 1)
                         del witnesses[WITNESSES:]
                         continue
-                    r = tuple(
-                        dots[ip] * a - dots[im] * b
-                        for a, b in zip(rays[im], rays[ip])
-                    )
-                    g = math.gcd(*r)
-                    if g > 1:
-                        r = tuple(x // g for x in r)
-                    new_rays.append(r)
+                    pairs.append((ip, im))
                     new_masks.append(z | bit)
-        keep = pos + zer
-        rays = [rays[i] for i in keep] + new_rays
-        masks = [masks[i] | bit if dots[i] == 0 else masks[i] for i in keep] + new_masks
-    return rays
+        p, m = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        new = dots[p, None] * rays[m] - dots[m, None] * rays[p]
+        new //= np.gcd.reduce(new, axis=1)[:, None]
+        rays = np.concatenate([rays[pos + zer], new])
+        masks = [masks[i] for i in pos] + [masks[i] | bit for i in zer] + new_masks
+    return [tuple(r) for r in rays.tolist()]
 
 
 def check_hull_budget(dim: int, n_vertices: int) -> None:
@@ -455,15 +482,18 @@ def hull_forms(vertices: list[Vertex], structure: EventStructure) -> list[Form]:
     """Complete irredundant facet list of conv(vertices) as sorted canonical
     forms ``(coefficients, lower, upper)`` (see :func:`_canonical`).
 
-    The coefficients are in ``structure.term_order()``; each form has one
-    finite bound, and the forms are sorted on the coefficients, a lower bound
-    before an upper one.
+    The vertices must be 0/1 vectors.  The coefficients are in
+    ``structure.term_order()``; each form has one finite bound, and the
+    forms are sorted on the coefficients, a lower bound before an upper one.
     """
     if not vertices:
         raise InputError("empty vertex list")
     dim = len(vertices[0])
     if any(len(v) != dim for v in vertices):
         raise InputError("vertices of mixed dimension")
+    # _dd_rays' int64 bound holds for 0/1 rows only
+    if not set(itertools.chain.from_iterable(vertices)) <= {0, 1}:
+        raise InputError("vertex entries must be 0 or 1")
     check_hull_budget(dim, len(vertices))
     # each ray's coefficients are read in term_order()
     if dim != structure.dimension:

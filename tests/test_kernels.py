@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bellbounds import kernels
+from bellbounds import catalog, kernels, qops, sampling
 from bellbounds.errors import NumericError
 from bellbounds.qops import chsh_operator
 
@@ -115,6 +115,48 @@ class TestPairTraces:
         want = self.matvec(op).tobytes()
         assert kernels._pair_traces(np.asfortranarray(op)).tobytes() == want
         assert kernels._pair_traces(op.tolist()).tobytes() == want
+
+
+class TestSampledBoundIdentity:
+    """Every sampled value Tr[W'O] = p^T Q p / p^T D p, with Q the
+    symmetrised ``_pair_traces`` and D = diag(``_WEIGHTS``), is a Rayleigh
+    quotient of D^(-1/2) Q D^(-1/2).  That matrix is the map B -> (OB + BO)/2
+    on Hermitian B, a Kronecker sum, so its eigenvalues are (l_i + l_j)/2
+    over the spectrum l of O: each l_i once and each i < j pair twice.  So
+    no sampled value leaves [l_min, l_max], whatever the samples."""
+
+    @staticmethod
+    def worst_residual(ops):
+        """The largest gap between the two spectra over ``ops``, each in
+        its operator's unit (``qops._unit``)."""
+        scale = 1.0 / np.sqrt(kernels._WEIGHTS)
+        worst = 0.0
+        for op in ops:
+            T = kernels._pair_traces(op)
+            got = np.linalg.eigvalsh(scale[:, None] * (T + T.T) / 2.0 * scale)
+            lam = np.linalg.eigvalsh(op)
+            want = np.sort((lam[:, None] + lam) / 2.0, axis=None)
+            unit = qops._unit(float(qops._components(op).max()))
+            worst = max(worst, float(np.abs(got - want).max()) / unit)
+        return worst
+
+    def test_random_hermitian(self):
+        rng = np.random.default_rng(49)
+        assert self.worst_residual(rand_hermitian(rng, 4) for _ in range(2000)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "structure,ineq,schedule",
+        [
+            (catalog.ch_structure(), catalog.ch_inequality(), catalog.sweep_schedule_22),
+            (catalog.i33_structure(), catalog.i33_inequality(), catalog.symmetric_angles_33),
+        ],
+        ids=["ch", "i33"],
+    )
+    def test_sweep_grids(self, structure, ineq, schedule):
+        # every operator of the 1001-point 0:pi grid
+        grid = np.linspace(0.0, math.pi, 1001)
+        ops = sampling._operator_stack(ineq, structure, [schedule(t) for t in grid])
+        assert self.worst_residual(ops) <= 1e-13
 
 
 entry_st = st.floats(-1.0, 1.0, allow_nan=False)

@@ -20,6 +20,7 @@ from bellbounds.polytope import (
     EventStructure,
     FacetCheck,
     Inequality,
+    _common_counts,
     _dd_rays,
     _pack,
     affine_rank,
@@ -340,6 +341,14 @@ class TestHullFacets:
         with pytest.raises(BudgetError):
             hull_facets([(0,) * 17, tuple([1] + [0] * 16)], ch)
 
+    def test_non_binary_vertices(self):
+        # DD's int64 bound holds for 0/1 rows only; before the check this
+        # list gave x1 <= 1, which (3, 0) violates, and missed x1 + 2 x2 <= 3
+        s = EventStructure(2, ((1,), (2,)), ())
+        for vertices in ([(0, 0), (3, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (0, 1), (1, -1)]):
+            with pytest.raises(InputError, match="must be 0 or 1"):
+                hull_facets(vertices, s)
+
     def test_not_full_dimensional(self, single):
         with pytest.raises(InputError):
             hull_facets([(0, 0, 0), (1, 1, 1)], single)
@@ -450,11 +459,47 @@ class TestDDRays:
             assert _dd_rays(vertices) == want
 
     @given(st.lists(st.tuples(*[st.integers(0, 2**128 - 1)] * 2), max_size=8))
+    @example(pairs=[(2**128 - 1, 2**128 - 1), (2**64 - 1, 2**128 - 2**64)])
     def test_packed_counts_match_bit_count(self, pairs):
         # the prefilter's word-packed popcount against Python's int.bit_count
-        packed = [_pack([a for a, _ in pairs], 2), _pack([b for _, b in pairs], 2)]
+        left, right = [a for a, _ in pairs], [b for _, b in pairs]
+        packed = [_pack(left, 2), _pack(right, 2)]
         counts = np.bitwise_count(packed[0] & packed[1]).sum(axis=1)
         assert counts.tolist() == [(a & b).bit_count() for a, b in pairs]
+        # the word-wise uint8 count of every pair, on two words and on the
+        # low word alone; 128 common bits is the largest count
+        for words in (2, 1):
+            a = [x % 2 ** (64 * words) for x in left]
+            b = [x % 2 ** (64 * words) for x in right]
+            counts = _common_counts(_pack(a, words), _pack(b, words))
+            assert counts.dtype == np.uint8
+            assert counts.tolist() == [[(x & y).bit_count() for y in b] for x in a]
+
+    @staticmethod
+    def hadamard_squared(k):
+        """H(k)^2, exactly, for H(k) = (k+1)^((k+1)/2) / 2^k: Hadamard's
+        bound on the determinant of a k x k 0/1 matrix."""
+        return Fraction((k + 1) ** (k + 1), 4**k)
+
+    def test_int64_bound(self):
+        # _dd_rays' int64 rays: with rows (1, v) of length dim, every entry
+        # of a combination d[p]*r[m] - d[m]*r[p] is at most 2*dim*H(dim-1)^2
+        def fits(dim):
+            return 2 * dim * self.hadamard_squared(dim - 1) < 2**63
+
+        assert fits(polytope.MAX_HULL_DIMENSION + 1)
+        assert fits(20)  # the 3x4 layout
+        # the docstring's limit: vertex length 21 (dim 22), and no further
+        assert fits(22) and not fits(23)
+        # the prefilter's uint8 counts hold at most one bit per vertex
+        assert polytope.MAX_HULL_VERTICES <= 255
+
+    def test_rays_within_hadamard_bound(self):
+        # each ray entry is a (dim-1)-minor of the 0/1 rows over a common
+        # factor, so at most H(dim-1) for rows (1, v) of length dim
+        vertices = enumerate_vertices(LAYOUTS["dim16"])
+        k = len(vertices[0])
+        assert max(abs(x) for r in _dd_rays(vertices) for x in r) ** 2 <= self.hadamard_squared(k)
 
 
 def facets_json(facets):
@@ -468,6 +513,7 @@ FACET_BYTES = {
     "i33": (180334, "315393c30bccec62c21291673811501c799627ce3836ec6bbff53aad8308b4f8"),
     "wide": (10775, "acc66888227a4d38239b339a1d44a68057d0711424b13ed9b28de89d1f3d2a03"),
     "dim16": (55747, "275481ef4c49c1bef373475654addd915961d90de2006e6dc05cd20056425981"),
+    "3x4": (4133355, "ed7198b79679f5cda28f5f8aa413e99a99e29ba16a1af925e41ac0c4e63d078f"),
 }
 
 
@@ -606,6 +652,22 @@ class TestDim16Hull:
 
     def test_every_facet_passes_oracle(self, dim16_facets_file):
         assert_oracle_passes(dim16_facets_file, LAYOUTS["dim16"], 220)
+
+
+@pytest.mark.slow
+def test_three_by_four_hull(tmp_path_factory, monkeypatch):
+    # three settings against four, every cross joint: dimension 19, above
+    # the CLI's budget, and the one hull whose two-word prefilter meets
+    # millions of pairs; about 20 s of DD, so it runs under `pytest -m slow`
+    monkeypatch.setattr(polytope, "MAX_HULL_DIMENSION", 19)
+    structure = full_layout(3, 4)
+    path = facets_file(tmp_path_factory, structure)
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == FACET_BYTES["3x4"]
+    facets = [Inequality.from_json(doc) for doc in json.loads(data)["facets"]]
+    assert len(facets) == 12480
+    masks = tight_masks(facets, structure)
+    assert orbit_sizes(masks, structure) == [48, 144, 2304, 2304, 3072, 4608]
 
 
 def vertex_range(ineq, structure):
