@@ -482,7 +482,7 @@ def hull_forms(vertices: list[Vertex], structure: EventStructure) -> list[Form]:
     """Complete irredundant facet list of conv(vertices) as sorted canonical
     forms ``(coefficients, lower, upper)`` (see :func:`_canonical`).
 
-    The vertices must be 0/1 vectors.  The coefficients are in
+    The vertices must be 0/1 vectors of int entries.  The coefficients are in
     ``structure.term_order()``; each form has one finite bound, and the
     forms are sorted on the coefficients, a lower bound before an upper one.
     """
@@ -491,9 +491,11 @@ def hull_forms(vertices: list[Vertex], structure: EventStructure) -> list[Form]:
     dim = len(vertices[0])
     if any(len(v) != dim for v in vertices):
         raise InputError("vertices of mixed dimension")
-    # _dd_rays' int64 bound holds for 0/1 rows only
-    if not set(itertools.chain.from_iterable(vertices)) <= {0, 1}:
-        raise InputError("vertex entries must be 0 or 1")
+    # _dd_rays' int64 bound holds for 0/1 rows only, and its gcd reduction
+    # for ints only: 0.0 == 0, so the types are checked apart from the values
+    entries = list(itertools.chain.from_iterable(vertices))
+    if not set(map(type, entries)) <= {int} or not set(entries) <= {0, 1}:
+        raise InputError("vertex entries must be 0 or 1, as int")
     check_hull_budget(dim, len(vertices))
     # each ray's coefficients are read in term_order()
     if dim != structure.dimension:

@@ -223,13 +223,17 @@ def bell_operators(
 ) -> np.ndarray:
     """Bell operators of ``ineq`` over a grid of settings, as a (G, 4, 4) stack.
 
-    ``angles`` maps each event to its G angles.  Every single term becomes a
-    one-sided measurement, every joint term a product measurement, weighted
-    by the inequality coefficients.  Each step repeats on the whole stack the
-    elementwise operations of :func:`projector`, :func:`single_site` and
-    :func:`joint`, and terms are summed in coefficient order, so every matrix
-    is bit for bit the sum of those per-point operators, and exactly
-    Hermitian.  A sum that overflows the float range raises NumericError.
+    ``angles`` maps each event to its G angles.  One :func:`_sigma_stack`
+    call over every event's angles, made projectors in place, gives a
+    (E, G, 2, 2) projector stack with one row per event.  Every single term
+    then becomes a one-sided measurement, every joint term a product
+    measurement, and the weighted terms are added into one (G, 4, 4) sum in
+    coefficient order, one term at a time, so no (terms, G, 4, 4) tensor is
+    ever held.  Each step repeats on the whole stack the elementwise
+    operations of :func:`projector`, :func:`single_site` and :func:`joint`,
+    so every matrix is bit for bit the sum of those per-point operators, and
+    exactly Hermitian.  A sum that overflows the float range raises
+    NumericError.
     """
     if len(structure.sides) != 2:
         raise InputError("Bell operators require a bipartite side partition")
@@ -238,34 +242,37 @@ def bell_operators(
     unknown = sorted(set(angles) - set(side_of))
     if unknown:
         raise InputError(f"angles given for events {unknown} the structure does not have")
-    theta = {k: np.asarray(v, dtype=np.float64) for k, v in angles.items()}
-    shapes = {t.shape for t in theta.values()}
+    theta = [np.asarray(v, dtype=np.float64) for v in angles.values()]
+    shapes = {t.shape for t in theta}
     if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
         raise InputError("angles must give every event one angle per grid point")
     G = shapes.pop()[0] if shapes else 1
-    P = {k: (_EYE2 + _sigma_stack(t)) / 2.0 for k, t in theta.items()}
+    S = _sigma_stack(np.concatenate(theta) if theta else np.empty(0))
+    S += _EYE2
+    S /= 2.0
+    P = dict(zip(angles, S.reshape(len(theta), G, 2, 2)))
     O = np.zeros((G, 4, 4), dtype=np.complex128)
-    for key, coeff in ineq.coeffs.items():
-        if isinstance(key, int):
-            if key not in P:
-                raise InputError(f"no angle given for event {key}")
-            if side_of[key] == 0:
-                term = _kron_stack(P[key], _EYE2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for key, coeff in ineq.coeffs.items():
+            if isinstance(key, int):
+                if key not in P:
+                    raise InputError(f"no angle given for event {key}")
+                if side_of[key] == 0:
+                    term = _kron_stack(P[key], _EYE2)
+                else:
+                    term = _kron_stack(_EYE2, P[key])
             else:
-                term = _kron_stack(_EYE2, P[key])
-        else:
-            i, j = key
-            if i not in P or j not in P:
-                raise InputError(f"no angle given for joint ({i},{j})")
-            if side_of[i] == 1:  # store left event first
-                i, j = j, i
-            term = _kron_stack(P[i], P[j])
-        try:
-            weight = float(coeff)
-        except OverflowError as exc:
-            raise InputError(f"coefficient of {key!r} is too large for a float") from exc
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            O = O + weight * term
+                i, j = key
+                if i not in P or j not in P:
+                    raise InputError(f"no angle given for joint ({i},{j})")
+                if side_of[i] == 1:  # store left event first
+                    i, j = j, i
+                term = _kron_stack(P[i], P[j])
+            try:
+                weight = float(coeff)
+            except OverflowError as exc:
+                raise InputError(f"coefficient of {key!r} is too large for a float") from exc
+            O += weight * term
     if not np.all(np.isfinite(O)):
         raise NumericError("operator entries overflow the float range")
     return O

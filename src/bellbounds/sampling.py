@@ -20,8 +20,12 @@ its own stream, so the results do not depend on the thread count or on which
 thread took which point.  The buffers never take more than MAX_DRAW_BYTES
 (64 MiB) unless one alone does: a sweep of n samples per point holds at most
 max(64 MiB, 128n bytes) of samples, and runs on fewer threads when 64 MiB is
-too little for all of them, or when it has fewer grid points than CPUs.  A
-sweep without samples, of one grid point, or on one CPU, starts no thread.
+too little for all of them, or when it has fewer grid points than CPUs.
+Beside its buffer, each thread holds its point's n kernel values (8n bytes,
+a sixteenth of the buffer) and runs the kernel on blocks of 2^15 rows, whose
+temporaries take 4 MiB each, so the kernel never adds another buffer's
+worth.  A sweep without samples, of one grid point, or on one CPU, starts no
+thread.
 Eigencurves take one route for the whole grid.  They build and split one
 operator per grid point, and give Cardano columns when every point splits
 in the Bell basis.  Otherwise every row gives the ascending eigenvalues from
@@ -62,6 +66,9 @@ MAX_SWEEP_SAMPLES = 10**9
 #: Bytes of sample buffers a sweep may hold, one per drawing thread (it keeps
 #: at least one).
 MAX_DRAW_BYTES = 64 * 2**20
+#: Rows of a sample buffer per kernel call: the kernel's two temporaries as
+#: large as its input take 4 MiB each.
+_KERNEL_ROWS = 1 << 15
 
 
 @dataclass
@@ -269,9 +276,20 @@ def _sampled_extremes(
 
 
 def _extremes(params: np.ndarray, op: np.ndarray, unit: float) -> tuple[float, float]:
-    # Tr[W' op] is linear in op: run the kernel in op's units, where it
-    # cannot overflow, and scale the extremes back exactly
-    vals = kernels.batch_expectations(params, op / unit)
+    """(min, max) of Tr[W' op] over the parameter rows.
+
+    Tr[W' op] is linear in op: the kernel runs in op's units, where it
+    cannot overflow, and the extremes are scaled back exactly.  It runs on
+    blocks of _KERNEL_ROWS rows, so its temporaries stay at two blocks'
+    size whatever the number of rows.  The values of all blocks go into one
+    array, whose np.min and np.max are those of one call on the whole
+    buffer, NaN and -0.0 included.
+    """
+    scaled = op / unit
+    vals = np.empty(len(params))
+    for start in range(0, len(params), _KERNEL_ROWS):
+        block = slice(start, start + _KERNEL_ROWS)
+        vals[block] = kernels.batch_expectations(params[block], scaled)
     return float(np.min(vals)) * unit, float(np.max(vals)) * unit
 
 

@@ -349,6 +349,19 @@ class TestHullFacets:
             with pytest.raises(InputError, match="must be 0 or 1"):
                 hull_facets(vertices, s)
 
+    def test_non_int_vertices(self):
+        # 0.0 == 0 and True == 1 pass a test on values alone; a float entry
+        # then ended in a TypeError from math.gcd
+        s = EventStructure(2, ((1,), (2,)), ())
+        for vertices in (
+            [(0.0, 0), (1, 0), (0, 1), (1, 1)],
+            [(0, 0), (1, 0), (0, 1), (1, 1.0)],
+            [(0, 0), (True, 0), (0, 1), (1, 1)],
+        ):
+            for hull in (hull_forms, hull_facets):
+                with pytest.raises(InputError, match="must be 0 or 1, as int"):
+                    hull(vertices, s)
+
     def test_not_full_dimensional(self, single):
         with pytest.raises(InputError):
             hull_facets([(0, 0, 0), (1, 1, 1)], single)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,6 +224,25 @@ def random_angles(n_events, seed):
     return {e: rng.uniform(-10.0, 10.0, 101) for e in range(1, n_events + 1)}
 
 
+def random_layout(seed):
+    """A seeded 2|3 layout (either side numbered first), a random inequality
+    on it whose keys come in random order, and 1 to 20 angles per event,
+    listed in shuffled event order."""
+    rng = np.random.default_rng(seed)
+    sides = ((1, 2), (3, 4, 5)) if rng.integers(2) else ((1, 2, 3), (4, 5))
+    pairs = [(i, j) for i in sides[0] for j in sides[1]]
+    joints = [pairs[k] for k in sorted(rng.choice(len(pairs), rng.integers(1, 7), replace=False))]
+    structure = EventStructure(5, sides, tuple(joints))
+    terms = [1, 2, 3, 4, 5] + [(j, i) if rng.integers(2) else (i, j) for i, j in joints]
+    chosen = rng.choice(len(terms), rng.integers(1, len(terms) + 1), replace=False)
+    ineq = Inequality(
+        {terms[k]: Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 5))) for k in chosen}
+    )
+    G = int(rng.integers(1, 21))
+    angles = {int(e): rng.uniform(-10.0, 10.0, G) for e in rng.permutation(5) + 1}
+    return structure, ineq, angles
+
+
 class TestBellOperatorStack:
     @pytest.mark.parametrize(
         "layout,angles",
@@ -231,23 +251,50 @@ class TestBellOperatorStack:
             ("i33", schedule_angles({1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2})),
             ("ch", random_angles(4, 20)),
             ("i33", random_angles(6, 21)),
-        ],
-        ids=["ch-readme", "i33", "ch-random", "i33-random"],
+            # events listed out of order; event 4 appears in no term
+            ("ch-partial", dict(reversed(random_angles(4, 22).items()))),
+            ("i33", {e: a[:1] for e, a in random_angles(6, 23).items()}),
+        ]
+        + [(seed, None) for seed in range(24, 44)],
+        ids=["ch-readme", "i33", "ch-random", "i33-random", "ch-unused-event", "i33-one-point"]
+        + [f"random-2|3-{seed}" for seed in range(24, 44)],
     )
     def test_matches_per_point_sums_bytewise(self, layout, angles):
-        structure, ineq = {
-            "ch": (catalog.ch_structure(), catalog.ch_inequality()),
-            "i33": (catalog.i33_structure(), catalog.i33_inequality()),
-        }[layout]
+        if angles is None:
+            structure, ineq, angles = random_layout(layout)
+        else:
+            structure, ineq = {
+                "ch": (catalog.ch_structure(), catalog.ch_inequality()),
+                "ch-partial": (catalog.ch_structure(), Inequality({(3, 1): 2, 2: -1, (2, 3): Fraction(1, 3)})),
+                "i33": (catalog.i33_structure(), catalog.i33_inequality()),
+            }[layout]
+        G = len(next(iter(angles.values())))
         ops = bell_operators(ineq, angles, structure)
-        assert ops.shape == (101, 4, 4)
+        assert ops.shape == (G, 4, 4)
         # exactly Hermitian with no symmetrisation step
         assert np.array_equal(ops, np.swapaxes(ops.conj(), -1, -2))
-        for g in range(101):
+        for g in range(G):
             point = {e: float(a[g]) for e, a in angles.items()}
             ref = per_point_operator(ineq, point, structure).tobytes()
             assert ops[g].tobytes() == ref
             assert bell_operator(ineq, point, structure).matrix.tobytes() == ref
+
+    def test_coefficient_too_large_for_a_float(self):
+        ineq = Inequality({(1, 3): 1, 2: 10**400})
+        angles = {1: [0.0, 0.1], 2: [0.5, 0.6], 3: [1.0, 1.1], 4: [1.5, 1.6]}
+        with pytest.raises(InputError, match=r"coefficient of 2 is too large for a float"):
+            bell_operators(ineq, angles, catalog.ch_structure())
+
+    def test_missing_angle_names_first_missing_term(self):
+        # events 2 and 3 have no angle: the joint (2,4) comes before the
+        # single event 3 in coefficient order, though 2 and 3 are both absent
+        ineq = Inequality({1: 1, (4, 2): 1, 3: 1, (2, 3): 1})
+        angles = {1: [0.0, 0.1], 4: [1.5, 1.6]}
+        with pytest.raises(InputError, match=r"^no angle given for joint \(2,4\)$"):
+            bell_operators(ineq, angles, catalog.ch_structure())
+        ineq = Inequality({1: 1, 3: 1, (2, 4): 1})
+        with pytest.raises(InputError, match="^no angle given for event 3$"):
+            bell_operators(ineq, angles, catalog.ch_structure())
 
     def test_unknown_event(self):
         angles = {1: 0.0, 2: 0.5, 3: 1.0, 4: 1.5, 9: 1.0}

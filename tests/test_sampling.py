@@ -256,6 +256,51 @@ class TestPooledDraws:
             want.append(np.float64([np.min(vals), np.max(vals)]).tobytes())
         assert as_bytes(results) == want
 
+    def test_kernel_blocks_equal_whole_buffer(self):
+        # 2 whole kernel blocks and a ragged tail per point: the sampled
+        # columns are those of one kernel call on each point's whole buffer
+        n = 2 * sampling._KERNEL_ROWS + 123
+        structure, ineq, schedule = SAMPLED_LAYOUTS["i33"]
+        results = sampled_sweep("i33", 3, n)
+        want = []
+        for g, r in enumerate(results):
+            op = bell_operator(ineq, schedule(r.parameter), structure).matrix
+            vals = kernels.batch_expectations(sample_params(n, 11, g), op)
+            want.append(np.float64([np.min(vals), np.max(vals)]).tobytes())
+        assert as_bytes(results) == want
+
+    def test_kernel_blocks_keep_nan_and_signed_zero(self, monkeypatch):
+        # on diag(0, -1, 1, 1/2), the rows a e0 + b e1 and a e0 + b e2 with
+        # a = 1e150, b = 1e-150 give -b^2/a^2 and +b^2/a^2, which underflow
+        # to -0.0 and +0.0; e1 gives -1, e2 gives 1, an all-zero row 0/0 =
+        # NaN.  Kernel blocks of 3 and of 16 rows must give the whole
+        # buffer's np.min and np.max, which picks between +0.0 and -0.0 by
+        # its own reduction order
+        op = np.diag([0.0, -1.0, 1.0, 0.5]).astype(np.complex128)
+        rows = {
+            "-0": 1e150 * np.eye(16)[0] + 1e-150 * np.eye(16)[1],
+            "+0": 1e150 * np.eye(16)[0] + 1e-150 * np.eye(16)[2],
+            "-1": np.eye(16)[1],
+            "+1": np.eye(16)[2],
+            "nan": np.zeros(16),
+        }
+        layouts = [
+            (3, ["+1", "+0", "+1", "-0", "+1"]),
+            (3, ["+1", "-0", "+1", "+1", "+0", "-0", "+1"]),
+            (3, ["-1", "+0", "-1", "-1", "-0", "-1", "+0"]),
+            (3, ["-0", "-1", "+0", "+1", "nan", "-1"]),
+        ]
+        rng = np.random.default_rng(5)
+        for sign in ("+1", "-1") * 50:
+            layouts.append((16, list(rng.choice(["-0", "+0", sign], rng.integers(32, 97)))))
+        with np.errstate(invalid="ignore"):
+            for block, layout in layouts:
+                monkeypatch.setattr(sampling, "_KERNEL_ROWS", block)
+                params = np.array([rows[k] for k in layout])
+                vals = kernels.batch_expectations(params, op)
+                want = np.float64([np.min(vals), np.max(vals)]).tobytes()
+                assert np.float64(sampling._extremes(params, op, 1.0)).tobytes() == want
+
     @pytest.mark.parametrize("cpus", [1, 3, 8])
     def test_independent_of_cpu_count(self, monkeypatch, cpus):
         # more threads than cores, switching often: a buffer refilled
