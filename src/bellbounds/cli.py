@@ -37,6 +37,7 @@ from .polytope import (
 from .qops import BellOperator, bell_operator, to_bell_basis
 from .sampling import (
     MAX_GRID_POINTS,
+    _fmt,
     eigencurves,
     sweep,
     write_eigencurves_csv,
@@ -44,13 +45,6 @@ from .sampling import (
 )
 from .spectra import eigen, quantum_bound
 from .states import PureState, entanglement, schmidt
-
-FMT = ".12g"
-
-
-def _num(x) -> str:
-    return format(float(x), FMT)
-
 
 def parse_scalar(tok: str) -> float:
     """Finite numeric literal with optional 'pi' factor and '/' division.
@@ -288,17 +282,17 @@ def _cmd_bound(args) -> int:
     lo, hi = classical_range(ineq, structure)
     qb = quantum_bound(O)
     state = PureState(qb.argmax_state).canonical_phase()
-    print(f"classical range   [{_num(lo)}, {_num(hi)}]")
-    print(f"lambda_min        {_num(qb.lambda_min)}")
-    print(f"lambda_max        {_num(qb.lambda_max)}")
-    print(f"operator norm     {_num(qb.norm)}")
+    print(f"classical range   [{_fmt(lo)}, {_fmt(hi)}]")
+    print(f"lambda_min        {_fmt(qb.lambda_min)}")
+    print(f"lambda_max        {_fmt(qb.lambda_max)}")
+    print(f"operator norm     {_fmt(qb.norm)}")
     print(f"degenerate max    {'yes' if qb.degenerate else 'no'}")
     amps = " ".join(
         # a zero's sign is eigensolver noise; + 0.0 prints -0.0 as +0j
-        f"({_num(z.real)}{z.imag + 0.0:+.12g}j)" for z in state.amplitudes
+        f"({_fmt(z.real)}{_fmt(z.imag + 0.0, '+')}j)" for z in state.amplitudes
     )
     print(f"argmax state      {amps}")
-    print(f"entanglement      {_num(entanglement(state))}")
+    print(f"entanglement      {_fmt(entanglement(state))}")
     return 0
 
 
@@ -309,8 +303,8 @@ def _cmd_spectrum(args) -> int:
         _emit(spec.to_json(), args.out)
     print(f"{'k':>3} {'eigenvalue':>18}")
     for k, lam in enumerate(spec.eigenvalues):
-        print(f"{k:>3} {_num(lam):>18}")
-    print(f"residual {_num(spec.residual)}")
+        print(f"{k:>3} {_fmt(lam):>18}")
+    print(f"residual {_fmt(spec.residual)}")
     if spec.degenerate:
         print("note: degenerate eigenspaces present")
     return 0
@@ -365,9 +359,9 @@ def _cmd_state(args) -> int:
     sd = schmidt(psi)
     print(
         "schmidt coefficients "
-        + " ".join(_num(c) for c in sd.coefficients)
+        + " ".join(_fmt(c) for c in sd.coefficients)
     )
-    print(f"entanglement        {_num(entanglement(psi))}")
+    print(f"entanglement        {_fmt(entanglement(psi))}")
     return 0
 
 

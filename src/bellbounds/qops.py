@@ -70,6 +70,15 @@ def _unit(big: float) -> float:
     return math.ldexp(1.0, math.frexp(big)[1] - 1) if big else 1.0
 
 
+def _in_units(M: np.ndarray, unit) -> np.ndarray:
+    """M / unit, taken on M's float64 view (so a unit may stand for each
+    matrix of a stack as shape (G, 1, 1)).  numpy divides a complex array by
+    a real one through 1 / unit, which overflows for a unit below 2^-1022."""
+    return (np.ascontiguousarray(M, dtype=np.complex128).view(np.float64) / unit).view(
+        np.complex128
+    )
+
+
 def _check_hermitian(M: np.ndarray) -> float:
     """Check that M is finite and Hermitian; return its :func:`_unit`.
 
@@ -82,7 +91,7 @@ def _check_hermitian(M: np.ndarray) -> float:
     if not math.isfinite(big):
         raise NumericError("matrix has non-finite entries")
     unit = _unit(big)
-    A = M / unit
+    A = _in_units(M, unit)
     norm = math.sqrt(np.vdot(A, A).real)
     if not math.isfinite(unit * norm):
         raise NumericError("matrix norm exceeds the float range")

@@ -13,19 +13,18 @@ points.  The Monte Carlo bounds are then taken point by point, each from its
 own stream, by the quadratic-form kernel
 :func:`bellbounds.kernels.batch_expectations`, which never forms the density
 matrices.  The points are shared out among one thread per CPU the process
-may use: the calling thread and a pool of one thread fewer.  Each thread
-takes the next grid point as it comes free, draws its samples into its own
-preallocated (n, 16) buffer and runs the kernel on them.  Each grid point has
-its own stream, so the results do not depend on the thread count or on which
-thread took which point.  The buffers never take more than MAX_DRAW_BYTES
-(64 MiB) unless one alone does: a sweep of n samples per point holds at most
-max(64 MiB, 128n bytes) of samples, and runs on fewer threads when 64 MiB is
-too little for all of them, or when it has fewer grid points than CPUs.
-Beside its buffer, each thread holds its point's n kernel values (8n bytes,
-a sixteenth of the buffer) and runs the kernel on blocks of 2^15 rows, whose
-temporaries take 4 MiB each, so the kernel never adds another buffer's
-worth.  A sweep without samples, of one grid point, or on one CPU, starts no
-thread.
+may use, but no more threads than points: the calling thread and a pool of
+one thread fewer.  Each thread takes the next grid point as it comes free
+and draws its samples in blocks of up to 2^15 rows into its own buffer,
+running the kernel on each block as it is drawn.  Each grid point has its
+own stream, so the results do not depend on the thread count or on which
+thread took which point.  A thread holds its buffer, the point's n kernel
+values (8n bytes) and the kernel's temporaries of one block (4 MiB each):
+about 12 MiB plus 8n bytes, 20 MiB at MAX_SAMPLES, whatever the number of
+grid points.  The sweep holds that once per thread, so on a host of many
+CPUs it holds that many times as much: about 1.3 GB on 64 CPUs at 10^6
+samples per point.  A sweep without samples, of one grid point, or on one
+CPU, starts no thread.
 Eigencurves take one route for the whole grid.  They build and split one
 operator per grid point, and give Cardano columns when every point splits
 in the Bell basis.  Otherwise every row gives the ascending eigenvalues from
@@ -51,6 +50,7 @@ from .qops import (
     BellOperator,
     DensityMatrix,
     _components,
+    _in_units,
     _unit,
     bell_operator,
     bell_operators,
@@ -63,11 +63,8 @@ from .spectra import _solve, cardano_eigenvalues, o33_block_decompose, stacked_e
 MAX_GRID_POINTS = 100_001
 MAX_SAMPLES = 10**6
 MAX_SWEEP_SAMPLES = 10**9
-#: Bytes of sample buffers a sweep may hold, one per drawing thread (it keeps
-#: at least one).
-MAX_DRAW_BYTES = 64 * 2**20
-#: Rows of a sample buffer per kernel call: the kernel's two temporaries as
-#: large as its input take 4 MiB each.
+#: Rows of a thread's sample buffer, drawn and passed to the kernel as one
+#: block: 4 MiB, and so is each temporary the kernel makes.
 _KERNEL_ROWS = 1 << 15
 
 
@@ -111,16 +108,11 @@ def _rng(seed: int, *extra: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *extra])))
 
 
-def _draw(out: np.ndarray, seed: int, *key_extra: int) -> np.ndarray:
-    """Fill out with standard normals from the stream keyed by (seed, *key_extra)."""
-    return _rng(seed, *key_extra).standard_normal(out=out)
-
-
 def sample_params(n: int, seed: int, *key_extra: int) -> np.ndarray:
     """(n, 16) standard-normal parameter rows, deterministic in (n, seed)."""
     if n < 1:
         raise InputError("need n >= 1 samples")
-    return _draw(np.empty((n, 16)), seed, *key_extra)
+    return _rng(seed, *key_extra).standard_normal((n, 16))
 
 
 def sample_states(n: int, seed: int) -> Iterator[DensityMatrix]:
@@ -142,7 +134,7 @@ def pure_state_polish(
     the value scales exactly with the operator.
     """
     unit = _unit(float(_components(O.matrix).max()))
-    M = np.asarray(O.matrix, dtype=np.complex128) / unit
+    M = _in_units(O.matrix, unit)
     # dominant eigenvector of W by plain power iteration
     psi = np.full(4, 0.5, dtype=np.complex128)
     for _ in range(100):
@@ -240,24 +232,35 @@ def _usable_cpus() -> int:
 def _sampled_extremes(
     ops: np.ndarray, units: list[float], n_samples: int, seed: int
 ) -> list[tuple[float, float]]:
-    """(min, max) of the kernel over n_samples draws from stream (seed, g), per g.
+    """(min, max) of Tr[W' op] over n_samples draws from stream (seed, g), per g.
 
-    Each drawing thread takes the next grid point from one shared iterator
-    (its ``next`` is atomic under the GIL), draws into its own buffer and
-    runs the kernel on it, so no thread waits for a given point and a slow
-    CPU only takes fewer of them; numpy releases the GIL while it fills a
-    buffer.  A thread that fails empties the iterator, so the others stop at
-    their next point.
+    Each thread takes the next grid point from one shared iterator (its
+    ``next`` is atomic under the GIL), so no thread waits for a given point
+    and a slow CPU only takes fewer of them.  It draws the point's samples
+    into its buffer of _KERNEL_ROWS rows, block by block from the point's
+    one generator, which gives the same numbers as one whole draw, and runs
+    the kernel on each block into one array of the point's n values; numpy
+    releases the GIL while it fills a block.  Tr[W' op] is linear in op: the
+    kernel runs in op's units, where it cannot overflow, and np.min and
+    np.max of the whole array, NaN and -0.0 included, are scaled back
+    exactly.  A thread that fails empties the iterator, so the others stop
+    at their next point.
     """
-    threads = max(1, min(_usable_cpus(), MAX_DRAW_BYTES // (n_samples * 16 * 8), len(ops)))
+    threads = max(1, min(_usable_cpus(), len(ops)))
     points = iter(range(len(ops)))
     extremes: list = [None] * len(ops)
 
     def work() -> None:
-        buf = np.empty((n_samples, 16))
+        buf = np.empty((min(n_samples, _KERNEL_ROWS), 16))
+        vals = np.empty(n_samples)
         try:
             for g in points:
-                extremes[g] = _extremes(_draw(buf, seed, g), ops[g], units[g])
+                rng, unit = _rng(seed, g), units[g]
+                scaled = _in_units(ops[g], unit)
+                for start in range(0, n_samples, _KERNEL_ROWS):
+                    block = rng.standard_normal(out=buf[: n_samples - start])
+                    vals[start : start + len(block)] = kernels.batch_expectations(block, scaled)
+                extremes[g] = float(np.min(vals)) * unit, float(np.max(vals)) * unit
         except BaseException:
             collections.deque(points, maxlen=0)
             raise
@@ -273,24 +276,6 @@ def _sampled_extremes(
     for done in running:
         done.result()
     return extremes
-
-
-def _extremes(params: np.ndarray, op: np.ndarray, unit: float) -> tuple[float, float]:
-    """(min, max) of Tr[W' op] over the parameter rows.
-
-    Tr[W' op] is linear in op: the kernel runs in op's units, where it
-    cannot overflow, and the extremes are scaled back exactly.  It runs on
-    blocks of _KERNEL_ROWS rows, so its temporaries stay at two blocks'
-    size whatever the number of rows.  The values of all blocks go into one
-    array, whose np.min and np.max are those of one call on the whole
-    buffer, NaN and -0.0 included.
-    """
-    scaled = op / unit
-    vals = np.empty(len(params))
-    for start in range(0, len(params), _KERNEL_ROWS):
-        block = slice(start, start + _KERNEL_ROWS)
-        vals[block] = kernels.batch_expectations(params[block], scaled)
-    return float(np.min(vals)) * unit, float(np.max(vals)) * unit
 
 
 def eigencurves(
@@ -321,10 +306,13 @@ def eigencurves(
     return curves
 
 
-def _fmt(x) -> str:
+def _fmt(x, sign: str = "") -> str:
+    """x with 12 significant digits, locale-independent, as every CSV cell
+    and every number the command line prints; "" for None.  ``sign="+"``
+    writes a sign on positive values too."""
     if x is None:
         return ""
-    return format(float(x), ".12g")
+    return format(float(x), sign + ".12g")
 
 
 def write_sweep_csv(results: list[SweepResult], fh: TextIO) -> None:

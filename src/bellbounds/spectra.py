@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetError, InputError, NumericError
-from .qops import BELL, BellOperator, _check_hermitian, _components, _unit
+from .qops import BELL, BellOperator, _check_hermitian, _components, _in_units, _unit
 
 MAX_EIG_DIM = 16
 DEGENERACY_GAP = 1e-9
@@ -75,15 +75,16 @@ def _solve(
             raise NumericError("matrix stack has non-finite entries")
         unit = np.ldexp(1.0, np.frexp(big)[1] - (big > 0))  # 2^0 for a zero matrix
     w, V = kernels.eigh(H)
-    u = unit[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite eigenvalue fails below
-        R = H / u[:, :, None] @ V - V * (w / u)[:, None, :]
+        R = _in_units(H, unit[:, None, None]) @ V - V * (w / unit[:, None])[:, None, :]
         residual = np.sqrt((R.conj() * R).real.sum(axis=-2).max(axis=-1))
     ok = residual <= RESIDUAL_TOL  # NaN fails too
     if not ok.all():
         g = int(np.argmin(ok))
-        r = float(unit[g]) * float(residual[g])
-        raise NumericError(f"eigen residual {r} above tolerance at matrix {g}")
+        raise NumericError(
+            f"eigen residual {float(residual[g])} in units of {float(unit[g])}"
+            f" above tolerance at matrix {g}"
+        )
     return w, V, unit
 
 
@@ -136,7 +137,8 @@ def eigen(H: np.ndarray) -> Spectrum:
     (w,), (V,), _ = _solve(H[None], np.array([unit]))
     V, degenerate = _canonical_vectors(w / unit, V)
     # the residual of the vectors returned, which may mix a degenerate cluster
-    residual = unit * float(np.max(np.linalg.norm(H / unit @ V - V * (w / unit), axis=0)))
+    R = _in_units(H, unit) @ V - V * (w / unit)
+    residual = unit * float(np.max(np.linalg.norm(R, axis=0)))
     return Spectrum(
         eigenvalues=w, eigenvectors=V, residual=residual, degenerate=degenerate
     )

@@ -529,6 +529,14 @@ class TestOperatorAndSpectrum:
         assert [float(ln.split()[1]) for ln in lines[1:3]] == [-1e308, 1e308]
         assert "degenerate" not in lines[-1]
 
+    def test_smallest_subnormal_operator(self, tmp_path, capsys):
+        # its unit is 5e-324 itself: 1 / unit overflows, so the matrix in its
+        # units is taken on the float view
+        op = tmp_path / "op.json"
+        op.write_text('{"dim": 1, "entries": [[[5e-324, 0]]]}')
+        assert main(["spectrum", "--operator", str(op)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == ["0", "4.94065645841e-324"]
+
     def test_bad_angles_exit_code(self, ch_files):
         s, i = ch_files
         rc = main(
@@ -639,6 +647,42 @@ class TestBoundCommand:
         )
         assert ent == pytest.approx(1.0, abs=1e-9)
 
+
+    @staticmethod
+    def scaled_ch(tmp_path, k):
+        """An inequality file of CH x 2^k."""
+        ineq = catalog.ch_inequality().to_json()
+        ineq["coeffs"] = {e: str(Fraction(2) ** k * Fraction(v)) for e, v in ineq["coeffs"].items()}
+        ineq["lower"] = ineq["upper"] = None
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(ineq))
+        return str(path)
+
+    @pytest.mark.parametrize("k", [-1023, -1030])
+    def test_subnormal_operator(self, ch_files, tmp_path, capsys, k):
+        # CH x 2^k: the operator's unit is subnormal, and so 1 / unit is not
+        # finite; every check divides it on the float view instead
+        s, i = ch_files
+        angles = ["--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4"]
+        assert main(["bound", "--structure", s, "--ineq", i, *angles]) == 0
+        scaled = self.scaled_ch(tmp_path, k)
+        assert main(["bound", "--structure", s, "--ineq", scaled, *angles]) == 0
+        want, got = (
+            float(next(ln for ln in out.splitlines() if ln.startswith("lambda_max")).split()[1])
+            for out in capsys.readouterr().out.split("classical range")[1:]
+        )
+        assert got == pytest.approx(math.ldexp(want, k), rel=1e-9)
+
+    def test_subnormal_operator_past_precision(self, ch_files, tmp_path, capsys):
+        # at 2^-1060 the entries keep a few bits: the residual check refuses,
+        # and names the residual in the operator's units, where it does not
+        # underflow to 0
+        s, _ = ch_files
+        angles = ["--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4"]
+        scaled = self.scaled_ch(tmp_path, -1060)
+        assert main(["bound", "--structure", s, "--ineq", scaled, *angles]) == 4
+        residual = float(capsys.readouterr().err.split("eigen residual ")[1].split()[0])
+        assert residual > 1e-10
 
     def test_zero_imaginary_parts_print_unsigned(self, ch_files, capsys):
         # LAPACK returns -0.0 imaginary parts in this argmax state

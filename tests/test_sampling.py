@@ -3,6 +3,7 @@ import io
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,8 +258,9 @@ class TestPooledDraws:
         assert as_bytes(results) == want
 
     def test_kernel_blocks_equal_whole_buffer(self):
-        # 2 whole kernel blocks and a ragged tail per point: the sampled
-        # columns are those of one kernel call on each point's whole buffer
+        # 2 whole kernel blocks and a ragged tail per point, each drawn and
+        # run through the kernel on its own: the sampled columns are those of
+        # one kernel call on each point's whole draw
         n = 2 * sampling._KERNEL_ROWS + 123
         structure, ineq, schedule = SAMPLED_LAYOUTS["i33"]
         results = sampled_sweep("i33", 3, n)
@@ -273,9 +275,9 @@ class TestPooledDraws:
         # on diag(0, -1, 1, 1/2), the rows a e0 + b e1 and a e0 + b e2 with
         # a = 1e150, b = 1e-150 give -b^2/a^2 and +b^2/a^2, which underflow
         # to -0.0 and +0.0; e1 gives -1, e2 gives 1, an all-zero row 0/0 =
-        # NaN.  Kernel blocks of 3 and of 16 rows must give the whole
-        # buffer's np.min and np.max, which picks between +0.0 and -0.0 by
-        # its own reduction order
+        # NaN.  Drawn and run in blocks of 3 and of 16 rows, the rows must
+        # give the np.min and np.max of one kernel call on all of them, which
+        # picks between +0.0 and -0.0 by its own reduction order
         op = np.diag([0.0, -1.0, 1.0, 0.5]).astype(np.complex128)
         rows = {
             "-0": 1e150 * np.eye(16)[0] + 1e-150 * np.eye(16)[1],
@@ -293,13 +295,28 @@ class TestPooledDraws:
         rng = np.random.default_rng(5)
         for sign in ("+1", "-1") * 50:
             layouts.append((16, list(rng.choice(["-0", "+0", sign], rng.integers(32, 97)))))
+
+        class CraftedRows:
+            """Stands in for a point's generator: fills each block with the
+            next of the crafted rows."""
+
+            def __init__(self, params):
+                self.params, self.start = params, 0
+
+            def standard_normal(self, out):
+                out[:] = self.params[self.start : self.start + len(out)]
+                self.start += len(out)
+                return out
+
         with np.errstate(invalid="ignore"):
             for block, layout in layouts:
                 monkeypatch.setattr(sampling, "_KERNEL_ROWS", block)
                 params = np.array([rows[k] for k in layout])
+                monkeypatch.setattr(sampling, "_rng", lambda seed, g: CraftedRows(params))
                 vals = kernels.batch_expectations(params, op)
                 want = np.float64([np.min(vals), np.max(vals)]).tobytes()
-                assert np.float64(sampling._extremes(params, op, 1.0)).tobytes() == want
+                (got,) = sampling._sampled_extremes(op[None], [1.0], len(params), 0)
+                assert np.float64(got).tobytes() == want
 
     @pytest.mark.parametrize("cpus", [1, 3, 8])
     def test_independent_of_cpu_count(self, monkeypatch, cpus):
@@ -316,21 +333,14 @@ class TestPooledDraws:
             sys.setswitchinterval(interval)
         assert got == want
 
-    @pytest.mark.parametrize(
-        "cpus,draw_bytes,pool",
-        [
-            (1, 2**26, 0), (2, 1, 0), (2, 50 * 128 * 2, 1), (2, 50 * 128 * 3, 1),
-            (2, 2**26, 1), (3, 50 * 128 * 2, 1), (3, 50 * 128 * 4, 2), (3, 50 * 128 * 5, 2),
-            (8, 2**26, 7), (16, 2**26, 8),
-        ],
-    )
-    def test_draw_bytes_cap(self, monkeypatch, cpus, draw_bytes, pool):
+    @pytest.mark.parametrize("n_samples", [50, 2 * sampling._KERNEL_ROWS + 1])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8, 16])
+    def test_pool_size(self, monkeypatch, cpus, n_samples):
         # one drawing thread per usable CPU, the caller's included, as far as
-        # their buffers of 50 * 128 bytes fit and there are grid points (9)
-        # for them; the pool holds all but the caller
-        want = as_bytes(sampled_sweep("ch", 9, 50))
+        # there are grid points (9) for them, however many samples a point
+        # takes; the pool holds all but the caller
+        want = as_bytes(sampled_sweep("ch", 9, n_samples))
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(sampling, "MAX_DRAW_BYTES", draw_bytes)
         sizes = []
         real_pool = concurrent.futures.ThreadPoolExecutor
 
@@ -339,25 +349,37 @@ class TestPooledDraws:
             return real_pool(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        assert as_bytes(sampled_sweep("ch", 9, 50)) == want
+        assert as_bytes(sampled_sweep("ch", 9, n_samples)) == want
+        pool = min(cpus, 9) - 1
         assert sizes == ([pool] if pool else [])
-        assert (1 + pool) * 50 * 128 <= max(draw_bytes, 50 * 128)
+
+    def test_memory_of_one_point(self):
+        # 2^18 + 5 samples: a block buffer of 4 MiB, the point's values (2
+        # MiB) and one block's kernel temporaries, never the point's whole
+        # (n, 16) draw of 32 MiB
+        tracemalloc.start()
+        try:
+            sampled_sweep("ch", 1, 2**18 + 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_draw_failure_stops_every_thread(self, monkeypatch):
         # a failing draw empties the shared points, so no other thread starts
         # more than the point it holds; repeated, because the failing draw
         # lands on the calling thread or on a pool thread by chance
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
-        draw = sampling._draw
+        rng = sampling._rng
         started = []
 
-        def failing_draw(out, seed, g):
+        def failing_rng(seed, g):
             started.append(g)
             if g == 5:
                 raise NumericError("draw failed")
-            return draw(out, seed, g)
+            return rng(seed, g)
 
-        monkeypatch.setattr(sampling, "_draw", failing_draw)
+        monkeypatch.setattr(sampling, "_rng", failing_rng)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -389,14 +411,14 @@ class TestPooledDraws:
     def test_draw_failure_leaves_no_thread(self, monkeypatch):
         # whichever thread draws point 5 fails, the pool thread or this one
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
-        draw = sampling._draw
+        rng = sampling._rng
 
-        def failing_draw(out, seed, g):
+        def failing_rng(seed, g):
             if g == 5:
                 raise NumericError("draw failed")
-            return draw(out, seed, g)
+            return rng(seed, g)
 
-        monkeypatch.setattr(sampling, "_draw", failing_draw)
+        monkeypatch.setattr(sampling, "_rng", failing_rng)
         before = threading.active_count()
         with pytest.raises(NumericError, match="draw failed"):
             sampled_sweep("ch", 40, 50)
