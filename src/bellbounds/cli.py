@@ -168,12 +168,28 @@ def parse_grid(spec: str) -> list[float]:
         return np.linspace(lo, hi, n).tolist()
 
 
+#: Largest input file, in bytes.  The largest input the other budgets admit
+#: is an inequality on polytope.MAX_SINGLE_EVENTS = 20 events split 10|10, so
+#: 20 single terms and 100 joints, each coefficient and both bounds a
+#: fraction of two 4300-digit integers (Python's int digit limit): about
+#: 1.05 MB of JSON.  An operator file (dim <= spectra.MAX_EIG_DIM = 16)
+#: carries at most such an inequality as its source plus 512 floats.  4 MiB
+#: leaves room for indentation.
+MAX_INPUT_BYTES = 1 << 22
+
+
 def _load_json(path: str) -> dict:
+    """The JSON document in the UTF-8 file ``path``, refused (BudgetError)
+    when the file holds more than MAX_INPUT_BYTES, before it is parsed."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if len(data) > MAX_INPUT_BYTES:
+        raise BudgetError(f"{path} holds more than {MAX_INPUT_BYTES} bytes")
+    try:
+        return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 

@@ -41,6 +41,11 @@ MAX_VERTEX_ENTRIES = 1 << 22
 PAIR_BLOCK = 1 << 13
 # most recent non-adjacency witnesses kept per DD step in _dd_rays
 WITNESSES = 8
+# largest magnitude of a decimal exponent in an inequality file's numbers:
+# Python's default limit on int digit strings (sys.get_int_max_str_digits()),
+# which already refuses a longer string of digits; Fraction builds
+# 10^|exponent| as it parses, which for "1e999999999" runs for minutes
+_MAX_EXPONENT = 4300
 
 
 @dataclass(frozen=True)
@@ -170,13 +175,13 @@ class Inequality:
                     key: TermKey = (int(i), int(j))
                 else:
                     key = int(ks)
-                coeffs[key] = Fraction(v)
+                coeffs[key] = _read_fraction(v)
             lower = obj.get("lower")
             upper = obj.get("upper")
             return cls(
                 coeffs,
-                None if lower is None else Fraction(lower),
-                None if upper is None else Fraction(upper),
+                None if lower is None else _read_fraction(lower),
+                None if upper is None else _read_fraction(upper),
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad inequality JSON: {exc}") from exc
@@ -186,6 +191,21 @@ class Inequality:
         :func:`_canonical`."""
         vec, lo, up, _ = _integer_form(self, structure)
         return _canonical(vec, lo, up)
+
+
+def _read_fraction(v) -> Fraction:
+    """A coefficient or bound read from JSON, as a Fraction.  A string whose
+    decimal exponent exceeds _MAX_EXPONENT in magnitude is an InputError,
+    refused before Fraction builds the power of ten."""
+    if isinstance(v, str):
+        _, e, exponent = v.lower().partition("e")
+        try:
+            too_large = bool(e) and abs(int(exponent)) > _MAX_EXPONENT
+        except ValueError:  # not an exponent: Fraction rejects the string
+            too_large = False
+        if too_large:
+            raise InputError(f"decimal exponent of {v!r} above limit {_MAX_EXPONENT}")
+    return Fraction(v)
 
 
 def _key_str(k: TermKey) -> str:

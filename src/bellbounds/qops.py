@@ -20,7 +20,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import BasisError, InputError, NumericError
+from .errors import BasisError, BudgetError, InputError, NumericError
 from .polytope import EventStructure, Inequality
 
 COMPUTATIONAL = "computational"
@@ -79,13 +79,13 @@ def _in_units(M: np.ndarray, unit) -> np.ndarray:
     )
 
 
-def _check_hermitian(M: np.ndarray) -> float:
-    """Check that M is finite and Hermitian; return its :func:`_unit`.
+def _check_norm(M: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Check that M is finite and its norm within the float range.
 
-    Non-finite entries, or a norm beyond the float range, raise NumericError;
-    an entry of M - M^dag above 1e-12 * max(1, ||M||_F) raises InputError.
-    The test and the norm are computed on M in its units, so entries near
-    the float maximum cannot overflow the norm and pass the test that way.
+    Returns M's :func:`_unit`, M in its units and M's Frobenius norm in
+    its units.  Non-finite entries, or a norm beyond the float range, raise
+    NumericError.  The norm is computed on M in its units, so entries near
+    the float maximum cannot overflow it and pass the check that way.
     """
     big = float(_components(M).max())  # NaN if any entry is
     if not math.isfinite(big):
@@ -95,6 +95,16 @@ def _check_hermitian(M: np.ndarray) -> float:
     norm = math.sqrt(np.vdot(A, A).real)
     if not math.isfinite(unit * norm):
         raise NumericError("matrix norm exceeds the float range")
+    return unit, A, norm
+
+
+def _check_hermitian(M: np.ndarray) -> float:
+    """Check that M is finite and Hermitian; return its :func:`_unit`.
+
+    :func:`_check_norm` first; then an entry of M - M^dag above
+    1e-12 * max(1, ||M||_F), tested on M in its units, raises InputError.
+    """
+    unit, A, norm = _check_norm(M)
     if float(np.abs(A - A.conj().T).max()) > 1e-12 * max(1.0 / unit, norm):
         raise InputError("matrix is not Hermitian")
     return unit
@@ -162,8 +172,13 @@ class BellOperator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BellOperator":
+        from .spectra import MAX_EIG_DIM  # here, since spectra imports this module
+
         try:
             dim = int(obj["dim"])
+            # refused before the entry grid is built
+            if dim > MAX_EIG_DIM:
+                raise BudgetError(f"operator dimension {dim} above limit {MAX_EIG_DIM}")
             entries = obj["entries"]
             M = np.array(
                 [[complex(re, im) for re, im in row] for row in entries],
@@ -219,12 +234,11 @@ def _sigma_stack(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kron_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product of two (G, 2, 2) stacks matrix by matrix: (G, 4, 4)."""
-    return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1, 4, 4)
-
-
 _EYE2 = np.eye(2)[None]
+
+#: Grid points per block of the operator build: a block's (terms, block, 4, 4)
+#: product tensor holds 32 KiB per term, 352 KiB for the 11 I3322 terms.
+_BUILD_BLOCK = 128
 
 
 def bell_operators(
@@ -234,15 +248,21 @@ def bell_operators(
 
     ``angles`` maps each event to its G angles.  One :func:`_sigma_stack`
     call over every event's angles, made projectors in place, gives a
-    (E, G, 2, 2) projector stack with one row per event.  Every single term
-    then becomes a one-sided measurement, every joint term a product
-    measurement, and the weighted terms are added into one (G, 4, 4) sum in
-    coefficient order, one term at a time, so no (terms, G, 4, 4) tensor is
-    ever held.  Each step repeats on the whole stack the elementwise
-    operations of :func:`projector`, :func:`single_site` and :func:`joint`,
-    so every matrix is bit for bit the sum of those per-point operators, and
-    exactly Hermitian.  A sum that overflows the float range raises
-    NumericError.
+    (E + 1, G, 2, 2) stack with one row per event and a last row of
+    identities.  Each term names a left and a right row of it: an event and
+    the identity for a single term, its two events for a joint term.  The
+    grid is built in blocks of _BUILD_BLOCK points: one gather of every
+    term's left and right factors, one broadcast product giving each term's
+    Kronecker products, one multiply by the weights, and the terms added in
+    coefficient order, one at a time from 0.0.  Beside the (G, 4, 4) result,
+    a block holds its (terms, block, 4, 4) products and its
+    (terms, 2, block, 2, 2) factors: 384 bytes per term and point, at most
+    48 KiB per term.  Each
+    entry goes through the elementwise operations of :func:`projector`,
+    :func:`single_site` and :func:`joint` and of the weighted sum, in their
+    order, so every matrix is bit for bit the sum of those per-point
+    operators, and exactly Hermitian.  A sum that overflows the float range
+    raises NumericError.
     """
     if len(structure.sides) != 2:
         raise InputError("Bell operators require a bipartite side partition")
@@ -255,33 +275,42 @@ def bell_operators(
     shapes = {t.shape for t in theta}
     if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
         raise InputError("angles must give every event one angle per grid point")
+    row = {e: r for r, e in enumerate(angles)}
+    eye = len(row)  # the identity row
+    pairs, weights = [], []  # (left row, right row) and weight of each term
+    for key, coeff in ineq.coeffs.items():
+        if isinstance(key, int):
+            if key not in row:
+                raise InputError(f"no angle given for event {key}")
+            pairs.append((row[key], eye) if side_of[key] == 0 else (eye, row[key]))
+        else:
+            i, j = key
+            if i not in row or j not in row:
+                raise InputError(f"no angle given for joint ({i},{j})")
+            pairs.append((row[i], row[j]) if side_of[i] == 0 else (row[j], row[i]))
+        try:
+            weights.append(float(coeff))
+        except OverflowError as exc:
+            raise InputError(f"coefficient of {key!r} is too large for a float") from exc
     G = shapes.pop()[0] if shapes else 1
-    S = _sigma_stack(np.concatenate(theta) if theta else np.empty(0))
-    S += _EYE2
-    S /= 2.0
-    P = dict(zip(angles, S.reshape(len(theta), G, 2, 2)))
+    P = np.empty((eye + 1, G, 2, 2), dtype=np.complex128)
+    if theta:
+        P[:eye] = _sigma_stack(np.concatenate(theta)).reshape(eye, G, 2, 2)
+        P[:eye] += _EYE2
+        P[:eye] /= 2.0
+    P[eye] = _EYE2
+    w = np.array(weights)[:, None, None, None]
     O = np.zeros((G, 4, 4), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for key, coeff in ineq.coeffs.items():
-            if isinstance(key, int):
-                if key not in P:
-                    raise InputError(f"no angle given for event {key}")
-                if side_of[key] == 0:
-                    term = _kron_stack(P[key], _EYE2)
-                else:
-                    term = _kron_stack(_EYE2, P[key])
-            else:
-                i, j = key
-                if i not in P or j not in P:
-                    raise InputError(f"no angle given for joint ({i},{j})")
-                if side_of[i] == 1:  # store left event first
-                    i, j = j, i
-                term = _kron_stack(P[i], P[j])
-            try:
-                weight = float(coeff)
-            except OverflowError as exc:
-                raise InputError(f"coefficient of {key!r} is too large for a float") from exc
-            O += weight * term
+        for start in range(0, G, _BUILD_BLOCK):
+            block = slice(start, start + _BUILD_BLOCK)
+            F = P[pairs, block]  # (terms, 2, block, 2, 2): left and right factors
+            L, R = F[:, 0, :, :, None, :, None], F[:, 1, :, None, :, None, :]
+            K = (L * R).reshape(len(pairs), -1, 4, 4)
+            np.multiply(w, K, out=K)
+            total = O[block]
+            for term in K:
+                total += term
     if not np.all(np.isfinite(O)):
         raise NumericError("operator entries overflow the float range")
     return O
@@ -331,11 +360,17 @@ def expectation(W: DensityMatrix, O: BellOperator) -> float:
     return val.real
 
 
+def _bell_basis(M: np.ndarray) -> np.ndarray:
+    """B^dag M B for the 4x4 matrix M, symmetrised: M in the Bell basis."""
+    return hermitize(BELL_BASIS.conj().T @ M @ BELL_BASIS)
+
+
 def to_bell_basis(O: BellOperator) -> BellOperator:
     """Conjugate into the Bell basis {phi+, psi+, psi-, phi-}."""
     if O.basis == BELL:
         raise BasisError("operator is already in the Bell basis")
     if O.dim != 4:
         raise InputError("Bell-basis conversion is defined for dim 4")
-    M = hermitize(BELL_BASIS.conj().T @ O.matrix @ BELL_BASIS)
-    return BellOperator(matrix=M, basis=BELL, source=O.source, angles=O.angles)
+    return BellOperator(
+        matrix=_bell_basis(O.matrix), basis=BELL, source=O.source, angles=O.angles
+    )

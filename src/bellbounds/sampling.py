@@ -25,10 +25,13 @@ grid points.  The sweep holds that once per thread, so on a host of many
 CPUs it holds that many times as much: about 1.3 GB on 64 CPUs at 10^6
 samples per point.  A sweep without samples, of one grid point, or on one
 CPU, starts no thread.
-Eigencurves take one route for the whole grid.  They build and split one
-operator per grid point, and give Cardano columns when every point splits
-in the Bell basis.  Otherwise every row gives the ascending eigenvalues from
-the same operator stack and stacked eigensolve that a sweep uses.
+Eigencurves take one route for the whole grid.  Each grid point's operator
+is built as a one-point :func:`bellbounds.qops.bell_operators` stack and
+handled as a plain array: one norm check, the Bell-basis change and the
+block split, with no BellOperator.  The columns are Cardano roots when every
+point splits in the Bell basis.  Otherwise every row gives the ascending
+eigenvalues from the same operator stack and stacked eigensolve that a
+sweep uses.
 """
 
 from __future__ import annotations
@@ -49,14 +52,14 @@ from .polytope import EventStructure, Inequality, classical_range
 from .qops import (
     BellOperator,
     DensityMatrix,
+    _bell_basis,
+    _check_norm,
     _components,
     _in_units,
     _unit,
-    bell_operator,
     bell_operators,
-    to_bell_basis,
 )
-from .spectra import _solve, cardano_eigenvalues, o33_block_decompose, stacked_eigenvalues
+from .spectra import _o33_blocks, _solve, cardano_eigenvalues, stacked_eigenvalues
 
 #: Budgets on the sizes a sweep's caller controls: grid points, samples per
 #: point, and samples over the whole grid.
@@ -290,7 +293,10 @@ def eigencurves(
     point, the columns are the 1x1 block followed by the three Cardano roots
     (the three-setting layout).  If any point does not split, every row
     reports its eigenvalues ascending, so a column never changes meaning
-    from one row to the next.
+    from one row to the next.  Each point runs on plain arrays: its
+    :func:`bell_operators` matrix is exactly Hermitian and finite, so of
+    :class:`BellOperator`'s checks only the norm's can fail, and it is the
+    one taken before the Bell-basis change and the block split.
     """
     _check_grid(theta_grid)
     # every angle first, so that a schedule that rejects a point builds nothing
@@ -298,7 +304,9 @@ def eigencurves(
     curves = []
     for theta, angles in zip(theta_grid, schedules):
         try:
-            o1, o3 = o33_block_decompose(to_bell_basis(bell_operator(ineq, angles, structure)))
+            M = bell_operators(ineq, {k: [v] for k, v in angles.items()}, structure)[0]
+            _check_norm(M)
+            o1, o3 = _o33_blocks(_bell_basis(M))
         except InputError:
             eigenvalues = stacked_eigenvalues(_operator_stack(ineq, structure, schedules))
             return [(float(t), w) for t, w in zip(theta_grid, eigenvalues.tolist())]

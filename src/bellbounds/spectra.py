@@ -188,15 +188,18 @@ def o22_closed_form(
     return sorted(vals)
 
 
-def o33_block_decompose(O_bell_basis: BellOperator) -> tuple[float, np.ndarray]:
-    """Split a Bell-basis operator into its 1x1 and trailing 3x3 blocks."""
-    if O_bell_basis.basis != BELL:
-        raise InputError("block decomposition expects a Bell-basis operator")
-    M = O_bell_basis.matrix
-    if M.shape != (4, 4):
-        raise InputError("block decomposition expects a 4x4 operator")
+def _o33_blocks(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """The 1x1 and trailing 3x3 blocks of a 4x4 Bell-basis matrix.
+
+    Non-finite entries raise NumericError.  An entry off the two blocks, or
+    an imaginary part in the 3x3 block, above 1e-10 in the matrix's unit
+    raises InputError.
+    """
     C = _components(M)  # column 2k holds |Re M[:, k]|, column 2k + 1 |Im M[:, k]|
-    tol = 1e-10 * _unit(float(C.max()))
+    big = float(C.max())
+    if not math.isfinite(big):
+        raise NumericError("matrix has non-finite entries")
+    tol = 1e-10 * _unit(big)
     off = max(float(C[0, 2:].max()), float(C[1:, :2].max()))
     if off > tol:
         raise InputError(
@@ -205,6 +208,15 @@ def o33_block_decompose(O_bell_basis: BellOperator) -> tuple[float, np.ndarray]:
     if float(C[1:, 3::2].max()) > tol:
         raise InputError("trailing block is not real symmetric")
     return float(M[0, 0].real), np.array(M[1:, 1:].real, dtype=np.float64)
+
+
+def o33_block_decompose(O_bell_basis: BellOperator) -> tuple[float, np.ndarray]:
+    """Split a Bell-basis operator into its 1x1 and trailing 3x3 blocks."""
+    if O_bell_basis.basis != BELL:
+        raise InputError("block decomposition expects a Bell-basis operator")
+    if O_bell_basis.matrix.shape != (4, 4):
+        raise InputError("block decomposition expects a 4x4 operator")
+    return _o33_blocks(O_bell_basis.matrix)
 
 
 def cardano_eigenvalues(o3: np.ndarray) -> list[float]:

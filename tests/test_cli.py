@@ -796,7 +796,7 @@ class TestSweepCommand:
         def no_build(*args):
             raise AssertionError("operator built")
 
-        monkeypatch.setattr(sampling, "bell_operator", no_build)
+        # every route of the sweep builds its operators through bell_operators
         monkeypatch.setattr(sampling, "bell_operators", no_build)
         s, i = ch_files
         out = tmp_path / "x.csv"
@@ -867,6 +867,28 @@ class TestSweepCommand:
         assert values.shape == (101, 5)
         assert np.all(np.isfinite(values))
 
+
+    def test_eigencurves_norm_beyond_float_range(self, tmp_path, capsys):
+        # at these angles the two joints are |00><00| and about |11><11|, so
+        # the operator splits in the Bell basis; its entries are finite but
+        # its norm, about 1.84e308, is not: the one check each point takes
+        s = tmp_path / "structure.json"
+        s.write_text(json.dumps(catalog.ch_structure().to_json()))
+        i = tmp_path / "ineq.json"
+        i.write_text(json.dumps({"coeffs": {"1,3": "1.3e308", "2,4": "1.3e308"}}))
+        out = tmp_path / "curves.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(
+                ["sweep", "--structure", str(s), "--ineq", str(i),
+                 "--schedule", "1=0,2=pi,3=0,4=pi", "--grid", "0:1:3",
+                 "--eigencurves", "--out", str(out)]
+            )
+        assert rc == 4
+        assert capsys.readouterr().err == "numeric failure: matrix norm exceeds the float range\n"
+        assert not out.exists()
+        assert not (tmp_path / "curves.csv.manifest.json").exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 class TestReadmeSweepDigests:
     """The README's two sweep commands reproduce their pinned CSVs byte for byte.

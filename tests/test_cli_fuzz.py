@@ -10,13 +10,14 @@ import contextlib
 import io
 import json
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellbounds import catalog
+from bellbounds import catalog, cli
 from bellbounds.cli import main, parse_angles
 from bellbounds.qops import bell_operator, to_bell_basis
 from bellbounds.states import PureState
@@ -160,6 +161,19 @@ def write_documents(workdir, case):
     return ["--structure", str(s), "--ineq", str(i)]
 
 
+CH_STRUCTURE = json.dumps(catalog.ch_structure().to_json())
+CH_INEQUALITY = json.dumps(catalog.ch_inequality().to_json())
+# the CH structure with its sides and joints written as strings of digits
+CH_DIGIT_STRINGS = '{"n_single": 4, "sides": ["12", "34"], "joints": ["13", "14", "23", "24"]}'
+# the CH structure with an event count that is not an integer
+CH_FLOAT_COUNT = CH_STRUCTURE.replace('"n_single": 4', '"n_single": 4.9')
+# numbers whose decimal exponent Fraction would expand into 10^999999999,
+# as a coefficient and as a bound
+HUGE_EXPONENT = '{"coeffs": {"1": "1e999999999", "1,3": 1}}'
+HUGE_NEGATIVE_EXPONENT = '{"coeffs": {"1": 1, "1,3": -1}, "upper": "1e-999999999"}'
+CH_ANGLES, CH_SCHEDULE = LAYOUTS[1][2], LAYOUTS[1][3]
+
+
 FUZZ = settings(max_examples=250, deadline=None, derandomize=True)
 
 
@@ -168,6 +182,8 @@ FUZZ = settings(max_examples=250, deadline=None, derandomize=True)
     case=cases(2, angles),
     command=st.sampled_from([["bound"], ["operator", "build"], ["operator", "build", "--bell-basis"]]),
 )
+@example(case=(CH_STRUCTURE, HUGE_EXPONENT, CH_ANGLES), command=["bound"])
+@example(case=(CH_STRUCTURE, HUGE_NEGATIVE_EXPONENT, CH_ANGLES), command=["bound"])
 def test_bound_and_operator(workdir, case, command):
     run([*command, *write_documents(workdir, case), f"--angles={case[2]}"])
 
@@ -179,6 +195,9 @@ def test_bound_and_operator(workdir, case, command):
     samples=st.integers(-2, 10),
     seed=st.one_of(st.integers(-3, 3), st.just(2**64), st.just(2**128)),
     eigencurves=st.booleans(),
+)
+@example(
+    case=(CH_STRUCTURE, HUGE_EXPONENT, CH_SCHEDULE), grid="0:pi:3", samples=0, seed=0, eigencurves=False
 )
 def test_sweep(workdir, case, grid, samples, seed, eigencurves):
     run(
@@ -195,20 +214,13 @@ def test_sweep(workdir, case, grid, samples, seed, eigencurves):
     )
 
 
-CH_STRUCTURE = json.dumps(catalog.ch_structure().to_json())
-CH_INEQUALITY = json.dumps(catalog.ch_inequality().to_json())
-# the CH structure with its sides and joints written as strings of digits
-CH_DIGIT_STRINGS = '{"n_single": 4, "sides": ["12", "34"], "joints": ["13", "14", "23", "24"]}'
-# the CH structure with an event count that is not an integer
-CH_FLOAT_COUNT = CH_STRUCTURE.replace('"n_single": 4', '"n_single": 4.9')
-
-
 @FUZZ
 @given(case=cases(2, angles), action=st.sampled_from(["vertices", "verify"]))
 @example(case=(CH_STRUCTURE, '{"coeffs": [], "lower": 0}', ""), action="verify")
 @example(case=(CH_STRUCTURE, '{"coeffs": null}', ""), action="verify")
 @example(case=(CH_DIGIT_STRINGS, CH_INEQUALITY, ""), action="verify")
 @example(case=(CH_FLOAT_COUNT, CH_INEQUALITY, ""), action="verify")
+@example(case=(CH_STRUCTURE, HUGE_EXPONENT, ""), action="verify")
 def test_polytope(workdir, case, action):
     run(["polytope", action, *write_documents(workdir, case)])
 
@@ -222,9 +234,17 @@ def operator_docs():
     return docs
 
 
+# an operator whose source inequality carries a huge exponent, and one that
+# declares a dimension above spectra.MAX_EIG_DIM
+HUGE_EXPONENT_SOURCE = json.dumps({**operator_docs()[2], "source": json.loads(HUGE_EXPONENT)})
+HUGE_DIM = json.dumps({**operator_docs()[2], "dim": 10**6})
+
+
 @FUZZ
 @given(doc=st.sampled_from(operator_docs()).flatmap(odd_json), out=st.booleans())
 @example(doc='{"dim": 1, "entries": [[[1, 0]]], "angles": [1]}', out=False)
+@example(doc=HUGE_EXPONENT_SOURCE, out=False)
+@example(doc=HUGE_DIM, out=False)
 def test_spectrum(workdir, doc, out):
     path = workdir / "operator.json"
     path.write_text(doc)
@@ -245,3 +265,39 @@ def test_state(workdir, doc):
     path = workdir / "state.json"
     path.write_text(doc)
     run(["state", "analyze", "--state", str(path)])
+
+
+def timed(argv):
+    """``run(argv)`` and its wall time in seconds."""
+    start = time.perf_counter()
+    rc = run(argv)
+    return rc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["bound", f"--angles={CH_ANGLES}"], ["polytope", "verify"],
+     ["sweep", f"--schedule={CH_SCHEDULE}", "--grid=0:pi:3", "--out", "{out}"]],
+    ids=["bound", "polytope-verify", "sweep"],
+)
+@pytest.mark.parametrize("ineq", [HUGE_EXPONENT, HUGE_NEGATIVE_EXPONENT], ids=["coeff", "bound"])
+def test_huge_exponent_refused_at_once(workdir, command, ineq):
+    command = [a.format(out=workdir / "sweep.csv") for a in command]
+    rc, seconds = timed([command[0], *write_documents(workdir, (CH_STRUCTURE, ineq)), *command[1:]])
+    assert rc == 2 and seconds < 1.0
+
+
+@pytest.mark.parametrize("doc,code", [(HUGE_EXPONENT_SOURCE, 2), (HUGE_DIM, 3)], ids=["source", "dim"])
+def test_operator_file_refused_at_once(workdir, doc, code):
+    path = workdir / "operator.json"
+    path.write_text(doc)
+    rc, seconds = timed(["spectrum", "--operator", str(path)])
+    assert rc == code and seconds < 1.0
+
+
+def test_oversized_file(workdir):
+    # valid JSON, refused by its size before it is parsed
+    path = workdir / "big.json"
+    path.write_text(" " * cli.MAX_INPUT_BYTES + json.dumps(catalog.ch_structure().to_json()))
+    rc, seconds = timed(["polytope", "vertices", "--structure", str(path)])
+    assert rc == 3 and seconds < 1.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellbounds import catalog
+from bellbounds import catalog, qops
 from bellbounds.errors import BasisError, InputError, NumericError
 from bellbounds.polytope import EventStructure, Inequality
 from bellbounds.qops import (
@@ -312,6 +312,102 @@ class TestBellOperatorStack:
         angles = {1: [0.0, 0.1], 2: [0.5], 3: [1.0, 1.1], 4: [1.5, 1.6]}
         with pytest.raises(InputError):
             bell_operators(catalog.ch_inequality(), angles, catalog.ch_structure())
+
+
+def per_term_stack(ineq, angles, structure):
+    """Oracle for the gather build: the per-term loop it replaced.
+
+    Each event's projector stack is made in place, (sigma + 1) / 2, and each
+    term's Kronecker stack, with a real identity for the absent side, is
+    weighted and added into the sum in coefficient order.
+    """
+    side_of = structure.side_of_event()
+    eye = np.eye(2)[None]
+    P = {}
+    for e, a in angles.items():
+        c, s = np.cos(np.asarray(a, dtype=np.float64)), np.sin(np.asarray(a, dtype=np.float64))
+        S = np.empty(c.shape + (2, 2), dtype=np.complex128)
+        S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1] = c, s, s, -c
+        S += eye
+        S /= 2.0
+        P[e] = S
+    G = len(next(iter(angles.values())))
+    O = np.zeros((G, 4, 4), dtype=np.complex128)
+    for key, coeff in ineq.coeffs.items():
+        if isinstance(key, int):
+            A, B = (P[key], eye) if side_of[key] == 0 else (eye, P[key])
+        else:
+            i, j = key if side_of[key[0]] == 0 else key[::-1]
+            A, B = P[i], P[j]
+        O += float(coeff) * (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1, 4, 4)
+    return O
+
+
+def full_layout(m, n, left_first, seed):
+    """An m|n layout with every joint, its left side numbered first or its
+    right side first, and a seeded inequality on a random subset of its
+    terms, with Fraction coefficients drawn in pairs c, -c."""
+    rng = np.random.default_rng(seed)
+    if left_first:
+        sides = (tuple(range(1, m + 1)), tuple(range(m + 1, m + n + 1)))
+    else:
+        sides = (tuple(range(n + 1, n + m + 1)), tuple(range(1, n + 1)))
+    structure = EventStructure(
+        m + n, sides, tuple((i, j) for i in sides[0] for j in sides[1])
+    )
+    terms = structure.term_order()
+    chosen = [terms[t] for t in rng.permutation(len(terms))[: int(rng.integers(2, len(terms) + 1))]]
+    coeffs = {}
+    for k, key in enumerate(chosen):
+        if k % 2:
+            coeffs[key] = -coeffs[chosen[k - 1]]
+        else:
+            coeffs[key] = Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 7))) * (
+                1 if rng.integers(2) else -1
+            )
+    return structure, Inequality(coeffs)
+
+
+def special_angles(n_events, G, seed):
+    """G seeded angles per event, in shuffled event order.  At about a third
+    of the points every event takes one common angle, so that terms of
+    opposite coefficients cancel; elsewhere each angle is a signed zero, a
+    multiple of pi/2 (where sigma has exact or near zeros) or uniform."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, math.pi / 2, math.pi, -math.pi / 2, 3 * math.pi / 2, 2 * math.pi])
+    common = rng.choice(special, G)
+    shared = rng.random(G) < 0.3
+    out = {}
+    for e in rng.permutation(n_events) + 1:
+        a = rng.uniform(-10.0, 10.0, G)
+        pick = rng.random(G) < 0.4
+        a[pick] = rng.choice(special, int(pick.sum()))
+        a[shared] = common[shared]
+        out[int(e)] = a
+    return out
+
+
+BLOCK = qops._BUILD_BLOCK
+
+
+class TestGatherBuild:
+    @pytest.mark.parametrize("G", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 1])
+    @pytest.mark.parametrize(
+        "m,n,left_first",
+        [(2, 2, True), (3, 3, True), (2, 4, True), (2, 4, False), (4, 4, False)],
+        ids=["2|2", "3|3", "2|4", "2|4-right-first", "4|4-right-first"],
+    )
+    def test_bit_equal_to_per_term_loop(self, m, n, left_first, G):
+        for seed in range(3):
+            structure, ineq = full_layout(m, n, left_first, 100 * m + 10 * n + seed)
+            # one negative term: its zero entries are -0.0, which only a sum
+            # started from 0.0 turns into +0.0
+            one_term = Inequality({structure.term_order()[-1 - seed]: Fraction(-1, 3)})
+            angles = special_angles(m + n, G, seed + G)
+            for ineq in (ineq, one_term):
+                got = bell_operators(ineq, angles, structure)
+                # tobytes compares every bit, signed zeros included
+                assert got.tobytes() == per_term_stack(ineq, angles, structure).tobytes()
 
 
 class TestChshOperator:

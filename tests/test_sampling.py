@@ -4,13 +4,15 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bellbounds import catalog, kernels, sampling
 from bellbounds.errors import BudgetError, InputError, NumericError
-from bellbounds.qops import bell_operator, chsh_operator
+from bellbounds.polytope import Inequality
+from bellbounds.qops import bell_operator, bell_operators, chsh_operator, to_bell_basis
 from bellbounds.sampling import (
     DensityParams,
     density_from_params,
@@ -22,7 +24,13 @@ from bellbounds.sampling import (
     write_eigencurves_csv,
     write_sweep_csv,
 )
-from bellbounds.spectra import eigen, quantum_bound
+from bellbounds.spectra import (
+    cardano_eigenvalues,
+    eigen,
+    o33_block_decompose,
+    quantum_bound,
+    stacked_eigenvalues,
+)
 
 
 def analytic_max_22(theta):
@@ -514,6 +522,35 @@ class TestEigencurves:
         for theta, lams in curves:
             O = bell_operator(ineq, catalog.sweep_schedule_22(theta), structure)
             assert lams == eigen(O.matrix).eigenvalues.tolist()
+
+    @pytest.mark.parametrize("k", [0, -60, 40, 1010])
+    def test_array_route_matches_object_route(self, k):
+        # each cell equals the BellOperator route it replaced: build, Bell
+        # basis, block split and Cardano on one operator per point
+        ineq = Inequality(
+            {key: c * Fraction(2) ** k for key, c in catalog.i33_inequality().coeffs.items()}
+        )
+        structure, schedule = catalog.i33_structure(), catalog.symmetric_angles_33
+        grid = np.linspace(0.0, 2 * math.pi, 2001).tolist()
+        curves = eigencurves(ineq, structure, schedule, grid)
+        assert len(curves) == len(grid)
+        for theta, (got_theta, lams) in zip(grid, curves):
+            o1, o3 = o33_block_decompose(to_bell_basis(bell_operator(ineq, schedule(theta), structure)))
+            assert got_theta == theta and lams == [o1] + cardano_eigenvalues(o3)
+
+    def test_last_point_not_splitting(self):
+        # the CH schedule splits in the Bell basis at 0, pi/4, 3pi/4 and pi
+        # but not at 0.6: the last point turns every row ascending
+        ineq, structure = catalog.ch_inequality(), catalog.ch_structure()
+        schedule = catalog.sweep_schedule_22
+        grid = [0.0, math.pi / 4, 3 * math.pi / 4, math.pi, 0.6]
+        for theta in grid[:-1]:
+            o33_block_decompose(to_bell_basis(bell_operator(ineq, schedule(theta), structure)))
+        curves = eigencurves(ineq, structure, schedule, grid)
+        ops = bell_operators(ineq, {e: [schedule(t)[e] for t in grid] for e in schedule(0.0)}, structure)
+        assert [theta for theta, _ in curves] == grid
+        assert [lams for _, lams in curves] == stacked_eigenvalues(ops).tolist()
+        assert all(lams == sorted(lams) for _, lams in curves)
 
     @pytest.mark.parametrize(
         "n,error", [(0, InputError), (sampling.MAX_GRID_POINTS + 1, BudgetError)]
