@@ -3,9 +3,11 @@
 Measurement directions live in the x-z plane and are given as angles in
 radians, so every projector is a real symmetric matrix.  Kronecker products
 and weighted sums of exactly symmetric real matrices are exactly symmetric,
-so the operator build needs no symmetrisation step.  Only the two results
-that floating point leaves slightly off Hermitian are symmetrised,
-(M + M^dag)/2: the Bell-basis similarity transform and a density matrix.
+so the operator build needs no symmetrisation step.  The Bell-basis change
+is one fixed gather of signed halves, which keeps an exactly Hermitian
+matrix exactly Hermitian and calls no BLAS kernel.  Only a density matrix,
+which floating point leaves slightly off Hermitian, is symmetrised,
+(M + M^dag)/2.
 Matrices that enter from outside (operator files, density matrices, a
 caller's array) are checked, never repaired: non-finite entries or a norm
 beyond the float range are a NumericError, a matrix that is not Hermitian
@@ -360,9 +362,47 @@ def expectation(W: DensityMatrix, O: BellOperator) -> float:
     return val.real
 
 
+def _bell_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Where the four terms of each entry of B^dag M B come from.
+
+    Each Bell state, column j of :data:`BELL_BASIS`, is
+    (|a_j> + s_j |b_j>)/sqrt(2), so entry (i, j) is the sum over p in
+    {a_i, b_i} and q in {a_j, b_j} of +-M[p, q]/2.  Returns (4, 4, 2, 4)
+    indices into the 32 floats of M's real view and the weights +-1/2: per
+    entry, per real and imaginary part, its four terms, ordered
+    (a_i, a_j), (b_i, b_j), (a_i, b_j), (b_i, a_j).
+    """
+    rows = [np.flatnonzero(BELL_BASIS[:, j]) for j in range(4)]
+    sign = np.sign(BELL_BASIS.real)
+    index = np.empty((4, 4, 2, 4), dtype=np.intp)
+    weight = np.empty((4, 4, 2, 4))
+    for i, j in np.ndindex(4, 4):
+        (a, b), (c, d) = rows[i], rows[j]
+        for t, (p, q) in enumerate([(a, c), (b, d), (a, d), (b, c)]):
+            index[i, j, :, t] = 2 * (4 * p + q) + np.arange(2)
+            weight[i, j, :, t] = 0.5 * sign[p, i] * sign[q, j]
+    return index, weight
+
+
+_BELL_INDEX, _BELL_WEIGHT = _bell_gather()
+
+
 def _bell_basis(M: np.ndarray) -> np.ndarray:
-    """B^dag M B for the 4x4 matrix M, symmetrised: M in the Bell basis."""
-    return hermitize(BELL_BASIS.conj().T @ M @ BELL_BASIS)
+    """B^dag M B: the 4x4 matrix M, or each of a (..., 4, 4) stack, in the
+    Bell basis.
+
+    One fixed gather, with no BLAS call, so the bits do not depend on the
+    BLAS kernel: each entry is (t0 + t1) + (t2 + t3) over the four signed
+    entries of M/2 that :func:`_bell_gather` names, on the real and
+    imaginary parts alike.  Entry (j, i) adds the conjugates of entry
+    (i, j)'s pairs (t0, t1) and (t2, t3), so for an exactly Hermitian M the
+    result is exactly Hermitian.  Each pair is at most max |M| in size, so
+    no partial sum overflows unless the entry itself does.
+    """
+    V = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
+    T = np.take(V.reshape(V.shape[:-2] + (32,)), _BELL_INDEX, axis=-1) * _BELL_WEIGHT
+    out = (T[..., 0] + T[..., 1]) + (T[..., 2] + T[..., 3])
+    return out.view(np.complex128)[..., 0]
 
 
 def to_bell_basis(O: BellOperator) -> BellOperator:

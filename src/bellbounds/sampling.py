@@ -28,10 +28,11 @@ CPU, starts no thread.
 Eigencurves take one route for the whole grid.  Each grid point's operator
 is built as a one-point :func:`bellbounds.qops.bell_operators` stack and
 handled as a plain array: one norm check, the Bell-basis change and the
-block split, with no BellOperator.  The columns are Cardano roots when every
-point splits in the Bell basis.  Otherwise every row gives the ascending
-eigenvalues from the same operator stack and stacked eigensolve that a
-sweep uses.
+block split, with no BellOperator.  When every point splits in the Bell
+basis, the grid's 3x3 blocks go to one stacked tridiagonal eigensolve,
+:func:`bellbounds.spectra.o33_block_eigenvalues`.  Otherwise every row gives
+the ascending eigenvalues from the same operator stack and stacked
+eigensolve that a sweep uses.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import collections
 import csv
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, TextIO
@@ -59,7 +61,7 @@ from .qops import (
     _unit,
     bell_operators,
 )
-from .spectra import _o33_blocks, _solve, cardano_eigenvalues, stacked_eigenvalues
+from .spectra import _o33_blocks, _solve, o33_block_eigenvalues, stacked_eigenvalues
 
 #: Budgets on the sizes a sweep's caller controls: grid points, samples per
 #: point, and samples over the whole grid.
@@ -237,28 +239,44 @@ def _sampled_extremes(
 ) -> list[tuple[float, float]]:
     """(min, max) of Tr[W' op] over n_samples draws from stream (seed, g), per g.
 
-    Each thread takes the next grid point from one shared iterator (its
-    ``next`` is atomic under the GIL), so no thread waits for a given point
-    and a slow CPU only takes fewer of them.  It draws the point's samples
-    into its buffer of _KERNEL_ROWS rows, block by block from the point's
-    one generator, which gives the same numbers as one whole draw, and runs
-    the kernel on each block into one array of the point's n values; numpy
-    releases the GIL while it fills a block.  Tr[W' op] is linear in op: the
-    kernel runs in op's units, where it cannot overflow, and np.min and
-    np.max of the whole array, NaN and -0.0 included, are scaled back
-    exactly.  A thread that fails empties the iterator, so the others stop
-    at their next point.
+    Each thread takes the next grid point from one shared iterator, so no
+    thread waits for a given point and a slow CPU only takes fewer of them.
+    It takes the point and makes the point's generator under one lock, and
+    if making the generator fails it empties the iterator before it lets go
+    of the lock: however long the thread is descheduled on the way, no
+    thread takes a point after the one that failed.  It draws the point's
+    samples into its buffer of _KERNEL_ROWS rows, block by block from the
+    point's one generator, which gives the same numbers as one whole draw,
+    and runs the kernel on each block into one array of the point's n
+    values; numpy releases the GIL while it fills a block.  Tr[W' op] is
+    linear in op: the kernel runs in op's units, where it cannot overflow,
+    and np.min and np.max of the whole array, NaN and -0.0 included, are
+    scaled back exactly.  A thread that fails later empties the iterator
+    too, so the others stop at their next point.
     """
     threads = max(1, min(_usable_cpus(), len(ops)))
     points = iter(range(len(ops)))
+    lock = threading.Lock()
     extremes: list = [None] * len(ops)
+
+    def take() -> Optional[tuple[int, np.random.Generator]]:
+        with lock:
+            g = next(points, None)
+            if g is None:
+                return None
+            try:
+                return g, _rng(seed, g)
+            except BaseException:
+                collections.deque(points, maxlen=0)
+                raise
 
     def work() -> None:
         buf = np.empty((min(n_samples, _KERNEL_ROWS), 16))
         vals = np.empty(n_samples)
         try:
-            for g in points:
-                rng, unit = _rng(seed, g), units[g]
+            while (point := take()) is not None:
+                g, rng = point
+                unit = units[g]
                 scaled = _in_units(ops[g], unit)
                 for start in range(0, n_samples, _KERNEL_ROWS):
                     block = rng.standard_normal(out=buf[: n_samples - start])
@@ -290,9 +308,14 @@ def eigencurves(
     """Eigenvalue curves over the grid.
 
     When the operator block-diagonalizes in the Bell basis at every grid
-    point, the columns are the 1x1 block followed by the three Cardano roots
-    (the three-setting layout).  If any point does not split, every row
-    reports its eigenvalues ascending, so a column never changes meaning
+    point (the three-setting layout), the columns are the 1x1 block followed
+    by the eigenvalues of the 3x3 block in Cardano's order: smallest,
+    largest, middle.  The blocks of all points are solved together by
+    :func:`o33_block_eigenvalues`, which does not depend on the BLAS kernel
+    and stays within rounding of the 4x4 spectrum near a double root, where
+    :func:`bellbounds.spectra.cardano_eigenvalues`, now the tests'
+    independent check, loses digits.  If any point does not split, every
+    row reports its eigenvalues ascending, so a column never changes meaning
     from one row to the next.  Each point runs on plain arrays: its
     :func:`bell_operators` matrix is exactly Hermitian and finite, so of
     :class:`BellOperator`'s checks only the norm's can fail, and it is the
@@ -301,17 +324,18 @@ def eigencurves(
     _check_grid(theta_grid)
     # every angle first, so that a schedule that rejects a point builds nothing
     schedules = [angle_schedule(theta) for theta in theta_grid]
-    curves = []
-    for theta, angles in zip(theta_grid, schedules):
+    o1 = np.empty(len(theta_grid))
+    o3 = np.empty((len(theta_grid), 3, 3))
+    for g, angles in enumerate(schedules):
         try:
             M = bell_operators(ineq, {k: [v] for k, v in angles.items()}, structure)[0]
             _check_norm(M)
-            o1, o3 = _o33_blocks(_bell_basis(M))
+            o1[g], o3[g] = _o33_blocks(_bell_basis(M))
         except InputError:
             eigenvalues = stacked_eigenvalues(_operator_stack(ineq, structure, schedules))
             return [(float(t), w) for t, w in zip(theta_grid, eigenvalues.tolist())]
-        curves.append((float(theta), [o1] + cardano_eigenvalues(o3)))
-    return curves
+    roots = o33_block_eigenvalues(o3).tolist()
+    return [(float(t), [a, *w]) for t, a, w in zip(theta_grid, o1.tolist(), roots)]
 
 
 def _fmt(x, sign: str = "") -> str:

@@ -1,11 +1,12 @@
 """Spectra of Bell operators and the closed-form eigenvalue cross-checks.
 
 The numeric route is the LAPACK Hermitian eigensolver behind
-:func:`bellbounds.kernels.eigh`; the independent routes are the radical form
-for the two-setting operator and the trigonometric (Cardano) form for the 3x3
-block of the three-setting operator.  The operator norm of a self-adjoint
-operator is its largest absolute eigenvalue, which is what bounds quantum
-violations.
+:func:`bellbounds.kernels.eigh`, and for the 3x3 Bell-basis blocks of the
+three-setting operator the stacked tridiagonal solve of
+:func:`o33_block_eigenvalues`; the independent routes are the radical form
+for the two-setting operator and the trigonometric (Cardano) form for the
+3x3 block.  The operator norm of a self-adjoint operator is its largest
+absolute eigenvalue, which is what bounds quantum violations.
 
 Every tolerance on a matrix is relative to its unit (:func:`qops._unit`), so
 scaling an inequality scales its spectrum without changing what any check
@@ -58,6 +59,11 @@ class QuantumBound:
     degenerate: bool = False
 
 
+def _units(big: np.ndarray) -> np.ndarray:
+    """:func:`_unit` elementwise, for the largest components of a stack."""
+    return np.ldexp(1.0, np.frexp(big)[1] - (big > 0))  # 2^0 for a zero matrix
+
+
 def _solve(
     H: np.ndarray, unit: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,7 +79,7 @@ def _solve(
         big = _components(H).max(axis=(-2, -1))
         if not np.isfinite(big).all():
             raise NumericError("matrix stack has non-finite entries")
-        unit = np.ldexp(1.0, np.frexp(big)[1] - (big > 0))  # 2^0 for a zero matrix
+        unit = _units(big)
     w, V = kernels.eigh(H)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite eigenvalue fails below
         R = _in_units(H, unit[:, None, None]) @ V - V * (w / unit[:, None])[:, None, :]
@@ -217,6 +223,47 @@ def o33_block_decompose(O_bell_basis: BellOperator) -> tuple[float, np.ndarray]:
     if O_bell_basis.matrix.shape != (4, 4):
         raise InputError("block decomposition expects a 4x4 operator")
     return _o33_blocks(O_bell_basis.matrix)
+
+
+def o33_block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (G, 3, 3) stack of real symmetric blocks, each row in
+    :func:`cardano_eigenvalues`' order: smallest, largest, middle.
+
+    Each block is divided by its unit (:func:`_units`), so scaling by a
+    power of two scales the roots bit for bit.  One Givens rotation in the
+    (2, 3) plane then makes it exactly tridiagonal, and one stacked
+    ``numpy.linalg.eigvalsh`` solves them all.  On a tridiagonal matrix
+    LAPACK's reduction (dsytd2) finds every reflector trivial and skips its
+    BLAS updates, and its QL/QR step (dsterf) is plain Fortran, so the roots
+    do not depend on the BLAS kernel.  No characteristic polynomial is
+    formed, so a near-double root keeps its digits (Kopp, Int. J. Mod.
+    Phys. C 19, 523, 2008).  Non-finite entries or a solver failure raise
+    NumericError.
+    """
+    A = np.asarray(blocks, dtype=np.float64)
+    big = np.abs(A).max(axis=(-2, -1))
+    if not np.isfinite(big).all():
+        raise NumericError("block stack has non-finite entries")
+    unit = _units(big)
+    A = A / unit[:, None, None]
+    a01, a02, a11, a12, a22 = A[:, 0, 1], A[:, 0, 2], A[:, 1, 1], A[:, 1, 2], A[:, 2, 2]
+    # the rotation (c, s) takes (a01, a02) to (r, 0)
+    r = np.hypot(a01, a02)
+    nonzero = r > 0
+    rr = np.where(nonzero, r, 1.0)
+    c, s = np.where(nonzero, a01 / rr, 1.0), a02 / rr
+    cc, ss, cs2 = c * c, s * s, 2.0 * c * s
+    T = np.zeros_like(A)
+    T[:, 0, 0] = A[:, 0, 0]
+    T[:, 1, 1] = (cc * a11 + ss * a22) + cs2 * a12
+    T[:, 2, 2] = (ss * a11 + cc * a22) - cs2 * a12
+    T[:, 0, 1] = T[:, 1, 0] = r
+    T[:, 1, 2] = T[:, 2, 1] = c * s * (a22 - a11) + (cc - ss) * a12
+    try:
+        w = np.linalg.eigvalsh(T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"3x3 block eigensolve failed: {exc}") from exc
+    return w[:, [0, 2, 1]] * unit[:, None]
 
 
 def cardano_eigenvalues(o3: np.ndarray) -> list[float]:

@@ -890,11 +890,37 @@ class TestSweepCommand:
         assert not (tmp_path / "curves.csv.manifest.json").exists()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eigencurves_of_entries_near_float_max(self, tmp_path):
+        # the same split operator with a norm of about 1.70e308, in range:
+        # its Bell-basis entries halve every term before adding, so none
+        # overflows, and the curves are 1e308 times those of coefficients 1.2
+        s = tmp_path / "structure.json"
+        s.write_text(json.dumps(catalog.ch_structure().to_json()))
+        curves = []
+        for coeff in ("1.2e308", "1.2"):
+            i = tmp_path / "ineq.json"
+            i.write_text(json.dumps({"coeffs": {"1,3": coeff, "2,4": coeff}}))
+            out = tmp_path / f"curves-{coeff}.csv"
+            rc = main(
+                ["sweep", "--structure", str(s), "--ineq", str(i),
+                 "--schedule", "1=0,2=pi,3=0,4=pi", "--grid", "0:1:3",
+                 "--eigencurves", "--out", str(out)]
+            )
+            assert rc == 0
+            rows = out.read_text().splitlines()[1:]
+            curves.append(np.array([[float(x) for x in row.split(",")] for row in rows]))
+        huge, small = curves
+        assert huge.shape == (3, 5) and np.all(np.isfinite(huge))
+        assert np.allclose(huge[:, 1:] / 1e308, small[:, 1:], rtol=1e-11, atol=0)
+
 class TestReadmeSweepDigests:
     """The README's two sweep commands reproduce their pinned CSVs byte for byte.
 
     Digests recorded with the LAPACK eigensolver (numpy.linalg.eigh); a change
-    that batches or reorders the sweep must keep them.
+    that batches or reorders the sweep must keep them.  The eigencurve roots
+    come from tridiagonal 3x3 blocks, on which LAPACK skips its BLAS updates,
+    so that digest is the same under every OpenBLAS kernel.
     """
 
     @pytest.mark.parametrize(
@@ -908,7 +934,7 @@ class TestReadmeSweepDigests:
             (
                 "i33",
                 ["--schedule", "1=0,2=t,3=2t,4=0,5=t,6=2t", "--eigencurves"],
-                "5e1e1c870b8e4662bd1ac672f657410cad1d9729a6a370ea124cf083c76d7ae4",
+                "a9701bb07607d1f2eaf3a09f343f25f872e470ec2f5124620d7e9fb5e8ed4b28",
             ),
         ],
         ids=["ch-sweep", "i33-eigencurves"],
@@ -935,7 +961,8 @@ class TestOperatorBuildDigests:
 
     Pins the operator file of the README's CH angles and of one generic
     three-setting angle set, so a change to how operators are built or
-    symmetrised cannot move a single bit unnoticed.
+    converted cannot move a single bit unnoticed.  Neither the build nor the
+    Bell-basis gather calls BLAS, so the digests do not depend on its kernel.
     """
 
     @pytest.mark.parametrize(
@@ -951,7 +978,7 @@ class TestOperatorBuildDigests:
                 "ch",
                 "1=0,2=pi/2,3=pi/4,4=3pi/4",
                 ["--bell-basis"],
-                "cc7b63d3c58b7f6c78786df760d51e3143019ffa4124ef87792a6a11c88ec829",
+                "02a6fe308de21b38ec6d517978205cf21c779d5bd31d6da93c2997f8734c6044",
             ),
             (
                 "i33",
@@ -963,7 +990,7 @@ class TestOperatorBuildDigests:
                 "i33",
                 "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4",
                 ["--bell-basis"],
-                "9188e17cf5e0db511c00b765f10a74f177faf23a74c3910acace6ab924fb8b92",
+                "32ae4e614972f53279987dd8b1af26f4978def24aeaf7c69e7f03cd00996edac",
             ),
         ],
         ids=["ch", "ch-bell-basis", "i33", "i33-bell-basis"],

@@ -502,6 +502,38 @@ class TestBellBasis:
         assert np.allclose(w1, w2, atol=1e-12)
 
 
+class TestBellBasisGather:
+    def test_matches_matrix_product(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            M = M + M.conj().T
+            got = qops._bell_basis(M)
+            want = BELL_BASIS.conj().T @ M @ BELL_BASIS
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(M))
+            # exactly Hermitian, with no symmetrisation step
+            assert np.array_equal(got, got.conj().T)
+
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(37)
+        M = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        M = M + np.swapaxes(M.conj(), -1, -2)
+        got = qops._bell_basis(M)
+        assert got.shape == M.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], qops._bell_basis(M[idx]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_near_float_max(self):
+        # eigenvalues 1.6e308 and 0.8e308 (norm about 1.79e308): each term is
+        # halved before it is added, where (M + M^dag)/2 overflowed
+        M = np.zeros((4, 4), dtype=complex)
+        M[0, 0] = M[3, 3] = 1.2e308
+        M[0, 3] = M[3, 0] = 0.4e308
+        got = qops._bell_basis(M)
+        assert np.array_equal(got, np.diag([1.2e308 + 0.4e308, 0.0, 0.0, 1.2e308 - 0.4e308]))
+
+
 def printed_three_setting_matrix(t):
     """The published Bell-basis display of the three-setting operator.
 

@@ -3,6 +3,7 @@ import io
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -37,6 +38,15 @@ def analytic_max_22(theta):
     # closed form for the largest eigenvalue along the standard two-setting
     # schedule: (sqrt(1 + sin^2(2 theta)) - 1) / 2
     return (math.sqrt(1.0 + math.sin(2 * theta) ** 2) - 1.0) / 2.0
+
+
+def assert_near_eigvalsh(lams, M):
+    """Each eigencurve cell within 1e-14 ||M||_F of the ascending eigvalsh
+    of the 4x4 operator M, or of each operator of a (G, 4, 4) stack."""
+    w = np.linalg.eigvalsh(M)
+    err = np.abs(np.sort(lams, axis=-1) - w).max(axis=-1)
+    bound = 1e-14 * np.linalg.norm(M, axis=(-2, -1))
+    assert np.all(err <= bound), float(np.max(err / bound))
 
 
 class TestDensityParams:
@@ -399,6 +409,28 @@ class TestPooledDraws:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_stalled_draw_failure_stops_every_thread(self, monkeypatch):
+        # the failing draw holds its thread for 20 ms before it raises, as a
+        # descheduled thread would be held: meanwhile no other thread takes
+        # a point after it, so only points 0 to 5 ever start
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
+        rng = sampling._rng
+        started = []
+
+        def failing_rng(seed, g):
+            started.append(g)
+            if g == 5:
+                time.sleep(0.02)
+                raise NumericError("draw failed")
+            return rng(seed, g)
+
+        monkeypatch.setattr(sampling, "_rng", failing_rng)
+        for _ in range(5):
+            started.clear()
+            with pytest.raises(NumericError, match="draw failed"):
+                sampled_sweep("ch", 40, 50)
+            assert sorted(started) == list(range(6))
+
     def test_no_thread_left_running(self, monkeypatch):
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
         before = threading.active_count()
@@ -525,8 +557,9 @@ class TestEigencurves:
 
     @pytest.mark.parametrize("k", [0, -60, 40, 1010])
     def test_array_route_matches_object_route(self, k):
-        # each cell equals the BellOperator route it replaced: build, Bell
-        # basis, block split and Cardano on one operator per point
+        # against the BellOperator route: build, Bell basis and block split on
+        # one operator per point, with Cardano roots as the independent check;
+        # compared in units of 2^k, which is exact
         ineq = Inequality(
             {key: c * Fraction(2) ** k for key, c in catalog.i33_inequality().coeffs.items()}
         )
@@ -534,9 +567,40 @@ class TestEigencurves:
         grid = np.linspace(0.0, 2 * math.pi, 2001).tolist()
         curves = eigencurves(ineq, structure, schedule, grid)
         assert len(curves) == len(grid)
+        separated = 0
         for theta, (got_theta, lams) in zip(grid, curves):
-            o1, o3 = o33_block_decompose(to_bell_basis(bell_operator(ineq, schedule(theta), structure)))
-            assert got_theta == theta and lams == [o1] + cardano_eigenvalues(o3)
+            O = bell_operator(ineq, schedule(theta), structure)
+            o1, o3 = o33_block_decompose(to_bell_basis(O))
+            assert got_theta == theta and lams[0] == o1
+            roots = np.ldexp(lams[1:], -k)
+            cardano = np.ldexp(cardano_eigenvalues(o3), -k)
+            # Cardano loses digits where two roots nearly meet
+            if np.diff(np.sort(cardano)).min() > 1e-3:
+                separated += 1
+                assert np.max(np.abs(roots - cardano)) <= 1e-9
+            assert_near_eigvalsh(np.ldexp(lams, -k), np.ldexp(O.matrix.real, -k))
+        assert separated > 1900
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(np.linspace(math.pi - 1e-3, math.pi + 1e-3, 2001), id="near-pi"),
+            pytest.param(np.linspace(0.0, 2 * math.pi, 20001), id="0:2pi:20001",
+                         marks=pytest.mark.slow),
+        ],
+    )
+    def test_block_roots_near_double_root(self, grid):
+        # near theta = pi two block roots meet at -2, where Cardano's roots
+        # drift up to 1.4e-8; the block solve stays within 1e-14 ||O||_F
+        ineq, structure = catalog.i33_inequality(), catalog.i33_structure()
+        schedule = catalog.symmetric_angles_33
+        curves = eigencurves(ineq, structure, schedule, grid.tolist())
+        lams = np.array([row for _, row in curves])
+        assert lams.shape == (len(grid), 4)
+        # block columns in Cardano's order: smallest, largest, middle
+        assert np.all(lams[:, 1] <= lams[:, 3]) and np.all(lams[:, 3] <= lams[:, 2])
+        ops = bell_operators(ineq, {e: [schedule(t)[e] for t in grid] for e in schedule(0.0)}, structure)
+        assert_near_eigvalsh(lams, ops)
 
     def test_last_point_not_splitting(self):
         # the CH schedule splits in the Bell basis at 0, pi/4, 3pi/4 and pi

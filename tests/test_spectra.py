@@ -17,6 +17,7 @@ from bellbounds.spectra import (
     eigen,
     o22_closed_form,
     o33_block_decompose,
+    o33_block_eigenvalues,
     quantum_bound,
     stacked_eigenvalues,
 )
@@ -301,6 +302,57 @@ class TestCardano:
     def test_rejects_asymmetric(self):
         with pytest.raises(InputError):
             cardano_eigenvalues(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
+
+
+class TestBlockEigenvalues:
+    def test_cardano_order(self):
+        # smallest, largest, middle
+        (vals,) = o33_block_eigenvalues(np.diag([0.5, -1.0, 2.0])[None])
+        assert vals.tolist() == [-1.0, 2.0, 0.5]
+
+    def test_matches_cardano_on_random_blocks(self):
+        rng = np.random.default_rng(23)
+        M = rng.normal(size=(300, 3, 3))
+        M = M + M.transpose(0, 2, 1)
+        got = o33_block_eigenvalues(M)
+        for g in range(len(M)):
+            want = cardano_eigenvalues(M[g])
+            assert np.allclose(got[g], want, rtol=0, atol=1e-9 * np.linalg.norm(M[g]))
+            ref = np.linalg.eigvalsh(M[g])
+            assert np.max(np.abs(np.sort(got[g]) - ref)) <= 1e-14 * np.linalg.norm(M[g])
+
+    def test_tridiagonal_and_zero_blocks_solved_as_given(self):
+        # nothing to rotate: the block, in its units, goes to LAPACK as it is
+        T = np.array([[[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 3.0]], np.zeros((3, 3))])
+        got = o33_block_eigenvalues(T)
+        assert got[0].tolist() == np.linalg.eigvalsh(T[0])[[0, 2, 1]].tolist()
+        assert got[1].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("k", [-1060, -1030, -60, 1, 40, 1020])
+    def test_scales_bit_for_bit(self, k):
+        rng = np.random.default_rng(29)
+        M = rng.normal(size=(50, 3, 3))
+        M = M + M.transpose(0, 2, 1)
+        ref = o33_block_eigenvalues(M)
+        got = o33_block_eigenvalues(np.ldexp(M, k))
+        if k > -1022:
+            assert got.tolist() == np.ldexp(ref, k).tolist()
+        else:  # subnormal entries: exact units, rounded entries
+            assert np.allclose(got, np.ldexp(ref, k), rtol=0, atol=1e-3 * np.ldexp(1.0, k))
+
+    def test_non_finite_is_numeric_error(self):
+        M = np.eye(3)[None].copy()
+        M[0, 1, 1] = np.nan
+        with pytest.raises(NumericError):
+            o33_block_eigenvalues(M)
+
+    def test_solver_failure_is_numeric_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NumericError, match="did not converge"):
+            o33_block_eigenvalues(np.eye(3)[None])
 
 
 def test_spectrum_json():
