@@ -52,12 +52,6 @@ def canonical_angle(theta: float) -> float:
     return theta % (2.0 * math.pi)
 
 
-def hermitize(M: np.ndarray) -> np.ndarray:
-    """(M + M^dag) / 2, matrix by matrix over any leading axes."""
-    M = np.asarray(M, dtype=np.complex128)
-    return (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
-
-
 def _components(M: np.ndarray) -> np.ndarray:
     """|real| and |imaginary| parts of a complex matrix (or stack) side by
     side, each row twice as long; NaN where an entry is NaN."""
@@ -70,6 +64,15 @@ def _unit(big: float) -> float:
     it is exact, so a check on the matrix in its units decides the same way
     for the matrix times any power of two."""
     return math.ldexp(1.0, math.frexp(big)[1] - 1) if big else 1.0
+
+
+def _stack_units(M: np.ndarray) -> np.ndarray:
+    """:func:`_unit` of each matrix of a (G, n, n) stack, real or complex;
+    non-finite entries raise NumericError."""
+    big = _components(M).max(axis=(-2, -1))
+    if not np.isfinite(big).all():
+        raise NumericError("matrix stack has non-finite entries")
+    return np.ldexp(1.0, np.frexp(big)[1] - (big > 0))  # 2^0 for a zero matrix
 
 
 def _in_units(M: np.ndarray, unit) -> np.ndarray:
@@ -100,8 +103,9 @@ def _check_norm(M: np.ndarray) -> tuple[float, np.ndarray, float]:
     return unit, A, norm
 
 
-def _check_hermitian(M: np.ndarray) -> float:
-    """Check that M is finite and Hermitian; return its :func:`_unit`.
+def _check_hermitian(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """Check that M is finite and Hermitian; return its :func:`_unit` and M
+    in its units.
 
     :func:`_check_norm` first; then an entry of M - M^dag above
     1e-12 * max(1, ||M||_F), tested on M in its units, raises InputError.
@@ -109,7 +113,13 @@ def _check_hermitian(M: np.ndarray) -> float:
     unit, A, norm = _check_norm(M)
     if float(np.abs(A - A.conj().T).max()) > 1e-12 * max(1.0 / unit, norm):
         raise InputError("matrix is not Hermitian")
-    return unit
+    return unit, A
+
+
+def _complex_pairs(A: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] floats, for JSON."""
+    A = np.ascontiguousarray(A, dtype=np.complex128)
+    return A.view(np.float64).reshape(A.shape + (2,)).tolist()
 
 
 def sigma(theta: float) -> np.ndarray:
@@ -162,10 +172,7 @@ class BellOperator:
         return {
             "dim": self.dim,
             "basis": self.basis,
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row]
-                for row in self.matrix
-            ],
+            "entries": _complex_pairs(self.matrix),
             "angles": None
             if self.angles is None
             else {str(k): canonical_angle(v) for k, v in self.angles.items()},
@@ -217,7 +224,7 @@ class DensityMatrix:
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=np.complex128)
         _check_hermitian(M)
-        self.matrix = hermitize(M)
+        self.matrix = (M + M.conj().T) / 2.0
         if abs(np.trace(self.matrix).real - 1.0) > 1e-12:
             raise InputError("density matrix trace differs from 1")
         if float(np.min(np.linalg.eigvalsh(self.matrix))) < -1e-12:

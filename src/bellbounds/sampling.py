@@ -68,6 +68,8 @@ from .spectra import _o33_blocks, _solve, o33_block_eigenvalues, stacked_eigenva
 MAX_GRID_POINTS = 100_001
 MAX_SAMPLES = 10**6
 MAX_SWEEP_SAMPLES = 10**9
+#: Steps of the power iteration in :func:`pure_state_polish`.
+_POLISH_STEPS = 20000
 #: Rows of a thread's sample buffer, drawn and passed to the kernel as one
 #: block: 4 MiB, and so is each temporary the kernel makes.
 _KERNEL_ROWS = 1 << 15
@@ -126,9 +128,7 @@ def sample_states(n: int, seed: int) -> Iterator[DensityMatrix]:
         yield density_from_params(DensityParams(row))
 
 
-def pure_state_polish(
-    O: BellOperator, W: DensityMatrix, max_iter: int = 20000
-) -> tuple[float, np.ndarray]:
+def pure_state_polish(O: BellOperator, W: DensityMatrix) -> tuple[float, np.ndarray]:
     """Gradient-free ascent from a sampled state to the top of the spectrum.
 
     Extracts the dominant pure component of W, then runs shifted power
@@ -152,7 +152,7 @@ def pure_state_polish(
     shift = 1.0 + float(np.max(np.sum(np.abs(M), axis=1)))
     shifted = M + shift * np.eye(4)
     prev = float(np.real(psi.conj() @ M @ psi))
-    for _ in range(max_iter):
+    for _ in range(_POLISH_STEPS):
         psi = shifted @ psi
         psi = psi / np.linalg.norm(psi)
         val = float(np.real(psi.conj() @ M @ psi))

@@ -22,7 +22,16 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetError, InputError, NumericError
-from .qops import BELL, BellOperator, _check_hermitian, _components, _in_units, _unit
+from .qops import (
+    BELL,
+    BellOperator,
+    _check_hermitian,
+    _complex_pairs,
+    _components,
+    _in_units,
+    _stack_units,
+    _unit,
+)
 
 MAX_EIG_DIM = 16
 DEGENERACY_GAP = 1e-9
@@ -41,10 +50,7 @@ class Spectrum:
     def to_json(self) -> dict:
         return {
             "eigenvalues": [float(x) for x in self.eigenvalues],
-            "eigenvectors": [
-                [[float(z.real), float(z.imag)] for z in row]
-                for row in self.eigenvectors
-            ],
+            "eigenvectors": _complex_pairs(self.eigenvectors),
             "residual": float(self.residual),
             "degenerate": bool(self.degenerate),
         }
@@ -59,27 +65,16 @@ class QuantumBound:
     degenerate: bool = False
 
 
-def _units(big: np.ndarray) -> np.ndarray:
-    """:func:`_unit` elementwise, for the largest components of a stack."""
-    return np.ldexp(1.0, np.frexp(big)[1] - (big > 0))  # 2^0 for a zero matrix
-
-
-def _solve(
-    H: np.ndarray, unit: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked eigensolve of a (G, n, n) Hermitian stack: (w, V, unit).
 
     LAPACK runs on H itself; the check runs on H / unit, per matrix, where
-    unit is :func:`_unit` of the matrix, computed here for the whole stack
-    unless given.  Non-finite entries, a solver failure, or a residual
-    max_k ||H v_k - w_k v_k|| / unit above RESIDUAL_TOL raise NumericError.
+    unit is :func:`qops._stack_units` of the stack.  Non-finite entries, a
+    solver failure, or a residual max_k ||H v_k - w_k v_k|| / unit above
+    RESIDUAL_TOL raise NumericError.
     """
     H = np.asarray(H, dtype=np.complex128)
-    if unit is None:
-        big = _components(H).max(axis=(-2, -1))
-        if not np.isfinite(big).all():
-            raise NumericError("matrix stack has non-finite entries")
-        unit = _units(big)
+    unit = _stack_units(H)
     w, V = kernels.eigh(H)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite eigenvalue fails below
         R = _in_units(H, unit[:, None, None]) @ V - V * (w / unit[:, None])[:, None, :]
@@ -94,39 +89,39 @@ def _solve(
     return w, V, unit
 
 
+def _clusters(w: np.ndarray) -> list[range]:
+    """The eigenvalue clusters of ascending eigenvalues w in units, as
+    column ranges: neighbours less than DEGENERACY_GAP apart share one."""
+    cuts = [0, *(np.flatnonzero(np.diff(w) >= DEGENERACY_GAP) + 1).tolist(), len(w)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def _canonical_vectors(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, bool]:
     """Deterministic eigenvector orientation (V is overwritten), for
-    eigenvalues w in units.
+    eigenvalues w in units, and whether any cluster of :func:`_clusters`
+    holds more than one eigenvalue.
 
-    Inside each degenerate cluster (gap below DEGENERACY_GAP) the eigenspace
-    basis is rebuilt by Gram-Schmidt over projections of the canonical unit
-    vectors; every vector's largest-magnitude entry is then made real
-    positive.
+    Inside each such cluster the eigenspace basis is rebuilt by Gram-Schmidt
+    over projections of the canonical unit vectors; every vector's
+    largest-magnitude entry is then made real positive.
     """
-    n = len(w)
     degenerate = False
-    gaps = np.diff(w)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and gaps[j] < DEGENERACY_GAP:
-            j += 1
-        if j > i:
+    for cluster in _clusters(w):
+        if len(cluster) > 1:
             degenerate = True
-            block = V[:, i : j + 1]
+            block = V[:, cluster.start : cluster.stop]
             proj = block @ block.conj().T
             cols: list[np.ndarray] = []
-            for k in range(n):
+            for k in range(len(w)):
                 y = proj[:, k].copy()
                 for c in cols:
                     y -= c * (c.conj() @ y)
                 nrm = float(np.linalg.norm(y))
                 if nrm > 1e-6:
                     cols.append(y / nrm)
-                if len(cols) == j - i + 1:
+                if len(cols) == len(cluster):
                     break
-            V[:, i : j + 1] = np.column_stack(cols)
-        i = j + 1
+            V[:, cluster.start : cluster.stop] = np.column_stack(cols)
     # each phase by scalar division: numpy's array division rounds differently
     ph = [V[i, k] / abs(V[i, k]) for k, i in enumerate(np.argmax(np.abs(V), axis=0))]
     return V * np.conj(ph), degenerate
@@ -139,11 +134,11 @@ def eigen(H: np.ndarray) -> Spectrum:
         raise InputError("eigen expects a square matrix")
     if H.shape[0] > MAX_EIG_DIM:
         raise BudgetError(f"dimension {H.shape[0]} above limit {MAX_EIG_DIM}")
-    unit = _check_hermitian(H)
-    (w,), (V,), _ = _solve(H[None], np.array([unit]))
+    unit, A = _check_hermitian(H)
+    (w,), (V,), _ = _solve(H[None])
     V, degenerate = _canonical_vectors(w / unit, V)
     # the residual of the vectors returned, which may mix a degenerate cluster
-    R = _in_units(H, unit) @ V - V * (w / unit)
+    R = A @ V - V * (w / unit)
     residual = unit * float(np.max(np.linalg.norm(R, axis=0)))
     return Spectrum(
         eigenvalues=w, eigenvectors=V, residual=residual, degenerate=degenerate
@@ -159,21 +154,20 @@ def stacked_eigenvalues(H: np.ndarray) -> np.ndarray:
 def quantum_bound(O: BellOperator) -> QuantumBound:
     """Extreme eigenvalues of a Bell operator and the state attaining the max.
 
-    Ties at the maximum (within 1e-12 in the operator's units) resolve to the
-    lowest eigenvalue index, which is deterministic given the eigenvector
-    orientation rules.
+    The argmax state is the first column of lambda_max's cluster among the
+    :func:`_clusters` that :func:`eigen` orients, over the eigenvalues in the
+    operator's units.  ``degenerate`` says that cluster holds more than one
+    eigenvalue: the state is then one chosen vector of its eigenspace.
     """
     spec = eigen(O.matrix)
     w = spec.eigenvalues
-    top = float(w[-1])
-    tie = 1e-12 * _unit(float(_components(O.matrix).max()))
-    argmax_idx = int(np.nonzero(w >= top - tie)[0][0])
+    top = _clusters(w / _unit(float(_components(O.matrix).max())))[-1]
     return QuantumBound(
         lambda_min=float(w[0]),
-        lambda_max=top,
+        lambda_max=float(w[-1]),
         norm=float(np.max(np.abs(w))),
-        argmax_state=spec.eigenvectors[:, argmax_idx],
-        degenerate=spec.degenerate,
+        argmax_state=spec.eigenvectors[:, top.start],
+        degenerate=len(top) > 1,
     )
 
 
@@ -229,22 +223,19 @@ def o33_block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     """Eigenvalues of a (G, 3, 3) stack of real symmetric blocks, each row in
     :func:`cardano_eigenvalues`' order: smallest, largest, middle.
 
-    Each block is divided by its unit (:func:`_units`), so scaling by a
-    power of two scales the roots bit for bit.  One Givens rotation in the
-    (2, 3) plane then makes it exactly tridiagonal, and one stacked
-    ``numpy.linalg.eigvalsh`` solves them all.  On a tridiagonal matrix
-    LAPACK's reduction (dsytd2) finds every reflector trivial and skips its
-    BLAS updates, and its QL/QR step (dsterf) is plain Fortran, so the roots
-    do not depend on the BLAS kernel.  No characteristic polynomial is
+    Each block is divided by its unit (:func:`qops._stack_units`), so
+    scaling by a power of two scales the roots bit for bit.  One Givens
+    rotation in the (2, 3) plane then makes it exactly tridiagonal, and one
+    stacked ``numpy.linalg.eigvalsh`` solves them all.  On a tridiagonal
+    matrix LAPACK's reduction (dsytd2) finds every reflector trivial and
+    skips its BLAS updates, and its QL/QR step (dsterf) is plain Fortran, so
+    the roots do not depend on the BLAS kernel.  No characteristic polynomial is
     formed, so a near-double root keeps its digits (Kopp, Int. J. Mod.
     Phys. C 19, 523, 2008).  Non-finite entries or a solver failure raise
     NumericError.
     """
     A = np.asarray(blocks, dtype=np.float64)
-    big = np.abs(A).max(axis=(-2, -1))
-    if not np.isfinite(big).all():
-        raise NumericError("block stack has non-finite entries")
-    unit = _units(big)
+    unit = _stack_units(A)
     A = A / unit[:, None, None]
     a01, a02, a11, a12, a22 = A[:, 0, 1], A[:, 0, 2], A[:, 1, 1], A[:, 1, 2], A[:, 2, 2]
     # the rotation (c, s) takes (a01, a02) to (r, 0)

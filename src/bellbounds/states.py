@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, InputError
-from .qops import BELL, BELL_BASIS, COMPUTATIONAL
+from .qops import BELL, BELL_BASIS, COMPUTATIONAL, _complex_pairs
 
 
 @dataclass
@@ -52,10 +52,9 @@ class PureState:
         return PureState(amps * np.conj(ph), self.basis)
 
     def to_json(self) -> dict:
-        amps = self.canonical_phase().amplitudes
         return {
             "basis": self.basis,
-            "amplitudes": [[float(z.real), float(z.imag)] for z in amps],
+            "amplitudes": _complex_pairs(self.canonical_phase().amplitudes),
         }
 
     @classmethod

@@ -604,6 +604,48 @@ class TestOperatorAndSpectrum:
         assert not out.exists()
 
 
+class TestInputRefusals:
+    """Bad input the other tests do not reach ends in exit 2 and one error line."""
+
+    def assert_refused(self, argv, capsys, match):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert match in err
+
+    def test_angle_quotient_overflows(self, ch_files, capsys):
+        s, i = ch_files
+        argv = ["bound", "--structure", s, "--ineq", i, "--angles", "1=1e300/1e-300,2=0,3=0,4=0"]
+        self.assert_refused(argv, capsys, "is not finite")
+
+    def test_coefficient_word(self, ch_files, tmp_path, capsys):
+        # no exponent to check: Fraction itself refuses the string
+        s, _ = ch_files
+        i = tmp_path / "word.json"
+        i.write_text(json.dumps({"coeffs": {"1,3": "one"}}))
+        argv = ["bound", "--structure", s, "--ineq", str(i), "--angles", "1=0,2=0,3=0,4=0"]
+        self.assert_refused(argv, capsys, "bad inequality JSON")
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [({"dim": 2}, "entry grid does not match dim"), ({"basis": "pauli"}, "unknown basis tag")],
+        ids=["dim", "basis"],
+    )
+    def test_operator_file(self, tmp_path, capsys, change, match):
+        identity = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
+        doc = {"dim": 4, "basis": "computational", "entries": identity}
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({**doc, **change}))
+        self.assert_refused(["spectrum", "--operator", str(path)], capsys, match)
+
+    def test_bound_on_three_sides(self, tmp_path, capsys):
+        s, i = tmp_path / "s.json", tmp_path / "i.json"
+        s.write_text(json.dumps({"n_single": 3, "sides": [[1], [2], [3]], "joints": [[1, 2], [2, 3]]}))
+        i.write_text(json.dumps({"coeffs": {"1,2": 1, "2,3": 1}}))
+        argv = ["bound", "--structure", str(s), "--ineq", str(i), "--angles", "1=0,2=0,3=0"]
+        self.assert_refused(argv, capsys, "bipartite")
+
+
 class TestBoundCommand:
     def test_ten_by_ten_lists_no_vertex(self, tmp_path, monkeypatch, capsys):
         # the classical range sums over one side's 2^10 assignments
@@ -683,6 +725,34 @@ class TestBoundCommand:
         assert main(["bound", "--structure", s, "--ineq", scaled, *angles]) == 4
         residual = float(capsys.readouterr().err.split("eigen residual ")[1].split()[0])
         assert residual > 1e-10
+
+    @pytest.mark.parametrize(
+        "layout,angles,flag",
+        [
+            ("ch", "1=0,2=pi/2,3=pi/4,4=3pi/4", "no"),
+            ("i33", "1=0,2=pi/3,3=2pi/3,4=0,5=pi/3,6=2pi/3", "no"),
+            ("ch", "1=0.3,2=0.3,3=1.1,4=2.0", "yes"),
+        ],
+        ids=["ch-landmark", "i33-landmark", "ch-equal-left-settings"],
+    )
+    def test_degenerate_max_flag(self, tmp_path, capsys, layout, angles, flag):
+        # the landmarks' simple lambda_max lies above a degenerate pair
+        s, i = layout_files(tmp_path, layout)
+        assert main(["bound", "--structure", s, "--ineq", i, "--angles", angles]) == 0
+        assert f"degenerate max    {flag}\n" in capsys.readouterr().out
+
+    def test_argmax_is_first_column_of_top_cluster(self, tmp_path, capsys):
+        # at angle 0 the operator is diag(1 + c - 1.5, 1, c, 0) with
+        # c = 1 - 1e-10: lambda_max = 1 shares its cluster with c, whose
+        # eigenvector |10> comes after |01> in that cluster's columns
+        s, i = tmp_path / "s.json", tmp_path / "i.json"
+        s.write_text(json.dumps(catalog.single_setting_structure().to_json()))
+        i.write_text(json.dumps({"coeffs": {"1": "1", "2": "0.9999999999", "1,2": "-1.5"}}))
+        assert main(["bound", "--structure", str(s), "--ineq", str(i), "--angles", "1=0,2=0"]) == 0
+        out = capsys.readouterr().out
+        assert "lambda_max        1\n" in out
+        assert "degenerate max    yes\n" in out
+        assert "argmax state      (0+0j) (1+0j) (0+0j) (0+0j)\n" in out
 
     def test_zero_imaginary_parts_print_unsigned(self, ch_files, capsys):
         # LAPACK returns -0.0 imaginary parts in this argmax state

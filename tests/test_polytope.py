@@ -253,6 +253,15 @@ class TestHullFacets:
         assert canon_set(expected, single) <= got
         assert len(facets) == 4
 
+    @pytest.mark.parametrize(
+        "vertices,match",
+        [([], "empty vertex list"), ([(0, 0, 0), (1, 1)], "mixed dimension")],
+        ids=["empty", "mixed"],
+    )
+    def test_rejects_vertex_lists(self, single, vertices, match):
+        with pytest.raises(InputError, match=match):
+            hull_forms(vertices, single)
+
     def test_ch_facets(self, ch, ch_vertices):
         facets = hull_facets(ch_vertices, ch)
         assert len(facets) == 24
@@ -819,6 +828,10 @@ class TestVerifyFacet:
         # a loose valid bound is not tight enough to be a facet
         check = verify_facet(Inequality({1: 1}, upper=2), ch_vertices, ch)
         assert check.valid and not check.is_facet
+
+    def test_rejects_vertices_of_another_length(self, ch, ch_vertices):
+        with pytest.raises(InputError, match="vertex dimension"):
+            verify_facet(catalog.ch_inequality(), [v[:-1] for v in ch_vertices], ch)
 
 
 class TestVerifyFacetLifted:

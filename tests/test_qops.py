@@ -461,6 +461,10 @@ class TestExpectation:
         assert abs(abs(val) - 2 * math.sqrt(2)) < 1e-12
         assert val < 0  # sign under this convention, fixed by evaluation
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(InputError):
+            expectation(DensityMatrix(np.eye(2) / 2), BellOperator(np.eye(4)))
+
     def test_basis_mismatch(self):
         W = DensityMatrix(np.eye(4) / 4)
         O = BellOperator(np.eye(4), basis=BELL)
@@ -488,6 +492,10 @@ class TestBellBasis:
         O = to_bell_basis(BellOperator(np.eye(4)))
         assert np.allclose(O.matrix, np.eye(4), atol=1e-15)
         assert O.basis == BELL
+
+    def test_rejects_dimension_2(self):
+        with pytest.raises(InputError):
+            to_bell_basis(BellOperator(np.eye(2)))
 
     def test_double_conversion_rejected(self):
         with pytest.raises(BasisError):

@@ -13,7 +13,13 @@ import pytest
 from bellbounds import catalog, kernels, sampling
 from bellbounds.errors import BudgetError, InputError, NumericError
 from bellbounds.polytope import Inequality
-from bellbounds.qops import bell_operator, bell_operators, chsh_operator, to_bell_basis
+from bellbounds.qops import (
+    DensityMatrix,
+    bell_operator,
+    bell_operators,
+    chsh_operator,
+    to_bell_basis,
+)
 from bellbounds.sampling import (
     DensityParams,
     density_from_params,
@@ -186,6 +192,14 @@ class TestSweep:
                 n_samples=1,
                 seed=0,
             )
+
+    def test_schedule_must_name_the_same_events(self):
+        def schedule(theta):
+            angles = catalog.sweep_schedule_22(theta)
+            return angles if theta < 1.0 else {e: angles[e] for e in (1, 2, 3)}
+
+        with pytest.raises(InputError, match="same events"):
+            sweep(catalog.ch_inequality(), catalog.ch_structure(), schedule, [0.0, 2.0], 0, 0)
 
     def test_three_setting_peak(self):
         # 61-point symmetric grid over [0, pi] contains the peak at pi/3
@@ -472,6 +486,12 @@ class TestPooledDraws:
         (r,) = sampled_sweep("ch", 1, 0)
         assert r.sampled_min is None
 
+    @pytest.mark.parametrize("count,cpus", [(3, 3), (None, 1)])
+    def test_cpus_without_affinity_call(self, monkeypatch, count, cpus):
+        monkeypatch.delattr(sampling.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: count)
+        assert sampling._usable_cpus() == cpus
+
 
 class TestPureStatePolish:
     def test_closes_gap_two_setting(self):
@@ -502,6 +522,20 @@ class TestPureStatePolish:
         )
         val, _ = pure_state_polish(O, next(sample_states(1, 17)))
         assert abs(val - 0.25) < 1e-9
+
+    def test_start_orthogonal_to_the_state(self):
+        # the singlet W sends the uniform start vector to 0; the ascent then
+        # starts from the uniform vector itself
+        singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
+        W = DensityMatrix(np.outer(singlet, singlet))
+        O = bell_operator(
+            catalog.ch_inequality(),
+            {1: 0.0, 2: math.pi / 2, 3: math.pi / 4, 4: 3 * math.pi / 4},
+            catalog.ch_structure(),
+        )
+        val, psi = pure_state_polish(O, W)
+        assert abs(val - quantum_bound(O).lambda_max) < 1e-9
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
 class TestEigencurves:

@@ -127,6 +127,10 @@ class TestEigen:
         assert eigen(np.eye(4)).degenerate
         assert not eigen(np.diag([1.0, 2.0, 3.0, 4.0])).degenerate
 
+    def test_rejects_non_square(self):
+        with pytest.raises(InputError):
+            eigen(np.ones((3, 4)))
+
     def test_deterministic_output(self):
         rng = np.random.default_rng(13)
         H = rand_hermitian(rng, 4)
@@ -205,6 +209,42 @@ class TestQuantumBound:
             val = float(np.real(psi.conj() @ O.matrix @ psi))
             assert abs(val - qb.lambda_max) < 1e-10
 
+    @pytest.mark.parametrize(
+        "layout,angles",
+        [
+            ("ch", {1: 0.0, 2: math.pi / 2, 3: math.pi / 4, 4: 3 * math.pi / 4}),
+            ("i33", catalog.symmetric_angles_33(math.pi / 3)),
+        ],
+        ids=["ch", "i33"],
+    )
+    def test_landmark_max_is_simple(self, layout, angles):
+        # spectra [-1.2071, -0.5, -0.5, 0.2071] and [-2.75, -0.75, -0.75, 0.25]:
+        # a degenerate pair below a simple lambda_max
+        structure, ineq = {
+            "ch": (catalog.ch_structure(), catalog.ch_inequality()),
+            "i33": (catalog.i33_structure(), catalog.i33_inequality()),
+        }[layout]
+        O = bell_operator(ineq, angles, structure)
+        assert eigen(O.matrix).degenerate
+        assert not quantum_bound(O).degenerate
+
+    def test_equal_left_settings_max_is_degenerate(self):
+        # o22_closed_form gives [-1, -1, 0, 0] for equal left settings
+        O = bell_operator(
+            catalog.ch_inequality(), {1: 0.3, 2: 0.3, 3: 1.1, 4: 2.0}, catalog.ch_structure()
+        )
+        assert quantum_bound(O).degenerate
+
+    def test_argmax_is_first_column_of_top_cluster(self):
+        # the top two eigenvalues 1e-10 apart in the matrix's unit, 1: one
+        # cluster, whose first column is the argmax
+        M = np.diag([0.5, 1.0, -1.0, 1.0 - 1e-10])
+        spec = eigen(M)
+        qb = quantum_bound(BellOperator(M))
+        assert qb.degenerate
+        assert qb.lambda_max == 1.0
+        assert np.array_equal(qb.argmax_state, spec.eigenvectors[:, 2])
+
     def test_minmax_over_random_pure_states(self):
         rng = np.random.default_rng(15)
         O = BellOperator(rand_hermitian(rng, 4))
@@ -257,6 +297,16 @@ class TestBlockDecompose:
     def test_rejects_computational_basis(self):
         with pytest.raises(InputError):
             o33_block_decompose(BellOperator(np.eye(4)))
+
+    def test_rejects_non_4x4(self):
+        with pytest.raises(InputError):
+            o33_block_decompose(BellOperator(np.eye(2), basis="bell"))
+
+    def test_rejects_imaginary_trailing_block(self):
+        M = np.eye(4, dtype=complex)
+        M[1, 2], M[2, 1] = 0.5j, -0.5j
+        with pytest.raises(InputError, match="real symmetric"):
+            o33_block_decompose(BellOperator(M, basis="bell"))
 
     def test_rejects_non_block_diagonal(self):
         M = np.eye(4, dtype=complex)

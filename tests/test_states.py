@@ -187,6 +187,15 @@ class TestBasisConversion:
             back = psi.to_bell().to_computational()
             assert np.allclose(back.amplitudes, psi.amplitudes, atol=1e-15)
 
+    def test_bell_state_to_bell_is_itself(self):
+        psi = psi_max_33()
+        assert psi.to_bell() is psi
+
+    def test_distance_across_bases_rejected(self):
+        psi = psi_max_33()
+        with pytest.raises(BasisError):
+            phase_aligned_distance(psi, psi.to_computational())
+
     def test_json_roundtrip(self):
         psi = psi_max_33()
         back = PureState.from_json(psi.to_json())
