@@ -295,17 +295,16 @@ def enumerate_vertices(structure: EventStructure) -> list[Vertex]:
     return verts
 
 
-def _reduce(rows: list[Vertex], limit: int, width: Optional[int] = None):
+def _reduce(rows: list[Vertex], limit: int):
     """Fraction-free Gauss-Jordan elimination over the integers.
 
     Rows are taken greedily in order.  Each is cleared against the rows kept
     so far by cross-multiplying, ``v <- b[p]*v - v[p]*b`` for the kept row
     ``b`` with pivot column ``p``, and divided by the gcd of its entries.  A
-    row with a nonzero entry left among its first ``width`` columns (all
-    columns by default) is kept with the first such entry as pivot, and its
-    pivot column is cleared from the rows kept before it.  Stops after
-    ``limit`` kept rows.  Returns ``(row index, pivot column, reduced row)``
-    for each kept row.
+    row with a nonzero entry left is kept with the first such entry as
+    pivot, and its pivot column is cleared from the rows kept before it.
+    Stops after ``limit`` kept rows.  Returns ``(row index, pivot column,
+    reduced row)`` for each kept row.
     """
     def clear(v, b, p):
         r = [b[p] * x - v[p] * y for x, y in zip(v, b)]
@@ -318,7 +317,7 @@ def _reduce(rows: list[Vertex], limit: int, width: Optional[int] = None):
         for _, p, b in kept:
             if v[p]:
                 v = clear(v, b, p)
-        p = next((i for i, x in enumerate(v[:width]) if x), None)
+        p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             continue
         kept = [(i, q, clear(b, v, p) if b[p] else b) for i, q, b in kept]
@@ -415,6 +414,7 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
         )
     # Reducing [B^T | I] for the basis rows B leaves, in the row with pivot
     # p, d*e_p | d*(column p of B^-1); its gcd is 1 since B is integral.
+    # B is invertible, so every pivot falls in the first dim columns.
     aug = [
         col + tuple(int(i == j) for j in range(dim))
         for i, col in enumerate(zip(*(rows[k] for k in idx)))
@@ -422,7 +422,7 @@ def _dd_rays(vertices: list[Vertex]) -> list[tuple[int, ...]]:
     rays = np.array(
         [
             [x if r[p] > 0 else -x for x in r[dim:]]
-            for _, p, r in sorted(_reduce(aug, dim, dim), key=lambda t: t[1])
+            for _, p, r in sorted(_reduce(aug, dim), key=lambda t: t[1])
         ],
         dtype=np.int64,
     )

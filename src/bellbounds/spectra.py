@@ -65,6 +65,18 @@ class QuantumBound:
     degenerate: bool = False
 
 
+def _residuals(A: np.ndarray, V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """max_k ||A v_k - w_k v_k|| of each matrix of a (G, n, n) stack.
+
+    A V is one np.einsum without ``optimize``, which numpy sums in its own
+    loop, as in :func:`kernels._pair_traces`.  A BLAS matmul would round by
+    the OpenBLAS kernel, and ``spectrum`` and the residual refusal print
+    this value.
+    """
+    R = np.einsum("gij,gjk->gik", A, V) - V * w[:, None, :]
+    return np.sqrt((R.conj() * R).real.sum(axis=-2).max(axis=-1))
+
+
 def _solve(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked eigensolve of a (G, n, n) Hermitian stack: (w, V, unit).
 
@@ -77,8 +89,7 @@ def _solve(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     unit = _stack_units(H)
     w, V = kernels.eigh(H)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite eigenvalue fails below
-        R = _in_units(H, unit[:, None, None]) @ V - V * (w / unit[:, None])[:, None, :]
-        residual = np.sqrt((R.conj() * R).real.sum(axis=-2).max(axis=-1))
+        residual = _residuals(_in_units(H, unit[:, None, None]), V, w / unit[:, None])
     ok = residual <= RESIDUAL_TOL  # NaN fails too
     if not ok.all():
         g = int(np.argmin(ok))
@@ -138,11 +149,8 @@ def eigen(H: np.ndarray) -> Spectrum:
     (w,), (V,), _ = _solve(H[None])
     V, degenerate = _canonical_vectors(w / unit, V)
     # the residual of the vectors returned, which may mix a degenerate cluster
-    R = A @ V - V * (w / unit)
-    residual = unit * float(np.max(np.linalg.norm(R, axis=0)))
-    return Spectrum(
-        eigenvalues=w, eigenvectors=V, residual=residual, degenerate=degenerate
-    )
+    residual = unit * float(_residuals(A[None], V[None], (w / unit)[None])[0])
+    return Spectrum(w, V, residual, degenerate)
 
 
 def stacked_eigenvalues(H: np.ndarray) -> np.ndarray:

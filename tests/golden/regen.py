@@ -7,16 +7,22 @@ documents the commands read, named in argv by relative path.
 ``test_corpus.py`` runs every entry in a fresh directory holding those
 inputs and compares.
 
+The corpus is the one place an output's sha256 is pinned; the 3x4 facet
+list, which the CLI's dimension budget refuses, is the only exception.
 Every command's bytes are the same under each OpenBLAS kernel, so the
-corpus also holds with ``OPENBLAS_CORETYPE`` set.  Outputs that round
+corpus also holds with ``OPENBLAS_CORETYPE`` set.  Outputs that still round
 through a BLAS kernel at full precision are left out: the CH eigencurves,
-which take the stacked 4x4 route, and the sampled CH sweep on 1001 points.
+which take the stacked 4x4 route, the sampled CH sweep on 1001 points,
+``bound`` on angles where an eigenvalue is zero, whose printed rounding
+noise moves with the kernel, and ``spectrum`` on a generic dense operator,
+whose full-precision eigenvectors and residual do.
 
 After a change that is meant to move output bytes, run
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and list in CHANGES.md each entry it prints.  It refuses to run
+and list in CHANGES.md each entry it prints: ``changed``, ``removed``
+or ``input changed``.  It refuses to run
 with ``OPENBLAS_CORETYPE`` set, so the hashes are always taken with the
 kernel OpenBLAS picks for the machine.
 """
@@ -44,14 +50,16 @@ I33_ANGLES = "1=0,2=pi/3,3=2pi/3,4=0,5=pi/3,6=2pi/3"
 I33_GENERIC = "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4"
 CH_SCHEDULE = "1=0,2=2t,3=t,4=3t"
 I33_SCHEDULE = "1=0,2=t,3=2t,4=0,5=t,6=2t"
-SCALES = (40, -60, -1045)
+# 2^-1030 makes subnormal entries; at 2^-1060 the residual check refuses (exit 4)
+SCALES = (40, -60, -1030, -1045, -1060)
 
 
-def _structure(left, right) -> dict:
+def _structure(left, right, joints=None) -> dict:
+    """Settings ``left | right``, with every cross joint unless ``joints``."""
     return {
         "n_single": len(left) + len(right),
         "sides": [list(left), list(right)],
-        "joints": [[i, j] for i in left for j in right],
+        "joints": [list(j) for j in joints or [(i, j) for i in left for j in right]],
     }
 
 
@@ -72,6 +80,7 @@ def build_inputs() -> dict[str, dict]:
     """The input documents, written out literally: none is computed by the
     package, so a change to it cannot move an input."""
     ch_bounds = {"lower": "-1", "upper": "0"}
+    r2 = math.sqrt(2)
     inputs = {
         "ch.json": _structure((1, 2), (3, 4)),
         "ch_ineq.json": {**_ch_ineq(), **ch_bounds},
@@ -79,6 +88,16 @@ def build_inputs() -> dict[str, dict]:
         # CH on settings 1, 2 | 3, 4, lifted with zeros: a facet of 2x4 too
         "2x4_ineq.json": {**_ch_ineq(), **ch_bounds},
         "i33.json": _structure((1, 2, 3), (4, 5, 6)),
+        # three settings against four on a 6-cycle plus (1,4): 128 vertices,
+        # so DD's step masks take two 64-bit words
+        "wide.json": _structure(
+            (1, 2, 3), (4, 5, 6, 7), [(1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7), (1, 7)]
+        ),
+        # the same sides with nine joints: dimension 16, the hull budget's edge
+        "dim16.json": _structure(
+            (1, 2, 3), (4, 5, 6, 7),
+            [(1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 7), (3, 4), (3, 6), (3, 7)],
+        ),
         "i33_ineq.json": {
             "coeffs": {
                 "1,4": "1", "1,5": "1", "1,6": "1", "2,4": "1", "2,5": "1",
@@ -92,15 +111,18 @@ def build_inputs() -> dict[str, dict]:
             "basis": "computational",
             "amplitudes": [[0.0, 0.0], [1 / math.sqrt(2), 0.0], [-1 / math.sqrt(2), 0.0], [0.0, 0.0]],
         },
-        # two tridiagonal operators: LAPACK skips its BLAS updates on them,
-        # so their eigenvectors do not depend on the OpenBLAS kernel (a dense
-        # operator's do, at full precision, under Prescott)
+        # two tridiagonal operators: LAPACK skips its BLAS updates on them
         "tridiagonal_op.json": _operator(
             [[1, 0.5j, 0, 0], [-0.5j, -0.25, 0.75, 0], [0, 0.75, 2, -0.5], [0, 0, -0.5, 0.125]]
         ),
         # eigenvalues -0.5, 0, 1, 1
         "degenerate_op.json": _operator(
             [[0.5, 0.5j, 0, 0], [-0.5j, 0.5, 0, 0], [0, 0, 0.25, 0.75], [0, 0, 0.75, 0.25]]
+        ),
+        # the CHSH correlation operator sqrt2 (zz + xx): dense, but LAPACK
+        # finds its eigenvectors exactly, so its residual is 0 on every kernel
+        "dense_op.json": _operator(
+            [[r2, 0, 0, r2], [0, -r2, r2, 0], [0, r2, -r2, 0], [r2, 0, 0, r2]]
         ),
     }
     for k in SCALES:
@@ -122,6 +144,8 @@ def build_commands() -> list[tuple[str, list[str]]]:
             (f"facets-{layout}", ["polytope", "facets", *s, "--out", "facets.json"]),
             (f"verify-{layout}", ["polytope", "verify", *s, "--ineq", f"{layout}_ineq.json"]),
         ]
+    cmds += [(f"facets-{layout}", ["polytope", "facets", "--structure", f"{layout}.json",
+                                   "--out", "facets.json"]) for layout in ("wide", "dim16")]
     for layout, angles in (("ch", CH_ANGLES), ("i33", I33_GENERIC)):
         build = ["operator", "build", "--structure", f"{layout}.json",
                  "--ineq", f"{layout}_ineq.json", "--angles", angles, "--out", "op.json"]
@@ -146,7 +170,7 @@ def build_commands() -> list[tuple[str, list[str]]]:
     cmds += [(f"bound-ch-x2^{k}", bound("ch", CH_ANGLES, f"ch_x2^{k}.json")) for k in SCALES]
     cmds += [
         *((f"spectrum-{op}", ["spectrum", "--operator", f"{op}_op.json", "--out", "spectrum.json"])
-          for op in ("tridiagonal", "degenerate")),
+          for op in ("tridiagonal", "degenerate", "dense")),
         ("state-singlet", ["state", "analyze", "--state", "singlet.json"]),
     ]
 
@@ -223,7 +247,10 @@ def main() -> int:
             print(f"changed: {entry['name']}")
     for name in sorted(set(old_entries) - {e["name"] for e in entries}):
         print(f"removed: {name}")
-    CORPUS.write_text(json.dumps({"inputs": inputs, "entries": entries}, indent=1) + "\n")
+    # one input and one entry to a line, so a moved entry is one line of diff
+    docs = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in inputs.items())
+    runs = ",\n".join(map(json.dumps, entries))
+    CORPUS.write_text(f'{{"inputs": {{\n{docs}\n}},\n"entries": [\n{runs}\n]}}\n')
     return 0
 
 

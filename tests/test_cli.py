@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pathlib
 import warnings
 from fractions import Fraction
 
@@ -39,6 +40,14 @@ def layout_files(tmp_path, layout):
     i = tmp_path / "ineq.json"
     i.write_text(json.dumps(ineq.to_json()))
     return str(s), str(i)
+
+
+def corpus_digest(entry, name):
+    """The sha256 that the golden corpus entry ``entry`` pins for the file
+    ``name``; the corpus is the one place those digests are written down."""
+    corpus = json.loads((pathlib.Path(__file__).parent / "golden" / "corpus.json").read_text())
+    (doc,) = (e for e in corpus["entries"] if e["name"] == entry)
+    return doc["files"][name]
 
 
 class TestParseScalar:
@@ -985,31 +994,31 @@ class TestSweepCommand:
         assert np.allclose(huge[:, 1:] / 1e308, small[:, 1:], rtol=1e-11, atol=0)
 
 class TestReadmeSweepDigests:
-    """The README's two sweep commands reproduce their pinned CSVs byte for byte.
+    """The README's two sweep commands reproduce their corpus CSVs byte for byte.
 
-    Digests recorded with the LAPACK eigensolver (numpy.linalg.eigh); a change
-    that batches or reorders the sweep must keep them.  The eigencurve roots
-    come from tridiagonal 3x3 blocks, on which LAPACK skips its BLAS updates,
-    so that digest is the same under every OpenBLAS kernel.
+    The inputs here come from the package's catalog, the corpus's are written
+    out literally, so the two agree only if the catalog layouts do.  The
+    eigencurve roots come from tridiagonal 3x3 blocks, on which LAPACK skips
+    its BLAS updates, so that digest is the same under every OpenBLAS kernel.
     """
 
     @pytest.mark.parametrize(
-        "layout,args,digest",
+        "layout,args,entry",
         [
             (
                 "ch",
                 ["--schedule", "1=0,2=2t,3=t,4=3t", "--samples", "3000", "--seed", "7"],
-                "62f96d93905399ec4d3ced8078b652559e26c6b6e3c2c41f9ee765eef160b44f",
+                "sweep-ch-sampled-101",
             ),
             (
                 "i33",
                 ["--schedule", "1=0,2=t,3=2t,4=0,5=t,6=2t", "--eigencurves"],
-                "a9701bb07607d1f2eaf3a09f343f25f872e470ec2f5124620d7e9fb5e8ed4b28",
+                "eigencurves-i33-101",
             ),
         ],
         ids=["ch-sweep", "i33-eigencurves"],
     )
-    def test_digest(self, tmp_path, layout, args, digest):
+    def test_digest(self, tmp_path, layout, args, entry):
         s, i = layout_files(tmp_path, layout)
         out = tmp_path / "out.csv"
         rc = main(
@@ -1023,56 +1032,37 @@ class TestReadmeSweepDigests:
             ]
         )
         assert rc == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == corpus_digest(entry, "out.csv")
 
 
 class TestOperatorBuildDigests:
-    """`operator build` writes the same JSON bytes, in either basis.
+    """`operator build` writes the corpus's JSON bytes, in either basis.
 
-    Pins the operator file of the README's CH angles and of one generic
-    three-setting angle set, so a change to how operators are built or
-    converted cannot move a single bit unnoticed.  Neither the build nor the
-    Bell-basis gather calls BLAS, so the digests do not depend on its kernel.
+    Runs the corpus's operator commands on the catalog's CH and three-setting
+    files, so a change to how operators are built or converted cannot move a
+    single bit unnoticed.  Neither the build nor the Bell-basis gather calls
+    BLAS, so the digests do not depend on its kernel.
     """
 
     @pytest.mark.parametrize(
-        "layout,angles,extra,digest",
+        "layout,angles,extra,entry",
         [
-            (
-                "ch",
-                "1=0,2=pi/2,3=pi/4,4=3pi/4",
-                [],
-                "deb8da1f2b0101588a7a355a9b27f07579008090b3cf2abb6c0dde35d4be9840",
-            ),
-            (
-                "ch",
-                "1=0,2=pi/2,3=pi/4,4=3pi/4",
-                ["--bell-basis"],
-                "02a6fe308de21b38ec6d517978205cf21c779d5bd31d6da93c2997f8734c6044",
-            ),
-            (
-                "i33",
-                "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4",
-                [],
-                "b0fe569ff451301d993316cd9fd849afc4dd97812ef516cee6fa7ff617dbfeb7",
-            ),
-            (
-                "i33",
-                "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4",
-                ["--bell-basis"],
-                "32ae4e614972f53279987dd8b1af26f4978def24aeaf7c69e7f03cd00996edac",
-            ),
+            ("ch", "1=0,2=pi/2,3=pi/4,4=3pi/4", [], "operator-ch"),
+            ("ch", "1=0,2=pi/2,3=pi/4,4=3pi/4", ["--bell-basis"], "operator-ch-bell-basis"),
+            ("i33", "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4", [], "operator-i33"),
+            ("i33", "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4", ["--bell-basis"],
+             "operator-i33-bell-basis"),
         ],
         ids=["ch", "ch-bell-basis", "i33", "i33-bell-basis"],
     )
-    def test_digest(self, tmp_path, layout, angles, extra, digest):
+    def test_digest(self, tmp_path, layout, angles, extra, entry):
         s, i = layout_files(tmp_path, layout)
         out = tmp_path / "op.json"
         rc = main(
             ["operator", "build", "--structure", s, "--ineq", i, "--angles", angles, "--out", str(out), *extra]
         )
         assert rc == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == corpus_digest(entry, "op.json")
 
 
 class TestStateCommand:
