@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from typing import Callable
 
@@ -180,10 +181,15 @@ MAX_INPUT_BYTES = 1 << 22
 
 def _load_json(path: str) -> dict:
     """The JSON document in the UTF-8 file ``path``, refused (BudgetError)
-    when the file holds more than MAX_INPUT_BYTES, before it is parsed."""
+    when the file holds more than MAX_INPUT_BYTES, before it is parsed.
+
+    A regular file is read into a buffer of its own size; a pipe, a device
+    or a file that reports no size, into one of the budget's."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read(MAX_INPUT_BYTES + 1)
+            st = os.fstat(fh.fileno())
+            size = st.st_size if stat.S_ISREG(st.st_mode) and st.st_size else MAX_INPUT_BYTES
+            data = fh.read(min(size, MAX_INPUT_BYTES) + 1)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if len(data) > MAX_INPUT_BYTES:
@@ -366,7 +372,7 @@ def _cmd_sweep(args) -> int:
             "output_sha256": hashlib.sha256(data.encode()).hexdigest(),
         }
         _emit(manifest, manifest_path)
-    print(f"wrote {args.out} ({len(data.splitlines()) - 1} rows)")
+    print(f"wrote {args.out} ({len(grid)} rows)")
     return 0
 
 

@@ -44,7 +44,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -347,35 +347,21 @@ def _fmt(x, sign: str = "") -> str:
     return format(float(x), sign + ".12g")
 
 
-def write_sweep_csv(results: list[SweepResult], fh: TextIO) -> None:
+def _write_csv(fh: TextIO, header: list[str], rows: Iterable[list]) -> None:
+    """The one CSV row format: ``header``, then one line per row, each int
+    written whole and every other cell through _fmt, comma-separated and
+    ending in "\\n"."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        [
-            "theta",
-            "analytic_min",
-            "analytic_max",
-            "sampled_min",
-            "sampled_max",
-            "classical_min",
-            "classical_max",
-            "n_samples",
-            "seed",
-        ]
-    )
-    for r in results:
-        writer.writerow(
-            [
-                _fmt(r.parameter),
-                _fmt(r.analytic_min),
-                _fmt(r.analytic_max),
-                _fmt(r.sampled_min),
-                _fmt(r.sampled_max),
-                _fmt(r.classical_bounds[0]),
-                _fmt(r.classical_bounds[1]),
-                str(r.n_samples),
-                str(r.seed),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows([x if isinstance(x, int) else _fmt(x) for x in row] for row in rows)
+
+
+def write_sweep_csv(results: list[SweepResult], fh: TextIO) -> None:
+    header = ["theta", "analytic_min", "analytic_max", "sampled_min", "sampled_max",
+              "classical_min", "classical_max", "n_samples", "seed"]
+    rows = ([r.parameter, r.analytic_min, r.analytic_max, r.sampled_min, r.sampled_max,
+             *r.classical_bounds, r.n_samples, r.seed] for r in results)
+    _write_csv(fh, header, rows)
 
 
 def write_eigencurves_csv(
@@ -383,8 +369,5 @@ def write_eigencurves_csv(
 ) -> None:
     if not curves:
         raise InputError("no curve data")
-    ncols = len(curves[0][1])
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["theta"] + [f"lambda{i + 1}" for i in range(ncols)])
-    for theta, lams in curves:
-        writer.writerow([_fmt(theta)] + [_fmt(x) for x in lams])
+    header = ["theta"] + [f"lambda{i + 1}" for i in range(len(curves[0][1]))]
+    _write_csv(fh, header, ([theta, *lams] for theta, lams in curves))

@@ -9,8 +9,11 @@ derandomized so the suite stays reproducible.
 import contextlib
 import io
 import json
+import os
 import re
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,3 +304,51 @@ def test_oversized_file(workdir):
     path.write_text(" " * cli.MAX_INPUT_BYTES + json.dumps(catalog.ch_structure().to_json()))
     rc, seconds = timed(["polytope", "vertices", "--structure", str(path)])
     assert rc == 3 and seconds < 1.0
+
+
+def test_file_one_byte_over_budget_is_not_parsed(workdir, monkeypatch):
+    path = workdir / "over.json"
+    path.write_bytes(b" " * (cli.MAX_INPUT_BYTES + 1))
+
+    def loads(*args, **kwargs):
+        raise AssertionError("an oversized input reached json.loads")
+
+    monkeypatch.setattr(json, "loads", loads)
+    assert run(["polytope", "vertices", "--structure", str(path)]) == 3
+
+
+def test_small_file_is_read_into_its_own_size(workdir):
+    # a buffer of the 4 MiB budget would be the whole traced peak
+    path = workdir / "small.json"
+    path.write_text(CH_INEQUALITY)
+    cli._load_json(str(path))
+    tracemalloc.start()
+    try:
+        doc = cli._load_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc == json.loads(CH_INEQUALITY) and peak < 128 * 1024
+
+
+def test_device_is_read_up_to_the_budget():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["polytope", "vertices", "--structure", os.devnull])
+    assert rc == 2
+    assert err.getvalue() == (
+        f"error: invalid JSON in {os.devnull}: Expecting value: line 1 column 1 (char 0)\n"
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_pipe_is_read_whole(workdir):
+    # a pipe reports no size, so it is read up to the budget, not cut short
+    path = workdir / "structure.pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(CH_STRUCTURE,), daemon=True)
+    writer.start()
+    try:
+        assert run(["polytope", "vertices", "--structure", str(path)]) == 0
+    finally:
+        writer.join(timeout=10)
