@@ -187,7 +187,7 @@ def sweep(
             f"{len(theta_grid)} grid points x {n_samples} samples above limit {MAX_SWEEP_SAMPLES}"
         )
     classical = classical_range(ineq, structure)
-    ops = _operator_stack(ineq, structure, [angle_schedule(theta) for theta in theta_grid])
+    ops = bell_operators(ineq, _grid_angles(angle_schedule, theta_grid), structure)
     eigenvalues, _, units = _solve(ops)
     if n_samples > 0:
         sampled = _sampled_extremes(ops, units.tolist(), n_samples, seed)
@@ -217,14 +217,15 @@ def _check_grid(theta_grid: list[float]) -> None:
         raise BudgetError(f"{len(theta_grid)} grid points above limit {MAX_GRID_POINTS}")
 
 
-def _operator_stack(
-    ineq: Inequality, structure: EventStructure, schedules: list[dict[int, float]]
-) -> np.ndarray:
-    """The (G, 4, 4) :func:`bell_operators` stack of the grid's angle maps."""
+def _grid_angles(angle_schedule: Callable, theta_grid: list[float]) -> dict[int, list[float]]:
+    """Each event's angles over the grid, as :func:`bell_operators` takes
+    them.  Every point is scheduled before any operator is built, and the
+    schedule must name the same events at every point."""
+    schedules = [angle_schedule(theta) for theta in theta_grid]
     events = schedules[0].keys()
     if any(a.keys() != events for a in schedules):
         raise InputError("the angle schedule must name the same events at every grid point")
-    return bell_operators(ineq, {e: [a[e] for a in schedules] for e in events}, structure)
+    return {e: [a[e] for a in schedules] for e in events}
 
 
 def _usable_cpus() -> int:
@@ -319,20 +320,21 @@ def eigencurves(
     from one row to the next.  Each point runs on plain arrays: its
     :func:`bell_operators` matrix is exactly Hermitian and finite, so of
     :class:`BellOperator`'s checks only the norm's can fail, and it is the
-    one taken before the Bell-basis change and the block split.
+    one taken before the Bell-basis change and the block split.  A point's
+    build or norm check that refuses raises at once; only a block split
+    that fails turns the grid to the ascending route.
     """
     _check_grid(theta_grid)
-    # every angle first, so that a schedule that rejects a point builds nothing
-    schedules = [angle_schedule(theta) for theta in theta_grid]
+    angles = _grid_angles(angle_schedule, theta_grid)
     o1 = np.empty(len(theta_grid))
     o3 = np.empty((len(theta_grid), 3, 3))
-    for g, angles in enumerate(schedules):
+    for g in range(len(theta_grid)):
+        M = bell_operators(ineq, {e: a[g : g + 1] for e, a in angles.items()}, structure)[0]
+        _check_norm(M)
         try:
-            M = bell_operators(ineq, {k: [v] for k, v in angles.items()}, structure)[0]
-            _check_norm(M)
             o1[g], o3[g] = _o33_blocks(_bell_basis(M))
-        except InputError:
-            eigenvalues = stacked_eigenvalues(_operator_stack(ineq, structure, schedules))
+        except InputError:  # the point does not split
+            eigenvalues = stacked_eigenvalues(bell_operators(ineq, angles, structure))
             return [(float(t), w) for t, w in zip(theta_grid, eigenvalues.tolist())]
     roots = o33_block_eigenvalues(o3).tolist()
     return [(float(t), [a, *w]) for t, a, w in zip(theta_grid, o1.tolist(), roots)]

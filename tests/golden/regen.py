@@ -1,25 +1,30 @@
 """Rewrite the golden corpus, ``corpus.json`` beside this file.
 
-The corpus pins the bytes of a few dozen ``bellbounds`` commands.  Each
+The corpus pins the bytes of about a hundred ``bellbounds`` commands.  Each
 entry holds a command's argv, its exit code, and the sha256 of its stdout,
-its stderr and each file it writes.  Its ``inputs`` map holds the JSON
-documents the commands read, named in argv by relative path.
-``test_corpus.py`` runs every entry in a fresh directory holding those
-inputs and compares.
+its stderr and each file it writes.  Its ``inputs`` map holds the
+documents the commands read, named in argv by relative path: a JSON
+object, or a string that is the file's literal text.  ``test_corpus.py``
+runs every entry in a fresh directory holding those inputs and compares.
+A ``RuntimeWarning`` inside a command is an error.
 
 The corpus is the one place an output's sha256 is pinned; the 3x4 facet
-list, which the CLI's dimension budget refuses, is the only exception.
-Every command's bytes are the same under each OpenBLAS kernel, so the
-corpus also holds with ``OPENBLAS_CORETYPE`` set.  Outputs that still round
-through a BLAS kernel at full precision are left out: the CH eigencurves,
-which take the stacked 4x4 route, the sampled CH sweep on 1001 points,
+list, which the CLI's dimension budget refuses, is the only exception.  It
+is also the one place a refusal is checked by its exit code, its message
+and the files it leaves: every refusal a test makes only through those
+is an entry here.  Every command's bytes are the same under each OpenBLAS
+kernel, so the corpus also holds with ``OPENBLAS_CORETYPE`` set.  Outputs
+that still round through a BLAS kernel at full precision are left out:
+the CH eigencurves on 1001 points, the sampled CH sweep on 1001 points,
 ``bound`` on angles where an eigenvalue is zero, whose printed rounding
 noise moves with the kernel, and ``spectrum`` on a generic dense operator,
-whose full-precision eigenvectors and residual do.  Of the sampled sweep
-on ``0:pi:1001`` only the analytic bounds move, which LAPACK solves as
-dense 4x4 matrices: on seeds 5 and 77, 2 of the 1001 ``analytic_max``
-cells differ under the Haswell, Prescott and Nehalem kernels, and every
-sampled cell is the same.
+whose full-precision eigenvectors and residual do.  The CH eigencurves on
+``0.1:3:101`` take the same stacked 4x4 route and hold; ``0:pi:101`` and
+``0:pi:100`` print a rounding-noise cell of about 9e-32, and the latter's
+moves under Haswell.  Of the sampled sweep on ``0:pi:1001`` only the
+analytic bounds move, which LAPACK solves as dense 4x4 matrices: on seeds
+5 and 77, 2 of the 1001 ``analytic_max`` cells differ under the Haswell,
+Prescott and Nehalem kernels, and every sampled cell is the same.
 
 After a change that is meant to move output bytes, run
 
@@ -43,6 +48,7 @@ import pathlib
 import random
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 
 from bellbounds import cli
@@ -56,6 +62,7 @@ CH_SCHEDULE = "1=0,2=2t,3=t,4=3t"
 I33_SCHEDULE = "1=0,2=t,3=2t,4=0,5=t,6=2t"
 # 2^-1030 makes subnormal entries; at 2^-1060 the residual check refuses (exit 4)
 SCALES = (40, -60, -1030, -1045, -1060)
+SINGLET = [[0.0, 0.0], [1 / math.sqrt(2), 0.0], [-1 / math.sqrt(2), 0.0], [0.0, 0.0]]
 
 
 def _structure(left, right, joints=None) -> dict:
@@ -80,7 +87,7 @@ def _operator(rows) -> dict:
     }
 
 
-def build_inputs() -> dict[str, dict]:
+def build_inputs() -> dict[str, dict | str]:
     """The input documents, written out literally: none is computed by the
     package, so a change to it cannot move an input."""
     ch_bounds = {"lower": "-1", "upper": "0"}
@@ -111,10 +118,7 @@ def build_inputs() -> dict[str, dict]:
         },
         # at the exit-4 entry's angles the entries are finite, the norm is not
         "huge_ineq.json": {"coeffs": {"1,3": "1.3e308", "2,4": "1.3e308"}},
-        "singlet.json": {
-            "basis": "computational",
-            "amplitudes": [[0.0, 0.0], [1 / math.sqrt(2), 0.0], [-1 / math.sqrt(2), 0.0], [0.0, 0.0]],
-        },
+        "singlet.json": {"basis": "computational", "amplitudes": SINGLET},
         # two tridiagonal operators: LAPACK skips its BLAS updates on them
         "tridiagonal_op.json": _operator(
             [[1, 0.5j, 0, 0], [-0.5j, -0.25, 0.75, 0], [0, 0.75, 2, -0.5], [0, 0, -0.5, 0.125]]
@@ -131,11 +135,67 @@ def build_inputs() -> dict[str, dict]:
     }
     for k in SCALES:
         inputs[f"ch_x2^{k}.json"] = _ch_ineq(Fraction(2) ** k)
-    return inputs
+    return {**inputs, **_refused_inputs()}
+
+
+def _refused_inputs() -> dict[str, dict | str]:
+    """Inputs the command line refuses, each named for its fault.  A string
+    is the file's literal text, for the non-finite and out-of-range numbers
+    (Infinity, NaN, 1e400) that a float cannot hold or compare equal."""
+    one = {"dim": 1, "entries": [[[1, 0]]]}
+    identity = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
+    return {
+        "infinite_n_single.json": '{"n_single": Infinity, "sides": [[1], [2]], "joints": [[1, 2]]}',
+        "1e400_n_single.json": '{"n_single": 1e400, "sides": [[1], [2]], "joints": [[1, 2]]}',
+        # a string of digits must not unpack into events, nor 4.9 truncate to 4
+        "digit_strings.json": {"n_single": 4, "sides": ["12", "34"], "joints": ["13", "14", "23", "24"]},
+        "float_n_single.json": {**_structure((1, 2), (3, 4)), "n_single": 4.9},
+        "duplicate_joint.json": _structure((1, 2), (3, 4), [(1, 3), (3, 1), (1, 4), (2, 3), (2, 4)]),
+        "three_sides.json": {"n_single": 3, "sides": [[1], [2], [3]], "joints": [[1, 2], [2, 3]]},
+        "three_sides_ineq.json": {"coeffs": {"1,2": 1, "2,3": 1}},
+        # 22 single events, past the budget of 20
+        "22_events.json": _structure(range(1, 22), (22,), [(1, 22)]),
+        "infinite_coeff_ineq.json": '{"coeffs": {"1,3": Infinity, "1": -1}, "lower": null, "upper": 0}',
+        "1e400_upper_ineq.json": '{"coeffs": {"1,3": 1, "1": -1}, "lower": null, "upper": 1e400}',
+        # exact in the polytope layer, but no float operator can hold it
+        "10^400_ineq.json": {"coeffs": {"1,3": 10**400, "1": -1}, "upper": 0},
+        # each coefficient is a float, but their sum on the diagonal is not
+        "sum_overflow_ineq.json": {"coeffs": {"1": 1e308, "3": 1e308}, "upper": 0},
+        "word_ineq.json": {"coeffs": {"1,3": "one"}},
+        "17_dim_op.json": {"dim": 17, "entries": []},
+        "1e400_dim_op.json": '{"dim": 1e400, "basis": "computational", "entries": [[[1, 0]]]}',
+        "dim_word_op.json": {**one, "dim": "four"},
+        "no_entries_op.json": {"dim": 1},
+        "unpaired_op.json": {"dim": 1, "entries": [[1]]},
+        "dim_mismatch_op.json": {"dim": 2, "basis": "computational", "entries": identity},
+        "pauli_op.json": {"dim": 4, "basis": "pauli", "entries": identity},
+        "angles_list_op.json": {**one, "angles": [0.5]},
+        "bad_source_op.json": {**one, "source": {"coeffs": []}},
+        # checked, not repaired into the Hermitian part with eigenvalues +-0.5
+        "non_hermitian_op.json": {"dim": 2, "entries": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+        "nan_entry_op.json": '{"dim": 1, "entries": [[[NaN, 0]]]}',
+        "nan_state.json": '{"basis": "computational", "amplitudes": [[NaN, 0], [1, 0], [0, 0], [0, 0]]}',
+        "10^400_state.json": {"amplitudes": [[10**400, 0], [1, 0], [0, 0], [0, 0]]},
+        "no_amplitudes_state.json": {"basis": "computational"},
+        "unpaired_state.json": {"amplitudes": [1, 0, 0, 0]},
+        "three_amplitudes_state.json": {"amplitudes": SINGLET[:3]},
+        "unnormalized_state.json": {"amplitudes": [[1, 0], [1, 0], [0, 0], [0, 0]]},
+        "pauli_state.json": {"basis": "pauli", "amplitudes": SINGLET},
+    }
 
 
 def _seeded_angles(rng: random.Random, events: int) -> str:
     return ",".join(f"{e}={rng.uniform(-math.pi, math.pi)!r}" for e in range(1, events + 1))
+
+
+def _bound(layout, angles, ineq=None) -> list[str]:
+    return ["bound", "--structure", f"{layout}.json",
+            "--ineq", ineq or f"{layout}_ineq.json", "--angles", angles]
+
+
+def _sweep(layout, schedule, grid, *extra, ineq=None, out="out.csv") -> list[str]:
+    return ["sweep", "--structure", f"{layout}.json", "--ineq", ineq or f"{layout}_ineq.json",
+            "--schedule", schedule, "--grid", grid, "--out", out, *extra]
 
 
 def build_commands() -> list[tuple[str, list[str]]]:
@@ -156,44 +216,116 @@ def build_commands() -> list[tuple[str, list[str]]]:
         cmds += [(f"operator-{layout}", build),
                  (f"operator-{layout}-bell-basis", [*build, "--bell-basis"])]
 
-    def bound(layout, angles, ineq=None):
-        return ["bound", "--structure", f"{layout}.json",
-                "--ineq", ineq or f"{layout}_ineq.json", "--angles", angles]
-
     cmds += [
-        ("bound-ch-landmark", bound("ch", CH_ANGLES)),
-        ("bound-i33-landmark", bound("i33", I33_ANGLES)),
-        ("bound-ch-equal-left-settings", bound("ch", "1=0.3,2=0.3,3=1.1,4=2.0")),
+        ("bound-ch-landmark", _bound("ch", CH_ANGLES)),
+        ("bound-i33-landmark", _bound("i33", I33_ANGLES)),
+        ("bound-ch-equal-left-settings", _bound("ch", "1=0.3,2=0.3,3=1.1,4=2.0")),
     ]
     rng = random.Random(23)
     for n in range(2):
         cmds += [
-            (f"bound-ch-seeded-{n}", bound("ch", _seeded_angles(rng, 4))),
-            (f"bound-i33-seeded-{n}", bound("i33", _seeded_angles(rng, 6))),
+            (f"bound-ch-seeded-{n}", _bound("ch", _seeded_angles(rng, 4))),
+            (f"bound-i33-seeded-{n}", _bound("i33", _seeded_angles(rng, 6))),
         ]
-    cmds += [(f"bound-ch-x2^{k}", bound("ch", CH_ANGLES, f"ch_x2^{k}.json")) for k in SCALES]
+    cmds += [(f"bound-ch-x2^{k}", _bound("ch", CH_ANGLES, f"ch_x2^{k}.json")) for k in SCALES]
     cmds += [
         *((f"spectrum-{op}", ["spectrum", "--operator", f"{op}_op.json", "--out", "spectrum.json"])
           for op in ("tridiagonal", "degenerate", "dense")),
         ("state-singlet", ["state", "analyze", "--state", "singlet.json"]),
     ]
 
-    def sweep(layout, schedule, grid, *extra):
-        return ["sweep", "--structure", f"{layout}.json", "--ineq", f"{layout}_ineq.json",
-                "--schedule", schedule, "--grid", grid, "--out", "out.csv", *extra]
-
     cmds += [
         # the README's sampled sweep
-        ("sweep-ch-sampled-101", sweep("ch", CH_SCHEDULE, "0:pi:101", "--samples", "3000", "--seed", "7")),
-        ("eigencurves-i33-101", sweep("i33", I33_SCHEDULE, "0:pi:101", "--eigencurves")),
-        ("eigencurves-i33-1001", sweep("i33", I33_SCHEDULE, "0:pi:1001", "--eigencurves")),
-        # one refusal per exit code: bad input, budget, numeric failure
-        ("exit2-bad-angle-token", bound("ch", "1=zero,2=pi/2,3=pi/4,4=3pi/4")),
-        ("exit3-grid-budget", sweep("ch", CH_SCHEDULE, "0:1:100002")),
-        ("exit4-norm-overflow", ["sweep", "--structure", "ch.json", "--ineq", "huge_ineq.json",
+        ("sweep-ch-sampled-101", _sweep("ch", CH_SCHEDULE, "0:pi:101", "--samples", "3000", "--seed", "7")),
+        ("eigencurves-i33-101", _sweep("i33", I33_SCHEDULE, "0:pi:101", "--eigencurves")),
+        ("eigencurves-i33-1001", _sweep("i33", I33_SCHEDULE, "0:pi:1001", "--eigencurves")),
+        # CH splits in the Bell basis at 0, pi/4, 3pi/4 and pi only, so every
+        # row is ascending; this grid misses the zero cells LAPACK rounds
+        ("eigencurves-ch-101", _sweep("ch", CH_SCHEDULE, "0.1:3:101", "--eigencurves")),
+    ]
+    return cmds + _refusals()
+
+
+def _refusals() -> list[tuple[str, list[str]]]:
+    """(name, argv) of the refusals, each pinned by its exit code, its whole
+    stderr and the files it leaves.  ``verify-ch-10^400`` is the one exit 0
+    among them, the exact half of ``exit2-bound-10^400``."""
+    ch = ["--structure", "ch.json"]
+    build = ["operator", "build", *ch, "--ineq", "ch_ineq.json"]
+
+    def polytope(action, structure, *extra):
+        return ["polytope", action, "--structure", structure, *extra]
+
+    def verify(ineq, structure="ch.json"):
+        return polytope("verify", structure, "--ineq", ineq)
+
+    def spectrum(op, *extra):
+        return ["spectrum", "--operator", op, *extra]
+
+    def ch_sweep(grid, *extra, **kwargs):
+        return _sweep("ch", CH_SCHEDULE, grid, *extra, **kwargs)
+
+    cmds = [
+        ("exit2-bad-angle-token", _bound("ch", "1=zero,2=pi/2,3=pi/4,4=3pi/4")),
+        ("exit2-angle-format", [*build, "--angles", "oops"]),
+        *((f"exit2-angle-{bad}", _bound("ch", f"1={bad},2=pi/2,3=pi/4,4=3pi/4"))
+          for bad in ("nan", "inf", "1e400")),
+        ("exit2-angle-quotient-overflow", _bound("ch", "1=1e300/1e-300,2=0,3=0,4=0")),
+        ("exit2-angle-unknown-event-bound", _bound("ch", CH_ANGLES + ",9=1")),
+        ("exit2-angle-unknown-event-operator", [*build, "--angles", CH_ANGLES + ",9=1"]),
+        ("exit2-angle-repeated-event", _bound("ch", "1=0,1=5,2=pi/2,3=pi/4,4=3pi/4")),
+        ("exit2-missing-file", polytope("vertices", "no.json")),
+        ("exit2-verify-without-ineq", polytope("verify", "ch.json")),
+        ("exit2-infinite-n-single", polytope("vertices", "infinite_n_single.json")),
+        ("exit2-1e400-n-single", polytope("vertices", "1e400_n_single.json")),
+        ("exit2-digit-strings", verify("ch_ineq.json", "digit_strings.json")),
+        ("exit2-float-n-single", verify("ch_ineq.json", "float_n_single.json")),
+        ("exit2-duplicate-joint", polytope("facets", "duplicate_joint.json")),
+        ("exit2-three-sides", ["bound", "--structure", "three_sides.json",
+                               "--ineq", "three_sides_ineq.json", "--angles", "1=0,2=0,3=0"]),
+        ("exit2-infinite-coefficient", verify("infinite_coeff_ineq.json")),
+        ("exit2-1e400-upper", verify("1e400_upper_ineq.json")),
+        ("exit2-coefficient-word", _bound("ch", "1=0,2=0,3=0,4=0", "word_ineq.json")),
+        ("verify-ch-10^400", verify("10^400_ineq.json")),
+        ("exit2-bound-10^400", _bound("ch", CH_ANGLES, "10^400_ineq.json")),
+        *((f"exit2-operator-{name.replace('_', '-')}", spectrum(f"{name}_op.json"))
+          for name in ("1e400_dim", "dim_word", "no_entries", "unpaired", "dim_mismatch",
+                       "pauli", "angles_list", "bad_source", "non_hermitian")),
+        *((f"exit2-state-{name.replace('_', '-')}", ["state", "analyze", "--state", f"{name}_state.json"])
+          for name in ("nan", "10^400", "no_amplitudes", "unpaired", "three_amplitudes",
+                       "unnormalized", "pauli")),
+        ("exit2-unwritable-facets", polytope("facets", "ch.json", "--out", "missing/facets.json")),
+        ("exit2-unwritable-operator", [*build, "--angles", CH_ANGLES, "--out", "missing/op.json"]),
+        ("exit2-unwritable-spectrum", spectrum("tridiagonal_op.json", "--out", "missing/spectrum.json")),
+        ("exit2-unwritable-sweep", ch_sweep("0:pi:3", out="missing/out.csv")),
+        ("exit2-sweep-out-directory", ch_sweep("0:pi:3", out=".")),
+        ("exit2-grid-format", ch_sweep("junk")),
+        ("exit2-eigencurves-with-samples", ch_sweep("0:pi:9", "--samples", "20", "--eigencurves")),
+        ("exit2-negative-samples", ch_sweep("0:pi:9", "--samples", "-5")),
+        ("exit2-negative-seed", ch_sweep("0:pi:9", "--seed", "-1")),
+        ("exit3-single-events", polytope("vertices", "22_events.json")),
+        ("exit3-operator-dim", spectrum("17_dim_op.json")),
+        ("exit3-grid-budget", ch_sweep("0:1:100002")),
+        ("exit3-samples-budget", ch_sweep("0:pi:1", "--samples", "1000001")),
+        ("exit3-grid-samples-budget", ch_sweep("0:pi:1001", "--samples", "999001")),
+        ("exit4-operator-nan-entry", spectrum("nan_entry_op.json")),
+        # at these angles the operator splits in the Bell basis; its entries
+        # are finite, its norm, about 1.84e308, is not
+        ("exit4-norm-overflow", ["sweep", *ch, "--ineq", "huge_ineq.json",
                                  "--schedule", "1=0,2=pi,3=0,4=pi", "--grid", "0:1:3",
                                  "--eigencurves", "--out", "out.csv"]),
+        ("exit4-sum-overflow-bound", _bound("ch", CH_ANGLES, "sum_overflow_ineq.json")),
+        ("exit4-sum-overflow-operator", ["operator", "build", *ch, "--ineq", "sum_overflow_ineq.json",
+                                         "--angles", CH_ANGLES, "--out", "op.json"]),
     ]
+    for mode, extra in (("sweep", ()), ("eigencurves", ("--eigencurves",))):
+        cmds += [
+            (f"exit2-schedule-repeated-event-{mode}",
+             _sweep("ch", CH_SCHEDULE + ",1=t", "0:pi:5", *extra)),
+            (f"exit2-schedule-unknown-event-{mode}",
+             _sweep("ch", CH_SCHEDULE + ",9=t", "0:pi:5", *extra)),
+            (f"exit4-sum-overflow-{mode}", ch_sweep("0:pi:5", *extra, ineq="sum_overflow_ineq.json")),
+        ]
     return cmds
 
 
@@ -206,9 +338,10 @@ def run(argv: list[str], inputs: dict[str, dict]) -> dict:
     this process, and return its exit code and the sha256 of its stdout, its
     stderr and each file it left beside the inputs."""
     for name, doc in inputs.items():
-        pathlib.Path(name).write_text(json.dumps(doc))
+        pathlib.Path(name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numeric warning is a failure
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's refusals

@@ -7,7 +7,8 @@ The corpus and the script that rewrites it are ``corpus.json`` and
 import pytest
 
 import regen
-from bellbounds import sampling
+from bellbounds import catalog, sampling
+from bellbounds.polytope import EventStructure, Inequality
 
 CORPUS = regen.load()
 
@@ -19,7 +20,7 @@ def test_entry(entry, tmp_path, monkeypatch):
     assert regen.run(entry["argv"], CORPUS["inputs"]) == want
 
 
-SAMPLED = [e for e in CORPUS["entries"] if "--samples" in e["argv"]]
+SAMPLED = [e for e in CORPUS["entries"] if "--samples" in e["argv"] and e["exit"] == 0]
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -29,3 +30,27 @@ def test_sampled_entry_on_any_thread_count(entry, cpus, tmp_path, monkeypatch):
     # entry alone cannot show that the count leaves its bytes alone
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
     test_entry(entry, tmp_path, monkeypatch)
+
+
+# the corpus entries of the README's sweeps and of the operator builds, whose
+# commands are documented on the catalog's layout files
+CATALOG_RUNS = ["operator-ch", "operator-ch-bell-basis", "operator-i33",
+                "operator-i33-bell-basis", "sweep-ch-sampled-101", "eigencurves-i33-101"]
+
+
+@pytest.mark.parametrize("name", CATALOG_RUNS)
+def test_catalog_layouts_are_corpus_inputs(name):
+    # a command on the catalog's layout files gives the entry's bytes only if
+    # they read back as its literal inputs, coefficients in the same order,
+    # since the operator adds its terms in that order
+    argv = next(e["argv"] for e in CORPUS["entries"] if e["name"] == name)
+    structure_file, ineq_file = (argv[argv.index(flag) + 1] for flag in ("--structure", "--ineq"))
+    layout = structure_file.removesuffix(".json")
+    assert ineq_file == f"{layout}_ineq.json"
+    structure = getattr(catalog, f"{layout}_structure")()
+    ineq = getattr(catalog, f"{layout}_inequality")()
+    inputs = CORPUS["inputs"]
+    assert EventStructure.from_json(inputs[structure_file]) == structure
+    corpus_ineq = Inequality.from_json(inputs[ineq_file])
+    assert corpus_ineq == ineq
+    assert list(corpus_ineq.coeffs) == list(ineq.coeffs)

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import pathlib
 import warnings
 from fractions import Fraction
 
@@ -40,14 +39,6 @@ def layout_files(tmp_path, layout):
     i = tmp_path / "ineq.json"
     i.write_text(json.dumps(ineq.to_json()))
     return str(s), str(i)
-
-
-def corpus_digest(entry, name):
-    """The sha256 that the golden corpus entry ``entry`` pins for the file
-    ``name``; the corpus is the one place those digests are written down."""
-    corpus = json.loads((pathlib.Path(__file__).parent / "golden" / "corpus.json").read_text())
-    (doc,) = (e for e in corpus["entries"] if e["name"] == entry)
-    return doc["files"][name]
 
 
 class TestParseScalar:
@@ -161,46 +152,6 @@ class TestParseGrid:
                 parse_grid(bad)
 
 
-class TestUnwritableOutput:
-    """An output path that cannot be opened for writing is bad input, exit 2."""
-
-    def assert_refused(self, argv, capsys):
-        assert main(argv) == 2
-        assert "cannot write" in capsys.readouterr().err
-
-    def test_polytope(self, ch_files, tmp_path, capsys):
-        s, _ = ch_files
-        out = tmp_path / "missing" / "f.json"
-        self.assert_refused(["polytope", "facets", "--structure", s, "--out", str(out)], capsys)
-
-    def test_operator(self, ch_files, tmp_path, capsys):
-        s, i = ch_files
-        out = tmp_path / "missing" / "o.json"
-        self.assert_refused(
-            ["operator", "build", "--structure", s, "--ineq", i,
-             "--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4", "--out", str(out)],
-            capsys,
-        )
-
-    def test_spectrum(self, tmp_path, capsys):
-        op = tmp_path / "op.json"
-        op.write_text('{"dim": 1, "entries": [[[1, 0]]]}')
-        out = tmp_path / "missing" / "s.json"
-        self.assert_refused(["spectrum", "--operator", str(op), "--out", str(out)], capsys)
-
-    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
-    def test_sweep(self, ch_files, tmp_path, capsys, target):
-        s, i = ch_files
-        out = tmp_path / target
-        self.assert_refused(
-            ["sweep", "--structure", s, "--ineq", i, "--schedule", "1=0,2=2t,3=t,4=3t",
-             "--grid", "0:pi:3", "--out", str(out)],
-            capsys,
-        )
-        # no manifest without its CSV
-        assert not list(tmp_path.rglob("*.manifest.json"))
-
-
 class TestEarlyOutputCheck:
     """``polytope`` and ``sweep`` check ``--out`` before their work, and a
     run that fails later leaves no new file and truncates no old one."""
@@ -309,13 +260,6 @@ class TestPolytopeCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["valid"] and data["is_facet"]
 
-    def test_verify_needs_ineq(self, ch_files, capsys):
-        s, _ = ch_files
-        assert main(["polytope", "verify", "--structure", s]) == 2
-
-    def test_missing_file_is_input_error(self, tmp_path):
-        assert main(["polytope", "vertices", "--structure", str(tmp_path / "no.json")]) == 2
-
     @pytest.mark.parametrize(
         "data",
         [b'\xff\xfe{"n_single": 2}', b"[" * 100000 + b"]" * 100000],
@@ -325,21 +269,6 @@ class TestPolytopeCommand:
         s = tmp_path / "structure.json"
         s.write_bytes(data)
         assert main(["polytope", "vertices", "--structure", str(s)]) == 2
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"n_single": 4, "sides": ["12", "34"], "joints": ["13", "14", "23", "24"]},
-            {**catalog.ch_structure().to_json(), "n_single": 4.9},
-        ],
-        ids=["digit-strings", "float-n-single"],
-    )
-    def test_structure_wrong_types_exit_code(self, ch_files, tmp_path, doc):
-        # a string of digits must not unpack into events, nor 4.9 truncate to 4
-        _, i = ch_files
-        s = tmp_path / "odd.json"
-        s.write_text(json.dumps(doc))
-        assert main(["polytope", "verify", "--structure", str(s), "--ineq", i]) == 2
 
     def test_joints_in_either_order(self, ch_files, tmp_path, capsys):
         # CH with every joint written right event first: facets, then each
@@ -366,27 +295,6 @@ class TestPolytopeCommand:
         assert main(["bound", "--structure", str(rev), "--ineq", i, *angles]) == 0
         assert capsys.readouterr().out == want
 
-    def test_duplicate_joint_either_order(self, tmp_path, capsys):
-        joints = [[1, 3], [3, 1], [1, 4], [2, 3], [2, 4]]
-        doc = {**catalog.ch_structure().to_json(), "joints": joints}
-        s = tmp_path / "s.json"
-        s.write_text(json.dumps(doc))
-        assert main(["polytope", "facets", "--structure", str(s)]) == 2
-        assert "duplicate joint terms" in capsys.readouterr().err
-
-    def test_budget_exit_code(self, tmp_path):
-        big = tmp_path / "big.json"
-        big.write_text(
-            json.dumps(
-                {
-                    "n_single": 22,
-                    "sides": [list(range(1, 22)), [22]],
-                    "joints": [[1, 22]],
-                }
-            )
-        )
-        assert main(["polytope", "vertices", "--structure", str(big)]) == 3
-
     @pytest.mark.parametrize(
         "doc",
         [
@@ -405,85 +313,6 @@ class TestPolytopeCommand:
         s = tmp_path / "s.json"
         s.write_text(json.dumps(doc))
         assert main(["polytope", "facets", "--structure", str(s)]) == 3
-
-
-class TestNonFiniteJson:
-    """JSON numbers that are not finite, or too large for a float, are exit 2.
-
-    Python's json module reads Infinity and NaN, and turns 1e400 into inf.
-    """
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"n_single": Infinity, "sides": [[1], [2]], "joints": [[1, 2]]}',
-            '{"n_single": 1e400, "sides": [[1], [2]], "joints": [[1, 2]]}',
-        ],
-        ids=["infinity", "1e400"],
-    )
-    def test_structure(self, tmp_path, text):
-        s = tmp_path / "structure.json"
-        s.write_text(text)
-        assert main(["polytope", "vertices", "--structure", str(s)]) == 2
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"coeffs": {"1,3": Infinity, "1": -1}, "lower": null, "upper": 0}',
-            '{"coeffs": {"1,3": 1, "1": -1}, "lower": null, "upper": 1e400}',
-        ],
-        ids=["coefficient-infinity", "bound-1e400"],
-    )
-    def test_inequality(self, ch_files, tmp_path, text):
-        s, _ = ch_files
-        i = tmp_path / "ineq.json"
-        i.write_text(text)
-        assert main(["polytope", "verify", "--structure", s, "--ineq", str(i)]) == 2
-
-    def test_coefficient_too_large_for_float(self, ch_files, tmp_path):
-        # exact in the polytope layer, but no float operator can hold it
-        s, _ = ch_files
-        i = tmp_path / "ineq.json"
-        i.write_text('{"coeffs": {"1,3": 1' + "0" * 400 + ', "1": -1}, "upper": 0}')
-        angles = "1=0,2=pi/2,3=pi/4,4=3pi/4"
-        assert main(["polytope", "verify", "--structure", s, "--ineq", str(i)]) == 0
-        assert main(["bound", "--structure", s, "--ineq", str(i), "--angles", angles]) == 2
-
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["operator", "build", "--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4", "--out", "OUT"],
-            ["bound", "--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4"],
-            ["sweep", "--schedule", "1=0,2=2t,3=t,4=3t", "--grid", "0:pi:5", "--out", "OUT"],
-            [
-                "sweep", "--schedule", "1=0,2=2t,3=t,4=3t", "--grid", "0:pi:5", "--out", "OUT",
-                "--eigencurves",
-            ],
-        ],
-        ids=["operator", "bound", "sweep", "eigencurves"],
-    )
-    def test_operator_sum_overflow(self, ch_files, tmp_path, command):
-        # each coefficient is a float, but their sum on the diagonal is not
-        s, _ = ch_files
-        i = tmp_path / "ineq.json"
-        i.write_text('{"coeffs": {"1": 1e308, "3": 1e308}, "upper": 0}')
-        out = tmp_path / "out"
-        argv = [str(out) if a == "OUT" else a for a in command]
-        assert main([*argv, "--structure", s, "--ineq", str(i)]) == 4
-        assert not out.exists()
-
-    def test_operator_dim(self, tmp_path):
-        op = tmp_path / "op.json"
-        op.write_text('{"dim": 1e400, "basis": "computational", "entries": [[[1, 0]]]}')
-        assert main(["spectrum", "--operator", str(op)]) == 2
-
-    @pytest.mark.parametrize("amp", ["NaN", "1" + "0" * 400], ids=["nan", "400-digit"])
-    def test_state_amplitude(self, tmp_path, amp):
-        psi = tmp_path / "state.json"
-        psi.write_text(
-            f'{{"basis": "computational", "amplitudes": [[{amp}, 0], [1, 0], [0, 0], [0, 0]]}}'
-        )
-        assert main(["state", "analyze", "--state", str(psi)]) == 2
 
 
 class TestOperatorAndSpectrum:
@@ -523,12 +352,6 @@ class TestOperatorAndSpectrum:
         data = json.loads(capsys.readouterr().out)
         assert data["basis"] == "bell"
 
-    def test_non_hermitian_operator_file(self, tmp_path):
-        # checked, not repaired into the Hermitian part with eigenvalues +-0.5
-        op = tmp_path / "op.json"
-        op.write_text('{"dim": 2, "entries": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}')
-        assert main(["spectrum", "--operator", str(op)]) == 2
-
     def test_eigenvalue_gap_beyond_float_range(self, tmp_path, capsys):
         # the gap between -1e308 and 1e308 overflows; it is not degenerate
         op = tmp_path / "op.json"
@@ -545,115 +368,6 @@ class TestOperatorAndSpectrum:
         op.write_text('{"dim": 1, "entries": [[[5e-324, 0]]]}')
         assert main(["spectrum", "--operator", str(op)]) == 0
         assert capsys.readouterr().out.splitlines()[1].split() == ["0", "4.94065645841e-324"]
-
-    def test_bad_angles_exit_code(self, ch_files):
-        s, i = ch_files
-        rc = main(
-            ["operator", "build", "--structure", s, "--ineq", i, "--angles", "oops"]
-        )
-        assert rc == 2
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
-    def test_non_finite_angle_exit_code(self, ch_files, bad):
-        s, i = ch_files
-        rc = main(
-            ["bound", "--structure", s, "--ineq", i, "--angles", f"1={bad},2=pi/2,3=pi/4,4=3pi/4"]
-        )
-        assert rc == 2
-
-    @pytest.mark.parametrize("command", [["bound"], ["operator", "build"]], ids=["bound", "operator"])
-    def test_unknown_event_angle_exit_code(self, ch_files, command):
-        s, i = ch_files
-        rc = main(
-            [*command, "--structure", s, "--ineq", i, "--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4,9=1"]
-        )
-        assert rc == 2
-
-    def test_repeated_event_angle_exit_code(self, ch_files):
-        s, i = ch_files
-        rc = main(
-            ["bound", "--structure", s, "--ineq", i, "--angles", "1=0,1=5,2=pi/2,3=pi/4,4=3pi/4"]
-        )
-        assert rc == 2
-
-    @pytest.mark.parametrize("extra", [[], ["--eigencurves"]], ids=["sweep", "eigencurves"])
-    def test_repeated_event_schedule_exit_code(self, ch_files, tmp_path, extra):
-        s, i = ch_files
-        out = tmp_path / "x.csv"
-        rc = main(
-            [
-                "sweep",
-                "--structure", s,
-                "--ineq", i,
-                "--schedule", "1=0,2=2t,3=t,4=3t,1=t",
-                "--grid", "0:pi:5",
-                "--out", str(out),
-                *extra,
-            ]
-        )
-        assert rc == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("extra", [[], ["--eigencurves"]], ids=["sweep", "eigencurves"])
-    def test_unknown_event_schedule_exit_code(self, ch_files, tmp_path, extra):
-        s, i = ch_files
-        out = tmp_path / "x.csv"
-        rc = main(
-            [
-                "sweep",
-                "--structure", s,
-                "--ineq", i,
-                "--schedule", "1=0,2=2t,3=t,4=3t,9=t",
-                "--grid", "0:pi:5",
-                "--out", str(out),
-                *extra,
-            ]
-        )
-        assert rc == 2
-        assert not out.exists()
-
-
-class TestInputRefusals:
-    """Bad input the other tests do not reach ends in exit 2 and one error line."""
-
-    def assert_refused(self, argv, capsys, match):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert match in err
-
-    def test_angle_quotient_overflows(self, ch_files, capsys):
-        s, i = ch_files
-        argv = ["bound", "--structure", s, "--ineq", i, "--angles", "1=1e300/1e-300,2=0,3=0,4=0"]
-        self.assert_refused(argv, capsys, "is not finite")
-
-    def test_coefficient_word(self, ch_files, tmp_path, capsys):
-        # no exponent to check: Fraction itself refuses the string
-        s, _ = ch_files
-        i = tmp_path / "word.json"
-        i.write_text(json.dumps({"coeffs": {"1,3": "one"}}))
-        argv = ["bound", "--structure", s, "--ineq", str(i), "--angles", "1=0,2=0,3=0,4=0"]
-        self.assert_refused(argv, capsys, "bad inequality JSON")
-
-    @pytest.mark.parametrize(
-        "change,match",
-        [({"dim": 2}, "entry grid does not match dim"), ({"basis": "pauli"}, "unknown basis tag")],
-        ids=["dim", "basis"],
-    )
-    def test_operator_file(self, tmp_path, capsys, change, match):
-        identity = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
-        doc = {"dim": 4, "basis": "computational", "entries": identity}
-        path = tmp_path / "op.json"
-        path.write_text(json.dumps({**doc, **change}))
-        self.assert_refused(["spectrum", "--operator", str(path)], capsys, match)
-
-    def test_bound_on_three_sides(self, tmp_path, capsys):
-        s, i = tmp_path / "s.json", tmp_path / "i.json"
-        s.write_text(json.dumps({"n_single": 3, "sides": [[1], [2], [3]], "joints": [[1, 2], [2, 3]]}))
-        i.write_text(json.dumps({"coeffs": {"1,2": 1, "2,3": 1}}))
-        argv = ["bound", "--structure", str(s), "--ineq", str(i), "--angles", "1=0,2=0,3=0"]
-        self.assert_refused(argv, capsys, "bipartite")
-
 
 class TestBoundCommand:
     def test_ten_by_ten_lists_no_vertex(self, tmp_path, monkeypatch, capsys):
@@ -845,20 +559,6 @@ class TestSweepCommand:
             assert float(f[3]) >= float(f[1]) - 1e-12  # sampled_min >= analytic_min
             assert float(f[4]) <= amax + 1e-12
 
-    def test_bad_grid_exit_code(self, ch_files, tmp_path):
-        s, i = ch_files
-        rc = main(
-            [
-                "sweep",
-                "--structure", s,
-                "--ineq", i,
-                "--schedule", "1=0,2=2t,3=t,4=3t",
-                "--grid", "junk",
-                "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert rc == 2
-
     @pytest.mark.parametrize(
         "schedule,grid,where",
         [
@@ -891,35 +591,39 @@ class TestSweepCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
-    def test_eigencurves_with_samples_exit_code(self, ch_files, tmp_path):
-        # eigencurves draw no samples, so a manifest must not claim any
-        rc, out = self.run_sweep(ch_files, tmp_path, extra=["--eigencurves"])
-        assert rc == 2
-        assert not out.exists()
-        assert not (tmp_path / "sweep.csv.manifest.json").exists()
+    @pytest.mark.parametrize("extra", [[], ["--eigencurves"]], ids=["grid-points", "eigencurves-grid-points"])
+    def test_budget_exit_code(self, ch_files, tmp_path, monkeypatch, extra):
+        # one point above the limit is refused before the grid is laid out
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid laid out")
 
-    def test_negative_samples_exit_code(self, ch_files, tmp_path):
-        rc, out = self.run_sweep(ch_files, tmp_path, extra=["--samples", "-5"])
-        assert rc == 2
-        assert not out.exists()
-
-    def test_negative_seed_exit_code(self, ch_files, tmp_path):
-        rc, out = self.run_sweep(ch_files, tmp_path, extra=["--seed", "-1"])
-        assert rc == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "grid,samples",
-        [("0:pi:100002", "0"), ("0:pi:1", "1000001"), ("0:pi:1001", "999001")],
-        ids=["grid-points", "samples-per-point", "grid-times-samples"],
-    )
-    def test_budget_exit_code(self, ch_files, tmp_path, grid, samples):
-        # each case is one above its limit; the limits are checked before
-        # the grid or any sample array is allocated
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
         rc, out = self.run_sweep(
-            ch_files, tmp_path, extra=["--grid", grid, "--samples", samples]
+            ch_files, tmp_path, extra=["--grid", "0:pi:100002", "--samples", "0", *extra]
         )
         assert rc == 3
+        assert not out.exists()
+
+    def test_eigencurves_norm_beyond_float_range(self, ch_files, tmp_path, monkeypatch):
+        # the corpus entry exit4-norm-overflow: the first point's norm check
+        # refuses it, before any other point or the whole grid is built
+        points, build = [], sampling.bell_operators
+
+        def spy(ineq, angles, structure):
+            points.append(len(next(iter(angles.values()))))
+            return build(ineq, angles, structure)
+
+        monkeypatch.setattr(sampling, "bell_operators", spy)
+        s, _ = ch_files
+        i = tmp_path / "huge_ineq.json"
+        i.write_text(json.dumps({"coeffs": {"1,3": "1.3e308", "2,4": "1.3e308"}}))
+        out = tmp_path / "curves.csv"
+        rc = main(
+            ["sweep", "--structure", s, "--ineq", str(i), "--schedule", "1=0,2=pi,3=0,4=pi",
+             "--grid", "0:1:3", "--eigencurves", "--out", str(out)]
+        )
+        assert rc == 4
+        assert points == [1]
         assert not out.exists()
 
     def test_eigencurves_of_huge_coefficients(self, tmp_path):
@@ -946,32 +650,10 @@ class TestSweepCommand:
         assert values.shape == (101, 5)
         assert np.all(np.isfinite(values))
 
-
-    def test_eigencurves_norm_beyond_float_range(self, tmp_path, capsys):
-        # at these angles the two joints are |00><00| and about |11><11|, so
-        # the operator splits in the Bell basis; its entries are finite but
-        # its norm, about 1.84e308, is not: the one check each point takes
-        s = tmp_path / "structure.json"
-        s.write_text(json.dumps(catalog.ch_structure().to_json()))
-        i = tmp_path / "ineq.json"
-        i.write_text(json.dumps({"coeffs": {"1,3": "1.3e308", "2,4": "1.3e308"}}))
-        out = tmp_path / "curves.csv"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(
-                ["sweep", "--structure", str(s), "--ineq", str(i),
-                 "--schedule", "1=0,2=pi,3=0,4=pi", "--grid", "0:1:3",
-                 "--eigencurves", "--out", str(out)]
-            )
-        assert rc == 4
-        assert capsys.readouterr().err == "numeric failure: matrix norm exceeds the float range\n"
-        assert not out.exists()
-        assert not (tmp_path / "curves.csv.manifest.json").exists()
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_eigencurves_of_entries_near_float_max(self, tmp_path):
-        # the same split operator with a norm of about 1.70e308, in range:
+        # the split operator of the corpus entry exit4-norm-overflow, with a
+        # norm of about 1.70e308 in place of 1.84e308, so in range:
         # its Bell-basis entries halve every term before adding, so none
         # overflows, and the curves are 1e308 times those of coefficients 1.2
         s = tmp_path / "structure.json"
@@ -992,77 +674,6 @@ class TestSweepCommand:
         huge, small = curves
         assert huge.shape == (3, 5) and np.all(np.isfinite(huge))
         assert np.allclose(huge[:, 1:] / 1e308, small[:, 1:], rtol=1e-11, atol=0)
-
-class TestReadmeSweepDigests:
-    """The README's two sweep commands reproduce their corpus CSVs byte for byte.
-
-    The inputs here come from the package's catalog, the corpus's are written
-    out literally, so the two agree only if the catalog layouts do.  The
-    eigencurve roots come from tridiagonal 3x3 blocks, on which LAPACK skips
-    its BLAS updates, so that digest is the same under every OpenBLAS kernel.
-    """
-
-    @pytest.mark.parametrize(
-        "layout,args,entry",
-        [
-            (
-                "ch",
-                ["--schedule", "1=0,2=2t,3=t,4=3t", "--samples", "3000", "--seed", "7"],
-                "sweep-ch-sampled-101",
-            ),
-            (
-                "i33",
-                ["--schedule", "1=0,2=t,3=2t,4=0,5=t,6=2t", "--eigencurves"],
-                "eigencurves-i33-101",
-            ),
-        ],
-        ids=["ch-sweep", "i33-eigencurves"],
-    )
-    def test_digest(self, tmp_path, layout, args, entry):
-        s, i = layout_files(tmp_path, layout)
-        out = tmp_path / "out.csv"
-        rc = main(
-            [
-                "sweep",
-                "--structure", s,
-                "--ineq", i,
-                "--grid", "0:pi:101",
-                "--out", str(out),
-                *args,
-            ]
-        )
-        assert rc == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == corpus_digest(entry, "out.csv")
-
-
-class TestOperatorBuildDigests:
-    """`operator build` writes the corpus's JSON bytes, in either basis.
-
-    Runs the corpus's operator commands on the catalog's CH and three-setting
-    files, so a change to how operators are built or converted cannot move a
-    single bit unnoticed.  Neither the build nor the Bell-basis gather calls
-    BLAS, so the digests do not depend on its kernel.
-    """
-
-    @pytest.mark.parametrize(
-        "layout,angles,extra,entry",
-        [
-            ("ch", "1=0,2=pi/2,3=pi/4,4=3pi/4", [], "operator-ch"),
-            ("ch", "1=0,2=pi/2,3=pi/4,4=3pi/4", ["--bell-basis"], "operator-ch-bell-basis"),
-            ("i33", "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4", [], "operator-i33"),
-            ("i33", "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4", ["--bell-basis"],
-             "operator-i33-bell-basis"),
-        ],
-        ids=["ch", "ch-bell-basis", "i33", "i33-bell-basis"],
-    )
-    def test_digest(self, tmp_path, layout, angles, extra, entry):
-        s, i = layout_files(tmp_path, layout)
-        out = tmp_path / "op.json"
-        rc = main(
-            ["operator", "build", "--structure", s, "--ineq", i, "--angles", angles, "--out", str(out), *extra]
-        )
-        assert rc == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == corpus_digest(entry, "op.json")
 
 
 class TestStateCommand:

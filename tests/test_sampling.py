@@ -194,12 +194,16 @@ class TestSweep:
             )
 
     def test_schedule_must_name_the_same_events(self):
+        # checked once, before any operator is built, by eigencurves too
         def schedule(theta):
             angles = catalog.sweep_schedule_22(theta)
             return angles if theta < 1.0 else {e: angles[e] for e in (1, 2, 3)}
 
+        args = (catalog.ch_inequality(), catalog.ch_structure(), schedule, [0.0, 2.0])
         with pytest.raises(InputError, match="same events"):
-            sweep(catalog.ch_inequality(), catalog.ch_structure(), schedule, [0.0, 2.0], 0, 0)
+            sweep(*args, 0, 0)
+        with pytest.raises(InputError, match="same events"):
+            eigencurves(*args)
 
     def test_three_setting_peak(self):
         # 61-point symmetric grid over [0, pi] contains the peak at pi/3
@@ -649,6 +653,22 @@ class TestEigencurves:
         assert [theta for theta, _ in curves] == grid
         assert [lams for _, lams in curves] == stacked_eigenvalues(ops).tolist()
         assert all(lams == sorted(lams) for _, lams in curves)
+
+    def test_refused_build_builds_one_point(self, monkeypatch):
+        # a coefficient past the float range is refused by the first point's
+        # build, before any other point or the whole grid is built
+        calls = []
+
+        def spy(ineq, angles, structure):
+            calls.append(len(next(iter(angles.values()))))
+            return bell_operators(ineq, angles, structure)
+
+        monkeypatch.setattr(sampling, "bell_operators", spy)
+        ineq = Inequality({**catalog.i33_inequality().coeffs, (1, 4): Fraction(10) ** 400})
+        grid = np.linspace(0.0, math.pi, 1001).tolist()
+        with pytest.raises(InputError, match="too large for a float"):
+            eigencurves(ineq, catalog.i33_structure(), catalog.symmetric_angles_33, grid)
+        assert calls == [1]
 
     @pytest.mark.parametrize(
         "n,error", [(0, InputError), (sampling.MAX_GRID_POINTS + 1, BudgetError)]
