@@ -1,15 +1,19 @@
 """Command-line front end: every computation as a reproducible batch command.
 
-Exit codes: 0 success, 2 invalid input, 3 resource budget exceeded,
-4 numeric failure.  Numeric output is locale-independent with 12 significant
-digits.  The sweep command writes a manifest sidecar holding everything
-needed to reproduce the output byte-for-byte.
+Exit codes: 0 success, 2 invalid input or a failed write (a full disk, a
+closed stdout, a broken pipe), 3 resource budget exceeded, 4 numeric failure.
+``main`` checks ``--out`` and the sweep's manifest before the work, every
+write goes through its one writer, and a run that fails removes each regular
+file it created or opened for writing.  Numeric output is locale-independent
+with 12 significant digits.  The sweep command writes a manifest sidecar
+holding everything needed to reproduce the output byte-for-byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -200,87 +204,85 @@ def _load_json(path: str) -> dict:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _open_out(path: str, mode: str = "w"):
-    """``path`` opened for writing text; a path that cannot be written is bad input."""
-    try:
-        return open(path, mode)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+_MANIFEST = ".manifest.json"  # the sweep's manifest: its --out plus this
 
 
 @contextlib.contextmanager
-def _reserved(*paths: str | None):
-    """Check that each given output path can be written, before the work.
+def _outputs(*reserve: str | None):
+    """Open each path in ``reserve`` to append, which creates it and
+    truncates none, then yield ``write(path, fn)``: ``fn`` on ``path`` opened
+    for writing, or on stdout for None.  An ``OSError`` is bad input; if the
+    block raises, each regular file this run created or opened for writing
+    is removed."""
+    made = set()
 
-    Each path is opened for appending and closed at once, which creates a
-    missing file and truncates none.  If the block then raises, the files
-    this created are removed again, so a failed run leaves no empty output.
-    """
-    created = []
+    def write(path: str | None, fn: Callable, mode: str = "w") -> None:
+        try:
+            if path is None:
+                if sys.stdout is None:  # started with fd 1 closed
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+                fn(sys.stdout)
+                sys.stdout.flush()
+            else:
+                made_here = mode == "w" or not os.path.lexists(path)
+                with open(path, mode) as fh:
+                    if made_here:
+                        made.add(path)
+                    fn(fh)
+        except OSError as exc:
+            if path is None:  # stdout keeps what failed and would fail again at exit
+                sys.stdout = None
+            raise InputError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
+
     try:
-        for path in filter(None, paths):
-            existed = os.path.lexists(path)
-            _open_out(path, "a").close()
-            if not existed:
-                created.append(path)
-        yield
+        for path in reserve:
+            if path is not None:
+                write(path, lambda fh: None, "a")
+        yield write
     except BaseException:
-        for path in created:
+        for path in made:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                if stat.S_ISREG(os.lstat(path).st_mode):  # never a device or a link
+                    os.remove(path)
         raise
 
 
-def _write(out: str | None, write: Callable) -> None:
-    """Call ``write`` on ``out`` opened for writing, or on stdout without ``out``."""
-    if out:
-        with _open_out(out) as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    """Write ``payload`` as indented JSON plus a newline.
-
-    ``json.dump`` streams chunk by chunk, where ``json.dumps`` would hold
-    every chunk of a large vertex list before joining them.
-    """
-    def write(fh):
+def _json(payload: dict) -> Callable:
+    """A writer of ``payload`` as indented JSON plus a newline, streamed:
+    ``json.dumps`` would hold every chunk of a large vertex list at once."""
+    def dump(fh):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
-    _write(out, write)
+    return dump
 
 
-def _cmd_polytope(args) -> int:
+def _lines(*lines: str) -> Callable:
+    """A writer of ``lines``, each ended by a newline."""
+    return lambda fh: fh.writelines(f"{line}\n" for line in lines)
+
+
+def _cmd_polytope(args, write: Callable) -> int:
     structure = EventStructure.from_json(_load_json(args.structure))
     # the work's size follows from the structure; refuse before enumerating
     if args.action == "facets":
         check_hull_budget(structure.dimension, 2**structure.n_single)
     else:
         check_vertex_budget(structure)
-    with _reserved(args.out):
-        vertices = enumerate_vertices(structure)
-        if args.action == "vertices":
-            _emit({"vertices": [list(v) for v in vertices]}, args.out)
-        elif args.action == "facets":
-            forms = hull_forms(vertices, structure)
-            _write(args.out, lambda fh: write_facets_json(forms, structure, fh))
-        else:  # verify
-            if not args.ineq:
-                raise InputError("verify needs --ineq")
-            ineq = Inequality.from_json(_load_json(args.ineq))
-            check = verify_facet(ineq, vertices, structure)
-            _emit(
-                {
-                    "valid": check.valid,
-                    "tight_count": check.tight_count,
-                    "is_facet": check.is_facet,
-                    "witness": None if check.witness is None else list(check.witness),
-                },
-                args.out,
-            )
+    if args.action == "verify":
+        if not args.ineq:
+            raise InputError("verify needs --ineq")
+        ineq = Inequality.from_json(_load_json(args.ineq))
+        ineq.check_keys(structure)
+    vertices = enumerate_vertices(structure)
+    if args.action == "vertices":
+        write(args.out, _json({"vertices": [list(v) for v in vertices]}))
+    elif args.action == "facets":
+        forms = hull_forms(vertices, structure)
+        write(args.out, lambda fh: write_facets_json(forms, structure, fh))
+    else:  # verify
+        check = verify_facet(ineq, vertices, structure)
+        write(args.out, _json(vars(check)))  # valid, tight_count, is_facet, witness
     return 0
 
 
@@ -291,48 +293,47 @@ def _build_operator(args) -> tuple[BellOperator, EventStructure, Inequality]:
     return bell_operator(ineq, angles, structure), structure, ineq
 
 
-def _cmd_operator(args) -> int:
+def _cmd_operator(args, write: Callable) -> int:
     O, _, _ = _build_operator(args)
     if args.bell_basis:
         O = to_bell_basis(O)
-    _emit(O.to_json(), args.out)
+    write(args.out, _json(O.to_json()))
     return 0
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args, write: Callable) -> int:
     O, structure, ineq = _build_operator(args)
     lo, hi = classical_range(ineq, structure)
     qb = quantum_bound(O)
     state = PureState(qb.argmax_state).canonical_phase()
-    print(f"classical range   [{_fmt(lo)}, {_fmt(hi)}]")
-    print(f"lambda_min        {_fmt(qb.lambda_min)}")
-    print(f"lambda_max        {_fmt(qb.lambda_max)}")
-    print(f"operator norm     {_fmt(qb.norm)}")
-    print(f"degenerate max    {'yes' if qb.degenerate else 'no'}")
     amps = " ".join(
         # a zero's sign is eigensolver noise; + 0.0 prints -0.0 as +0j
         f"({_fmt(z.real)}{_fmt(z.imag + 0.0, '+')}j)" for z in state.amplitudes
     )
-    print(f"argmax state      {amps}")
-    print(f"entanglement      {_fmt(entanglement(state))}")
+    write(None, _lines(
+        f"classical range   [{_fmt(lo)}, {_fmt(hi)}]",
+        f"lambda_min        {_fmt(qb.lambda_min)}",
+        f"lambda_max        {_fmt(qb.lambda_max)}",
+        f"operator norm     {_fmt(qb.norm)}",
+        f"degenerate max    {'yes' if qb.degenerate else 'no'}",
+        f"argmax state      {amps}",
+        f"entanglement      {_fmt(entanglement(state))}",
+    ))
     return 0
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, write: Callable) -> int:
     O = BellOperator.from_json(_load_json(args.operator))
     spec = eigen(O.matrix)
-    if args.out:
-        _emit(spec.to_json(), args.out)
-    print(f"{'k':>3} {'eigenvalue':>18}")
-    for k, lam in enumerate(spec.eigenvalues):
-        print(f"{k:>3} {_fmt(lam):>18}")
-    print(f"residual {_fmt(spec.residual)}")
-    if spec.degenerate:
-        print("note: degenerate eigenspaces present")
+    if args.out is not None:
+        write(args.out, _json(spec.to_json()))
+    rows = (f"{k:>3} {_fmt(lam):>18}" for k, lam in enumerate(spec.eigenvalues))
+    note = ["note: degenerate eigenspaces present"] if spec.degenerate else []
+    write(None, _lines(f"{'k':>3} {'eigenvalue':>18}", *rows, f"residual {_fmt(spec.residual)}", *note))
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, write: Callable) -> int:
     if args.samples < 0:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
     if args.seed < 0:
@@ -343,47 +344,42 @@ def _cmd_sweep(args) -> int:
     ineq = Inequality.from_json(_load_json(args.ineq))
     schedule = parse_schedule(args.schedule)
     grid = parse_grid(args.grid)
-    manifest_path = args.out + ".manifest.json"
-    with _reserved(args.out, manifest_path):
-        buf = io.StringIO()
-        if args.eigencurves:
-            curves = eigencurves(ineq, structure, schedule, grid)
-            write_eigencurves_csv(curves, buf)
-        else:
-            rows = sweep(ineq, structure, schedule, grid, args.samples, args.seed)
-            write_sweep_csv(rows, buf)
-        data = buf.getvalue()
-        # the CSV first, so that a manifest never names a file that was not written
-        with _open_out(args.out) as fh:
-            fh.write(data)
-        manifest = {
-            "command": "sweep",
-            "arguments": {
-                "structure": args.structure,
-                "ineq": args.ineq,
-                "schedule": args.schedule,
-                "eigencurves": bool(args.eigencurves),
-            },
-            "grid": args.grid,
-            "samples": args.samples,
-            "seed": args.seed,
-            "version": __version__,
-            "output": args.out,
-            "output_sha256": hashlib.sha256(data.encode()).hexdigest(),
-        }
-        _emit(manifest, manifest_path)
-    print(f"wrote {args.out} ({len(grid)} rows)")
+    buf = io.StringIO()
+    if args.eigencurves:
+        curves = eigencurves(ineq, structure, schedule, grid)
+        write_eigencurves_csv(curves, buf)
+    else:
+        rows = sweep(ineq, structure, schedule, grid, args.samples, args.seed)
+        write_sweep_csv(rows, buf)
+    data = buf.getvalue()
+    # the CSV first, so that a manifest never names a file that was not written
+    write(args.out, lambda fh: fh.write(data))
+    manifest = {
+        "command": "sweep",
+        "arguments": {
+            "structure": args.structure,
+            "ineq": args.ineq,
+            "schedule": args.schedule,
+            "eigencurves": bool(args.eigencurves),
+        },
+        "grid": args.grid,
+        "samples": args.samples,
+        "seed": args.seed,
+        "version": __version__,
+        "output": args.out,
+        "output_sha256": hashlib.sha256(data.encode()).hexdigest(),
+    }
+    write(args.out + _MANIFEST, _json(manifest))
+    write(None, _lines(f"wrote {args.out} ({len(grid)} rows)"))
     return 0
 
 
-def _cmd_state(args) -> int:
+def _cmd_state(args, write: Callable) -> int:
     psi = PureState.from_json(_load_json(args.state)).to_computational()
-    sd = schmidt(psi)
-    print(
-        "schmidt coefficients "
-        + " ".join(_fmt(c) for c in sd.coefficients)
-    )
-    print(f"entanglement        {_fmt(entanglement(psi))}")
+    write(None, _lines(
+        "schmidt coefficients " + " ".join(_fmt(c) for c in schmidt(psi).coefficients),
+        f"entanglement        {_fmt(entanglement(psi))}",
+    ))
     return 0
 
 
@@ -444,8 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    manifest = args.out + _MANIFEST if args.command == "sweep" else None
     try:
-        return args.func(args)
+        with _outputs(getattr(args, "out", None), manifest) as write:
+            return args.func(args, write)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

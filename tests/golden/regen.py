@@ -299,6 +299,12 @@ def _refusals() -> list[tuple[str, list[str]]]:
         ("exit2-unwritable-spectrum", spectrum("tridiagonal_op.json", "--out", "missing/spectrum.json")),
         ("exit2-unwritable-sweep", ch_sweep("0:pi:3", out="missing/out.csv")),
         ("exit2-sweep-out-directory", ch_sweep("0:pi:3", out=".")),
+        # Linux's /dev/full opens, then refuses every write; not for sweep,
+        # whose manifest beside it would be a new file in /dev
+        ("exit2-dev-full-vertices", polytope("vertices", "ch.json", "--out", "/dev/full")),
+        ("exit2-dev-full-facets", polytope("facets", "ch.json", "--out", "/dev/full")),
+        ("exit2-dev-full-operator", [*build, "--angles", CH_ANGLES, "--out", "/dev/full"]),
+        ("exit2-dev-full-spectrum", spectrum("tridiagonal_op.json", "--out", "/dev/full")),
         ("exit2-grid-format", ch_sweep("junk")),
         ("exit2-eigencurves-with-samples", ch_sweep("0:pi:9", "--samples", "20", "--eigencurves")),
         ("exit2-negative-samples", ch_sweep("0:pi:9", "--samples", "-5")),

@@ -1,6 +1,13 @@
+import contextlib
+import errno
 import hashlib
 import json
 import math
+import os
+import pathlib
+import stat
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -17,6 +24,8 @@ from bellbounds.cli import (
     parse_schedule,
 )
 from bellbounds.errors import BudgetError, InputError, NumericError
+
+SRC = pathlib.Path(cli.__file__).parents[1]
 
 
 @pytest.fixture()
@@ -153,27 +162,33 @@ class TestParseGrid:
 
 
 class TestEarlyOutputCheck:
-    """``polytope`` and ``sweep`` check ``--out`` before their work, and a
+    """Every command that takes ``--out`` checks it before its work, and a
     run that fails later leaves no new file and truncates no old one."""
 
+    ANGLES = ["--angles", "1=0,2=pi/2,3=pi/4,4=3pi/4"]
     SWEEP = ["--schedule", "1=0,2=2t,3=t,4=3t", "--grid", "0:pi:3", "--samples", "10"]
 
     @staticmethod
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
 
-    def test_polytope_facets(self, ch_files, monkeypatch, capsys):
-        monkeypatch.setattr(polytope, "_dd_rays", self.refuse)
-        s, _ = ch_files
-        assert main(["polytope", "facets", "--structure", s, "--out", "/nonexistent/x.json"]) == 2
-        assert "cannot write" in capsys.readouterr().err
-
-    def test_sweep(self, ch_files, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "sweep", self.refuse)
+    @pytest.mark.parametrize("command", ["polytope", "operator", "spectrum", "sweep"])
+    def test_checked_before_work(self, command, ch_files, tmp_path, monkeypatch, capsys):
         s, i = ch_files
-        argv = ["sweep", "--structure", s, "--ineq", i, *self.SWEEP, "--out", "/nonexistent/x.csv"]
-        assert main(argv) == 2
-        assert "cannot write" in capsys.readouterr().err
+        build = ["operator", "build", "--structure", s, "--ineq", i, *self.ANGLES]
+        op = tmp_path / "op.json"
+        assert main([*build, "--out", str(op)]) == 0
+        # each command with the function its work starts in
+        module, work, argv = {
+            "polytope": (polytope, "_dd_rays", ["polytope", "facets", "--structure", s]),
+            "operator": (cli, "bell_operator", build),
+            "spectrum": (cli, "eigen", ["spectrum", "--operator", str(op)]),
+            "sweep": (cli, "sweep", ["sweep", "--structure", s, "--ineq", i, *self.SWEEP]),
+        }[command]
+        monkeypatch.setattr(module, work, self.refuse)
+        out = tmp_path / "missing" / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
     @pytest.mark.parametrize("error,code", [(BudgetError, 3), (NumericError, 4)])
     def test_late_failure_polytope(self, ch_files, tmp_path, monkeypatch, error, code):
@@ -203,6 +218,120 @@ class TestEarlyOutputCheck:
             assert main(argv) == code
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ineq.json", "old.csv", "structure.json"]
         assert old.read_text() == "kept"
+
+
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+
+
+class _FullAfterFirstChunk:
+    """A text file that takes one chunk, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.chunks = 0
+
+    def write(self, text):
+        if self.chunks:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.chunks += 1
+        self.fh.write(text)
+        self.fh.flush()  # the chunk is on disk when the next one fails
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestFailedWrite:
+    """A write that fails, on ``--out`` or on stdout, exits 2 with one
+    stderr line, and leaves no file that the run created or truncated."""
+
+    STATE = {"amplitudes": [[0, 0], [0.5**0.5, 0], [-(0.5**0.5), 0], [0, 0]]}
+
+    @DEV_FULL
+    @pytest.mark.parametrize("old_manifest", [False, True])
+    def test_sweep_through_link_to_dev_full(self, ch_files, tmp_path, capsys, old_manifest):
+        # a link, not --out /dev/full, which would reserve a manifest in /dev
+        s, i = ch_files
+        out = tmp_path / "out.csv"
+        out.symlink_to("/dev/full")
+        manifest = tmp_path / "out.csv.manifest.json"
+        if old_manifest:
+            manifest.write_text("kept")
+        argv = ["sweep", "--structure", s, "--ineq", i, *TestEarlyOutputCheck.SWEEP, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: [Errno 28] No space left on device\n"
+        # the CSV write failed, so the old manifest was never opened for writing
+        assert (manifest.read_text() == "kept") if old_manifest else not manifest.exists()
+        assert os.readlink(out) == "/dev/full"
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+    @pytest.mark.parametrize("old", [False, True], ids=["new", "truncated"])
+    @pytest.mark.parametrize("command", ["vertices", "sweep"])
+    def test_fails_after_first_chunk(self, ch_files, tmp_path, monkeypatch, capsys, command, old):
+        real_open, opened = open, []
+
+        def open_full(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if "w" not in mode:
+                return fh
+            opened.append(path)
+            return _FullAfterFirstChunk(fh)
+
+        monkeypatch.setattr(cli, "open", open_full, raising=False)
+        s, i = ch_files
+        out = tmp_path / "out"
+        if old:
+            out.write_text("old")
+        argv = {
+            "vertices": ["polytope", "vertices", "--structure", s],
+            # the CSV goes in one chunk, the manifest fails after its first
+            "sweep": ["sweep", "--structure", s, "--ineq", i, *TestEarlyOutputCheck.SWEEP],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert opened == ([str(out), f"{out}.manifest.json"] if command == "sweep" else [str(out)])
+        err = f"error: cannot write {opened[-1]}: [Errno 28] No space left on device\n"
+        assert capsys.readouterr().err == err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ineq.json", "structure.json"]
+
+    @DEV_FULL
+    @pytest.mark.parametrize("stdout", ["dev-full", "closed", "broken-pipe"])
+    @pytest.mark.parametrize("command", ["vertices", "bound", "state", "sweep"])
+    def test_stdout_in_a_process(self, ch_files, tmp_path, command, stdout):
+        # what a run in this process cannot show: Python's own stdout, and
+        # its flush at exit; buffered, as it is by default
+        s, i = ch_files
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(self.STATE))
+        args = {
+            "vertices": ["polytope", "vertices", "--structure", s],
+            "bound": ["bound", "--structure", s, "--ineq", i, *TestEarlyOutputCheck.ANGLES],
+            "state": ["state", "analyze", "--state", str(state)],
+            "sweep": ["sweep", "--structure", s, "--ineq", i, *TestEarlyOutputCheck.SWEEP,
+                      "--out", str(tmp_path / "out.csv")],
+        }[command]
+        argv = [sys.executable, "-m", "bellbounds.cli", *args]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+        with contextlib.ExitStack() as stack:
+            if stdout == "dev-full":
+                kwargs = {"stdout": stack.enter_context(open("/dev/full", "w"))}
+            elif stdout == "closed":
+                kwargs = {"preexec_fn": lambda: os.close(1)}
+            else:
+                r, w = os.pipe()
+                os.close(r)  # the reader is gone before the run starts
+                stack.callback(os.close, w)
+                kwargs = {"stdout": w}
+            proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **kwargs)
+        reason = {"dev-full": "[Errno 28] No space left on device",
+                  "closed": "[Errno 9] Bad file descriptor",
+                  "broken-pipe": "[Errno 32] Broken pipe"}[stdout]
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {reason}\n")
+        # the sweep wrote its CSV and manifest before the stdout line failed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ineq.json", "state.json", "structure.json"]
 
 
 class TestVertexBudget:
@@ -259,6 +388,26 @@ class TestPolytopeCommand:
         assert main(["polytope", "verify", "--structure", s, "--ineq", i]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["valid"] and data["is_facet"]
+
+    @pytest.mark.parametrize(
+        "ineq,err",
+        [
+            (None, "verify needs --ineq"),
+            ("missing.json", "cannot read"),
+            ("alien.json", "term key (1, 9) not present in structure"),
+        ],
+    )
+    def test_verify_reads_ineq_before_enumeration(self, ch_files, tmp_path, monkeypatch, capsys, ineq, err):
+        def refuse(structure):
+            raise AssertionError("vertices enumerated before --ineq was checked")
+
+        monkeypatch.setattr(cli, "enumerate_vertices", refuse)
+        (tmp_path / "alien.json").write_text(json.dumps({"coeffs": {"1,9": 1}, "upper": 0}))
+        argv = ["polytope", "verify", "--structure", ch_files[0]]
+        if ineq:
+            argv += ["--ineq", str(tmp_path / ineq)]
+        assert main(argv) == 2
+        assert err in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data",
