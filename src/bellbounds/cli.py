@@ -213,7 +213,7 @@ def _outputs(*reserve: str | None):
     truncates none, then yield ``write(path, fn)``: ``fn`` on ``path`` opened
     for writing, or on stdout for None.  An ``OSError`` is bad input; if the
     block raises, each regular file this run created or opened for writing
-    is removed."""
+    is removed, the file behind a symlink but not the link."""
     made = set()
 
     def write(path: str | None, fn: Callable, mode: str = "w") -> None:
@@ -224,7 +224,7 @@ def _outputs(*reserve: str | None):
                 fn(sys.stdout)
                 sys.stdout.flush()
             else:
-                made_here = mode == "w" or not os.path.lexists(path)
+                made_here = mode == "w" or not os.path.exists(path)
                 with open(path, mode) as fh:
                     if made_here:
                         made.add(path)
@@ -242,8 +242,9 @@ def _outputs(*reserve: str | None):
     except BaseException:
         for path in made:
             with contextlib.suppress(OSError):
-                if stat.S_ISREG(os.lstat(path).st_mode):  # never a device or a link
-                    os.remove(path)
+                # the file a link names goes, the link stays; never a device
+                if stat.S_ISREG(os.stat(path).st_mode):
+                    os.remove(os.path.realpath(path))
         raise
 
 
@@ -437,6 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Each refusal's error class, with its stderr prefix and exit code
+_REFUSALS = {
+    InputError: ("error", 2),
+    BudgetError: ("resource budget exceeded", 3),
+    NumericError: ("numeric failure", 4),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -444,15 +453,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _outputs(getattr(args, "out", None), manifest) as write:
             return args.func(args, write)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"resource budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_REFUSALS) as exc:
+        prefix, code = next(v for cls, v in _REFUSALS.items() if isinstance(exc, cls))
+        if sys.stderr is not None:  # None when started with fd 2 closed
+            print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

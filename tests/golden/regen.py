@@ -1,8 +1,8 @@
 """Rewrite the golden corpus, ``corpus.json`` beside this file.
 
-The corpus pins the bytes of about a hundred ``bellbounds`` commands.  Each
-entry holds a command's argv, its exit code, and the sha256 of its stdout,
-its stderr and each file it writes.  Its ``inputs`` map holds the
+The corpus pins the bytes of 127 ``bellbounds`` commands, 79 of them
+refusals.  Each entry holds a command's argv, its exit code, and the sha256
+of its stdout, its stderr and each file it writes.  Its ``inputs`` map holds the
 documents the commands read, named in argv by relative path: a JSON
 object, or a string that is the file's literal text.  ``test_corpus.py``
 runs every entry in a fresh directory holding those inputs and compares.
@@ -30,10 +30,9 @@ After a change that is meant to move output bytes, run
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and list in CHANGES.md each entry it prints: ``changed``, ``removed``
-or ``input changed``.  It refuses to run
-with ``OPENBLAS_CORETYPE`` set, so the hashes are always taken with the
-kernel OpenBLAS picks for the machine.
+and list in CHANGES.md each entry and input it prints as added, changed
+or removed.  It refuses to run with ``OPENBLAS_CORETYPE`` set, so the
+hashes are always taken with the kernel OpenBLAS picks for the machine.
 """
 
 from __future__ import annotations
@@ -59,6 +58,9 @@ CH_ANGLES = "1=0,2=pi/2,3=pi/4,4=3pi/4"
 I33_ANGLES = "1=0,2=pi/3,3=2pi/3,4=0,5=pi/3,6=2pi/3"
 I33_GENERIC = "1=0.3,2=1.1,3=2.5,4=-0.4,5=pi/5,6=3pi/4"
 CH_SCHEDULE = "1=0,2=2t,3=t,4=3t"
+# the 3x2 layout's angles, and a schedule with a '-t' and a '*t' slope
+ANGLES_3X2 = "3=0.2,4=1.3,5=-0.7,1=0.9,2=2.1"
+SCHEDULE_3X2 = "3=0,4=-t,5=0.5*t,1=t,2=2*t+pi/8"
 I33_SCHEDULE = "1=0,2=t,3=2t,4=0,5=t,6=2t"
 # 2^-1030 makes subnormal entries; at 2^-1060 the residual check refuses (exit 4)
 SCALES = (40, -60, -1030, -1045, -1060)
@@ -109,6 +111,16 @@ def build_inputs() -> dict[str, dict | str]:
             (1, 2, 3), (4, 5, 6, 7),
             [(1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 7), (3, 4), (3, 6), (3, 7)],
         ),
+        # settings 3, 4, 5 | 1, 2: the right side numbered first, each joint
+        # written left event first, and five of the six joints, no (4,2)
+        "3x2.json": _structure((3, 4, 5), (1, 2), [(3, 1), (3, 2), (4, 1), (5, 1), (5, 2)]),
+        # CH on settings 3, 5 | 1, 2, a facet of 3x2
+        "3x2_ineq.json": {
+            "coeffs": {"3,1": "1", "3,2": "1", "5,1": "1", "5,2": "-1", "3": "-1", "1": "-1"},
+            "upper": "0",
+        },
+        # valid, but no vertex reaches the bound: not a facet
+        "ch_slack_ineq.json": {**_ch_ineq(), "upper": "1"},
         "i33_ineq.json": {
             "coeffs": {
                 "1,4": "1", "1,5": "1", "1,6": "1", "2,4": "1", "2,5": "1",
@@ -133,6 +145,12 @@ def build_inputs() -> dict[str, dict | str]:
             [[r2, 0, 0, r2], [0, -r2, r2, 0], [0, r2, -r2, 0], [r2, 0, 0, r2]]
         ),
     }
+    # as ``operator build`` writes it: with the angles and the inequality
+    inputs["angles_op.json"] = {
+        **inputs["tridiagonal_op.json"],
+        "angles": {"1": 0.0, "2": 1.5707963267948966},
+        "source": inputs["ch_ineq.json"],
+    }
     for k in SCALES:
         inputs[f"ch_x2^{k}.json"] = _ch_ineq(Fraction(2) ** k)
     return {**inputs, **_refused_inputs()}
@@ -155,6 +173,11 @@ def _refused_inputs() -> dict[str, dict | str]:
         "three_sides_ineq.json": {"coeffs": {"1,2": 1, "2,3": 1}},
         # 22 single events, past the budget of 20
         "22_events.json": _structure(range(1, 22), (22,), [(1, 22)]),
+        # 2^16 vertices of dimension 16 + 49: one joint past the vertex budget
+        "vertex_budget.json": _structure(
+            range(1, 9), range(9, 17), [(i, j) for i in range(1, 9) for j in range(9, 17)][:49]
+        ),
+        "not_json.json": "not json",
         "infinite_coeff_ineq.json": '{"coeffs": {"1,3": Infinity, "1": -1}, "lower": null, "upper": 0}',
         "1e400_upper_ineq.json": '{"coeffs": {"1,3": 1, "1": -1}, "lower": null, "upper": 1e400}',
         # exact in the polytope layer, but no float operator can hold it
@@ -201,7 +224,7 @@ def _sweep(layout, schedule, grid, *extra, ineq=None, out="out.csv") -> list[str
 def build_commands() -> list[tuple[str, list[str]]]:
     """(name, argv) of every corpus entry."""
     cmds = []
-    for layout in ("ch", "2x4", "i33"):
+    for layout in ("ch", "2x4", "i33", "3x2"):
         s = ["--structure", f"{layout}.json"]
         cmds += [
             (f"vertices-{layout}", ["polytope", "vertices", *s]),
@@ -210,16 +233,25 @@ def build_commands() -> list[tuple[str, list[str]]]:
         ]
     cmds += [(f"facets-{layout}", ["polytope", "facets", "--structure", f"{layout}.json",
                                    "--out", "facets.json"]) for layout in ("wide", "dim16")]
-    for layout, angles in (("ch", CH_ANGLES), ("i33", I33_GENERIC)):
+    cmds += [
+        ("vertices-ch-out", ["polytope", "vertices", "--structure", "ch.json", "--out", "vertices.json"]),
+        ("facets-ch-stdout", ["polytope", "facets", "--structure", "ch.json"]),
+        ("verify-ch-slack", ["polytope", "verify", "--structure", "ch.json", "--ineq", "ch_slack_ineq.json"]),
+    ]
+    for layout, angles in (("ch", CH_ANGLES), ("i33", I33_GENERIC), ("3x2", ANGLES_3X2)):
         build = ["operator", "build", "--structure", f"{layout}.json",
                  "--ineq", f"{layout}_ineq.json", "--angles", angles, "--out", "op.json"]
         cmds += [(f"operator-{layout}", build),
                  (f"operator-{layout}-bell-basis", [*build, "--bell-basis"])]
+    cmds.append(("operator-ch-bell-basis-stdout",
+                 ["operator", "build", "--structure", "ch.json", "--ineq", "ch_ineq.json",
+                  "--angles", CH_ANGLES, "--bell-basis"]))
 
     cmds += [
         ("bound-ch-landmark", _bound("ch", CH_ANGLES)),
         ("bound-i33-landmark", _bound("i33", I33_ANGLES)),
         ("bound-ch-equal-left-settings", _bound("ch", "1=0.3,2=0.3,3=1.1,4=2.0")),
+        ("bound-3x2", _bound("3x2", ANGLES_3X2)),
     ]
     rng = random.Random(23)
     for n in range(2):
@@ -231,6 +263,7 @@ def build_commands() -> list[tuple[str, list[str]]]:
     cmds += [
         *((f"spectrum-{op}", ["spectrum", "--operator", f"{op}_op.json", "--out", "spectrum.json"])
           for op in ("tridiagonal", "degenerate", "dense")),
+        ("spectrum-angles", ["spectrum", "--operator", "angles_op.json"]),
         ("state-singlet", ["state", "analyze", "--state", "singlet.json"]),
     ]
 
@@ -242,6 +275,9 @@ def build_commands() -> list[tuple[str, list[str]]]:
         # CH splits in the Bell basis at 0, pi/4, 3pi/4 and pi only, so every
         # row is ascending; this grid misses the zero cells LAPACK rounds
         ("eigencurves-ch-101", _sweep("ch", CH_SCHEDULE, "0.1:3:101", "--eigencurves")),
+        # no --samples: the sampled cells are empty
+        ("sweep-ch-101", _sweep("ch", CH_SCHEDULE, "0:pi:101")),
+        ("eigencurves-3x2-101", _sweep("3x2", SCHEDULE_3X2, "0.1:3:101", "--eigencurves")),
     ]
     return cmds + _refusals()
 
@@ -274,6 +310,11 @@ def _refusals() -> list[tuple[str, list[str]]]:
         ("exit2-angle-unknown-event-bound", _bound("ch", CH_ANGLES + ",9=1")),
         ("exit2-angle-unknown-event-operator", [*build, "--angles", CH_ANGLES + ",9=1"]),
         ("exit2-angle-repeated-event", _bound("ch", "1=0,1=5,2=pi/2,3=pi/4,4=3pi/4")),
+        ("exit2-angle-division-by-zero", _bound("ch", "1=1/0,2=0,3=0,4=0")),
+        ("exit2-angle-event-index", _bound("ch", "x=0,2=0,3=0,4=0")),
+        ("exit2-angle-missing-joint", _bound("ch", "1=0,2=pi/2,3=pi/4")),
+        # sum_overflow_ineq.json has single events only
+        ("exit2-angle-missing-event", _bound("ch", "1=0,2=0,4=0", "sum_overflow_ineq.json")),
         ("exit2-missing-file", polytope("vertices", "no.json")),
         ("exit2-verify-without-ineq", polytope("verify", "ch.json")),
         ("exit2-infinite-n-single", polytope("vertices", "infinite_n_single.json")),
@@ -306,10 +347,23 @@ def _refusals() -> list[tuple[str, list[str]]]:
         ("exit2-dev-full-operator", [*build, "--angles", CH_ANGLES, "--out", "/dev/full"]),
         ("exit2-dev-full-spectrum", spectrum("tridiagonal_op.json", "--out", "/dev/full")),
         ("exit2-grid-format", ch_sweep("junk")),
+        ("exit2-grid-count-word", ch_sweep("0:pi:x")),
+        ("exit2-grid-count-zero", ch_sweep("0:pi:0")),
+        # hi - lo overflows, so the middle point is nan; a grid that starts
+        # below zero is joined to its option
+        ("exit2-grid-non-finite", ["sweep", *ch, "--ineq", "ch_ineq.json", "--schedule", CH_SCHEDULE,
+                                   "--grid=-1e308:1e308:3", "--out", "out.csv"]),
+        ("exit2-schedule-empty-term", _sweep("ch", "1=,2=2t,3=t,4=3t", "0:pi:5")),
+        ("exit2-schedule-malformed-term", _sweep("ch", "1=0,2=2t+,3=t,4=3t", "0:pi:5")),
+        ("exit2-invalid-json", polytope("vertices", "not_json.json")),
         ("exit2-eigencurves-with-samples", ch_sweep("0:pi:9", "--samples", "20", "--eigencurves")),
         ("exit2-negative-samples", ch_sweep("0:pi:9", "--samples", "-5")),
         ("exit2-negative-seed", ch_sweep("0:pi:9", "--seed", "-1")),
         ("exit3-single-events", polytope("vertices", "22_events.json")),
+        ("exit3-hull-budget", polytope("facets", "22_events.json")),
+        ("exit3-vertex-budget", polytope("vertices", "vertex_budget.json")),
+        # a device that never ends: refused once the budget's bytes are read
+        ("exit3-input-budget", polytope("vertices", "/dev/zero")),
         ("exit3-operator-dim", spectrum("17_dim_op.json")),
         ("exit3-grid-budget", ch_sweep("0:1:100002")),
         ("exit3-samples-budget", ch_sweep("0:pi:1", "--samples", "1000001")),
@@ -383,10 +437,16 @@ def main() -> int:
             finally:
                 os.chdir(home)
     for name in sorted(set(inputs) | set(old["inputs"])):
-        if old["inputs"].get(name) != inputs.get(name):
+        if name not in old["inputs"]:
+            print(f"added input: {name}")
+        elif name not in inputs:
+            print(f"removed input: {name}")
+        elif old["inputs"][name] != inputs[name]:
             print(f"input changed: {name}")
     for entry in entries:
-        if old_entries.get(entry["name"]) != entry:
+        if entry["name"] not in old_entries:
+            print(f"added: {entry['name']}")
+        elif old_entries[entry["name"]] != entry:
             print(f"changed: {entry['name']}")
     for name in sorted(set(old_entries) - {e["name"] for e in entries}):
         print(f"removed: {name}")

@@ -4,10 +4,14 @@ The corpus and the script that rewrites it are ``corpus.json`` and
 ``regen.py`` beside this file.
 """
 
+import pathlib
+import sys
+import types
+
 import pytest
 
 import regen
-from bellbounds import catalog, sampling
+from bellbounds import catalog, cli, sampling
 from bellbounds.polytope import EventStructure, Inequality
 
 CORPUS = regen.load()
@@ -54,3 +58,47 @@ def test_catalog_layouts_are_corpus_inputs(name):
     corpus_ineq = Inequality.from_json(inputs[ineq_file])
     assert corpus_ineq == ineq
     assert list(corpus_ineq.coeffs) == list(ineq.coeffs)
+
+
+# the lines of cli.py that no entry can run in this process, by their source
+# text; test_cli.py's TestFailedWrite runs both in subprocesses
+UNREACHED = {
+    # Python started with fd 1 closed, so sys.stdout is None
+    "raise OSError(errno.EBADF, os.strerror(errno.EBADF))",
+    # a write to the real stdout failed: /dev/full, a closed pipe
+    "sys.stdout = None",
+}
+
+
+def test_entries_reach_every_line_of_cli(tmp_path, monkeypatch):
+    # every line in the functions of cli.py; the module's own lines run at import
+    lines = set()
+
+    def walk(code):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                lines.update(line for _, _, line in const.co_lines() if line)
+                walk(const)
+
+    source = pathlib.Path(cli.__file__).read_text()
+    walk(compile(source, cli.__file__, "exec"))
+    reached = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != cli.__file__:
+            return None
+        reached.add(frame.f_lineno)
+        return trace
+
+    for k, entry in enumerate(CORPUS["entries"]):
+        (tmp_path / str(k)).mkdir()
+        monkeypatch.chdir(tmp_path / str(k))
+        old = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            regen.run(entry["argv"], CORPUS["inputs"])
+        finally:
+            sys.settrace(old)
+    unreached = sorted((source.splitlines()[n - 1].strip(), n) for n in lines - reached)
+    # an allowed line that an entry now runs leaves the list
+    assert [text for text, _ in unreached] == sorted(UNREACHED), unreached

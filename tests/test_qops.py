@@ -243,106 +243,6 @@ def random_layout(seed):
     return structure, ineq, angles
 
 
-class TestBellOperatorStack:
-    @pytest.mark.parametrize(
-        "layout,angles",
-        [
-            ("ch", schedule_angles({1: 0, 2: 2, 3: 1, 4: 3})),
-            ("i33", schedule_angles({1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2})),
-            ("ch", random_angles(4, 20)),
-            ("i33", random_angles(6, 21)),
-            # events listed out of order; event 4 appears in no term
-            ("ch-partial", dict(reversed(random_angles(4, 22).items()))),
-            ("i33", {e: a[:1] for e, a in random_angles(6, 23).items()}),
-        ]
-        + [(seed, None) for seed in range(24, 44)],
-        ids=["ch-readme", "i33", "ch-random", "i33-random", "ch-unused-event", "i33-one-point"]
-        + [f"random-2|3-{seed}" for seed in range(24, 44)],
-    )
-    def test_matches_per_point_sums_bytewise(self, layout, angles):
-        if angles is None:
-            structure, ineq, angles = random_layout(layout)
-        else:
-            structure, ineq = {
-                "ch": (catalog.ch_structure(), catalog.ch_inequality()),
-                "ch-partial": (catalog.ch_structure(), Inequality({(3, 1): 2, 2: -1, (2, 3): Fraction(1, 3)})),
-                "i33": (catalog.i33_structure(), catalog.i33_inequality()),
-            }[layout]
-        G = len(next(iter(angles.values())))
-        ops = bell_operators(ineq, angles, structure)
-        assert ops.shape == (G, 4, 4)
-        # exactly Hermitian with no symmetrisation step
-        assert np.array_equal(ops, np.swapaxes(ops.conj(), -1, -2))
-        for g in range(G):
-            point = {e: float(a[g]) for e, a in angles.items()}
-            ref = per_point_operator(ineq, point, structure).tobytes()
-            assert ops[g].tobytes() == ref
-            assert bell_operator(ineq, point, structure).matrix.tobytes() == ref
-
-    def test_coefficient_too_large_for_a_float(self):
-        ineq = Inequality({(1, 3): 1, 2: 10**400})
-        angles = {1: [0.0, 0.1], 2: [0.5, 0.6], 3: [1.0, 1.1], 4: [1.5, 1.6]}
-        with pytest.raises(InputError, match=r"coefficient of 2 is too large for a float"):
-            bell_operators(ineq, angles, catalog.ch_structure())
-
-    def test_missing_angle_names_first_missing_term(self):
-        # events 2 and 3 have no angle: the joint (2,4) comes before the
-        # single event 3 in coefficient order, though 2 and 3 are both absent
-        ineq = Inequality({1: 1, (4, 2): 1, 3: 1, (2, 3): 1})
-        angles = {1: [0.0, 0.1], 4: [1.5, 1.6]}
-        with pytest.raises(InputError, match=r"^no angle given for joint \(2,4\)$"):
-            bell_operators(ineq, angles, catalog.ch_structure())
-        ineq = Inequality({1: 1, 3: 1, (2, 4): 1})
-        with pytest.raises(InputError, match="^no angle given for event 3$"):
-            bell_operators(ineq, angles, catalog.ch_structure())
-
-    def test_unknown_event(self):
-        angles = {1: 0.0, 2: 0.5, 3: 1.0, 4: 1.5, 9: 1.0}
-        with pytest.raises(InputError):
-            bell_operators(catalog.ch_inequality(), angles, catalog.ch_structure())
-
-    def test_overflowing_sum(self):
-        # each weighted term is finite; their sum on the diagonal is not
-        ineq = Inequality({1: 10**308, 3: 10**308})
-        angles = {1: [0.0, 0.1], 2: [0.5, 0.6], 3: [0.0, 0.1], 4: [1.5, 1.6]}
-        with pytest.raises(NumericError):
-            bell_operators(ineq, angles, catalog.ch_structure())
-
-    def test_unequal_grid_lengths(self):
-        angles = {1: [0.0, 0.1], 2: [0.5], 3: [1.0, 1.1], 4: [1.5, 1.6]}
-        with pytest.raises(InputError):
-            bell_operators(catalog.ch_inequality(), angles, catalog.ch_structure())
-
-
-def per_term_stack(ineq, angles, structure):
-    """Oracle for the gather build: the per-term loop it replaced.
-
-    Each event's projector stack is made in place, (sigma + 1) / 2, and each
-    term's Kronecker stack, with a real identity for the absent side, is
-    weighted and added into the sum in coefficient order.
-    """
-    side_of = structure.side_of_event()
-    eye = np.eye(2)[None]
-    P = {}
-    for e, a in angles.items():
-        c, s = np.cos(np.asarray(a, dtype=np.float64)), np.sin(np.asarray(a, dtype=np.float64))
-        S = np.empty(c.shape + (2, 2), dtype=np.complex128)
-        S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1] = c, s, s, -c
-        S += eye
-        S /= 2.0
-        P[e] = S
-    G = len(next(iter(angles.values())))
-    O = np.zeros((G, 4, 4), dtype=np.complex128)
-    for key, coeff in ineq.coeffs.items():
-        if isinstance(key, int):
-            A, B = (P[key], eye) if side_of[key] == 0 else (eye, P[key])
-        else:
-            i, j = key if side_of[key[0]] == 0 else key[::-1]
-            A, B = P[i], P[j]
-        O += float(coeff) * (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1, 4, 4)
-    return O
-
-
 def full_layout(m, n, left_first, seed):
     """An m|n layout with every joint, its left side numbered first or its
     right side first, and a seeded inequality on a random subset of its
@@ -390,14 +290,49 @@ def special_angles(n_events, G, seed):
 BLOCK = qops._BUILD_BLOCK
 
 
-class TestGatherBuild:
+class TestBellOperatorStack:
+    @pytest.mark.parametrize(
+        "layout,angles",
+        [
+            ("ch", schedule_angles({1: 0, 2: 2, 3: 1, 4: 3})),
+            ("i33", schedule_angles({1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2})),
+            ("ch", random_angles(4, 20)),
+            ("i33", random_angles(6, 21)),
+            # events listed out of order; event 4 appears in no term
+            ("ch-partial", dict(reversed(random_angles(4, 22).items()))),
+            ("i33", {e: a[:1] for e, a in random_angles(6, 23).items()}),
+        ]
+        + [(seed, None) for seed in range(24, 44)],
+        ids=["ch-readme", "i33", "ch-random", "i33-random", "ch-unused-event", "i33-one-point"]
+        + [f"random-2|3-{seed}" for seed in range(24, 44)],
+    )
+    def test_matches_per_point_sums_bytewise(self, layout, angles):
+        if angles is None:
+            structure, ineq, angles = random_layout(layout)
+        else:
+            structure, ineq = {
+                "ch": (catalog.ch_structure(), catalog.ch_inequality()),
+                "ch-partial": (catalog.ch_structure(), Inequality({(3, 1): 2, 2: -1, (2, 3): Fraction(1, 3)})),
+                "i33": (catalog.i33_structure(), catalog.i33_inequality()),
+            }[layout]
+        G = len(next(iter(angles.values())))
+        ops = bell_operators(ineq, angles, structure)
+        assert ops.shape == (G, 4, 4)
+        # exactly Hermitian with no symmetrisation step
+        assert np.array_equal(ops, np.swapaxes(ops.conj(), -1, -2))
+        for g in range(G):
+            point = {e: float(a[g]) for e, a in angles.items()}
+            ref = per_point_operator(ineq, point, structure).tobytes()
+            assert ops[g].tobytes() == ref
+            assert bell_operator(ineq, point, structure).matrix.tobytes() == ref
+
     @pytest.mark.parametrize("G", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 1])
     @pytest.mark.parametrize(
         "m,n,left_first",
         [(2, 2, True), (3, 3, True), (2, 4, True), (2, 4, False), (4, 4, False)],
         ids=["2|2", "3|3", "2|4", "2|4-right-first", "4|4-right-first"],
     )
-    def test_bit_equal_to_per_term_loop(self, m, n, left_first, G):
+    def test_block_edges_match_per_point_sums(self, m, n, left_first, G):
         for seed in range(3):
             structure, ineq = full_layout(m, n, left_first, 100 * m + 10 * n + seed)
             # one negative term: its zero entries are -0.0, which only a sum
@@ -405,9 +340,45 @@ class TestGatherBuild:
             one_term = Inequality({structure.term_order()[-1 - seed]: Fraction(-1, 3)})
             angles = special_angles(m + n, G, seed + G)
             for ineq in (ineq, one_term):
-                got = bell_operators(ineq, angles, structure)
-                # tobytes compares every bit, signed zeros included
-                assert got.tobytes() == per_term_stack(ineq, angles, structure).tobytes()
+                ops = bell_operators(ineq, angles, structure)
+                for g in range(G):
+                    point = {e: float(a[g]) for e, a in angles.items()}
+                    # tobytes compares every bit, signed zeros included
+                    assert ops[g].tobytes() == per_point_operator(ineq, point, structure).tobytes()
+
+    def test_coefficient_too_large_for_a_float(self):
+        ineq = Inequality({(1, 3): 1, 2: 10**400})
+        angles = {1: [0.0, 0.1], 2: [0.5, 0.6], 3: [1.0, 1.1], 4: [1.5, 1.6]}
+        with pytest.raises(InputError, match=r"coefficient of 2 is too large for a float"):
+            bell_operators(ineq, angles, catalog.ch_structure())
+
+    def test_missing_angle_names_first_missing_term(self):
+        # events 2 and 3 have no angle: the joint (2,4) comes before the
+        # single event 3 in coefficient order, though 2 and 3 are both absent
+        ineq = Inequality({1: 1, (4, 2): 1, 3: 1, (2, 3): 1})
+        angles = {1: [0.0, 0.1], 4: [1.5, 1.6]}
+        with pytest.raises(InputError, match=r"^no angle given for joint \(2,4\)$"):
+            bell_operators(ineq, angles, catalog.ch_structure())
+        ineq = Inequality({1: 1, 3: 1, (2, 4): 1})
+        with pytest.raises(InputError, match="^no angle given for event 3$"):
+            bell_operators(ineq, angles, catalog.ch_structure())
+
+    def test_unknown_event(self):
+        angles = {1: 0.0, 2: 0.5, 3: 1.0, 4: 1.5, 9: 1.0}
+        with pytest.raises(InputError):
+            bell_operators(catalog.ch_inequality(), angles, catalog.ch_structure())
+
+    def test_overflowing_sum(self):
+        # each weighted term is finite; their sum on the diagonal is not
+        ineq = Inequality({1: 10**308, 3: 10**308})
+        angles = {1: [0.0, 0.1], 2: [0.5, 0.6], 3: [0.0, 0.1], 4: [1.5, 1.6]}
+        with pytest.raises(NumericError):
+            bell_operators(ineq, angles, catalog.ch_structure())
+
+    def test_unequal_grid_lengths(self):
+        angles = {1: [0.0, 0.1], 2: [0.5], 3: [1.0, 1.1], 4: [1.5, 1.6]}
+        with pytest.raises(InputError):
+            bell_operators(catalog.ch_inequality(), angles, catalog.ch_structure())
 
 
 class TestChshOperator:
