@@ -1,6 +1,6 @@
 """Rewrite the golden corpus, ``corpus.json`` beside this file.
 
-The corpus pins the bytes of 127 ``bellbounds`` commands, 79 of them
+The corpus pins the bytes of 129 ``bellbounds`` commands, 79 of them
 refusals.  Each entry holds a command's argv, its exit code, and the sha256
 of its stdout, its stderr and each file it writes.  Its ``inputs`` map holds the
 documents the commands read, named in argv by relative path: a JSON
@@ -101,6 +101,12 @@ def build_inputs() -> dict[str, dict | str]:
         # CH on settings 1, 2 | 3, 4, lifted with zeros: a facet of 2x4 too
         "2x4_ineq.json": {**_ch_ineq(), **ch_bounds},
         "i33.json": _structure((1, 2, 3), (4, 5, 6)),
+        # every cross joint of 2 | 3: 48 facets
+        "2x3.json": _structure((1, 2), (3, 4, 5)),
+        # 3 | 3 with the joint (3,6) dropped
+        "i33_drop.json": _structure(
+            (1, 2, 3), (4, 5, 6), [(1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5)]
+        ),
         # three settings against four on a 6-cycle plus (1,4): 128 vertices,
         # so DD's step masks take two 64-bit words
         "wide.json": _structure(
@@ -232,7 +238,8 @@ def build_commands() -> list[tuple[str, list[str]]]:
             (f"verify-{layout}", ["polytope", "verify", *s, "--ineq", f"{layout}_ineq.json"]),
         ]
     cmds += [(f"facets-{layout}", ["polytope", "facets", "--structure", f"{layout}.json",
-                                   "--out", "facets.json"]) for layout in ("wide", "dim16")]
+                                   "--out", "facets.json"])
+             for layout in ("wide", "dim16", "2x3", "i33_drop")]
     cmds += [
         ("vertices-ch-out", ["polytope", "vertices", "--structure", "ch.json", "--out", "vertices.json"]),
         ("facets-ch-stdout", ["polytope", "facets", "--structure", "ch.json"]),

@@ -470,14 +470,17 @@ class TestDDRays:
             monkeypatch.setattr(polytope, "PAIR_BLOCK", block)
             assert _dd_rays(vertices) == want
 
-    @pytest.mark.parametrize("name", ["2x4", "i33", "wide"])
+    @pytest.mark.parametrize("name", ["2x4", "i33", "wide", "dim16"])
     def test_witness_list_invariance(self, name, monkeypatch):
-        # the witness list only spares pairs the AND would reject; with no
-        # list every pair runs the AND
+        # the witness list and the probes only spare pairs the AND would
+        # reject; with neither, every pair runs the AND.  With more probes
+        # than rays every ray is a probe, so a probe that may be one of its
+        # own pair rules out every pair
         vertices = enumerate_vertices(LAYOUTS[name])
         want = _dd_rays(vertices)
-        for length in (0, 1):
+        for length, probes in itertools.product((0, 1, polytope.WITNESSES), (0, 1, 10**6)):
             monkeypatch.setattr(polytope, "WITNESSES", length)
+            monkeypatch.setattr(polytope, "PROBES", probes)
             assert _dd_rays(vertices) == want
 
     @given(st.lists(st.tuples(*[st.integers(0, 2**128 - 1)] * 2), max_size=8))
@@ -646,7 +649,8 @@ class TestDim16Hull:
 def test_three_by_four_hull(tmp_path_factory, monkeypatch):
     # three settings against four, every cross joint: dimension 19, above
     # the CLI's budget, and the one hull whose two-word prefilter meets
-    # millions of pairs; about 20 s of DD, so it runs under `pytest -m slow`
+    # millions of pairs; 17-23 s of DD CPU on a 2-core VM, so it runs under
+    # `pytest -m slow`
     monkeypatch.setattr(polytope, "MAX_HULL_DIMENSION", 19)
     structure = full_layout(3, 4)
     path = facets_file(tmp_path_factory, structure)
