@@ -177,7 +177,7 @@ def parse_grid(spec: str) -> list[float]:
 #: is an inequality on polytope.MAX_SINGLE_EVENTS = 20 events split 10|10, so
 #: 20 single terms and 100 joints, each coefficient and both bounds a
 #: fraction of two 4300-digit integers (Python's int digit limit): about
-#: 1.05 MB of JSON.  An operator file (dim <= spectra.MAX_EIG_DIM = 16)
+#: 1.05 MB of JSON.  An operator file (dim <= qops.MAX_EIG_DIM = 16)
 #: carries at most such an inequality as its source plus 512 floats.  4 MiB
 #: leaves room for indentation.
 MAX_INPUT_BYTES = 1 << 22

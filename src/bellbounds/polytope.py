@@ -180,13 +180,13 @@ class Inequality:
                     key: TermKey = (int(i), int(j))
                 else:
                     key = int(ks)
-                coeffs[key] = _read_fraction(v)
+                coeffs[key] = _read_fraction(v, f"coefficient {ks!r}")
             lower = obj.get("lower")
             upper = obj.get("upper")
             return cls(
                 coeffs,
-                None if lower is None else _read_fraction(lower),
-                None if upper is None else _read_fraction(upper),
+                None if lower is None else _read_fraction(lower, "lower"),
+                None if upper is None else _read_fraction(upper, "upper"),
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad inequality JSON: {exc}") from exc
@@ -198,10 +198,14 @@ class Inequality:
         return _canonical(vec, lo, up)
 
 
-def _read_fraction(v) -> Fraction:
-    """A coefficient or bound read from JSON, as a Fraction.  A string whose
-    decimal exponent exceeds _MAX_EXPONENT in magnitude is an InputError,
-    refused before Fraction builds the power of ten."""
+def _read_fraction(v, what: str) -> Fraction:
+    """A coefficient or bound read from JSON, as a Fraction; ``what`` names
+    it in the errors.  A JSON boolean, which Fraction reads as 0 or 1, is an
+    InputError, and so is a string whose decimal exponent exceeds
+    _MAX_EXPONENT in magnitude, refused before Fraction builds the power of
+    ten."""
+    if isinstance(v, bool):
+        raise InputError(f"{what} must be a JSON number or string, not bool")
     if isinstance(v, str):
         _, e, exponent = v.lower().partition("e")
         try:

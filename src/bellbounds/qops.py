@@ -44,6 +44,9 @@ BELL_BASIS = np.array(
 
 Side = Literal["left", "right"]
 
+#: Largest matrix dimension that the eigensolver and the operator reader take
+MAX_EIG_DIM = 16
+
 
 def canonical_angle(theta: float) -> float:
     """Representative in [0, 2*pi); operators themselves are 2*pi-periodic."""
@@ -62,7 +65,10 @@ def _unit(big: float) -> float:
     """The power of two at or below big, or 1 for big = 0: the unit of a
     matrix whose largest real or imaginary component is big.  Dividing by
     it is exact, so a check on the matrix in its units decides the same way
-    for the matrix times any power of two."""
+    for the matrix times any power of two.  A NaN or infinite big, from a
+    matrix with such an entry, raises NumericError."""
+    if not math.isfinite(big):
+        raise NumericError("matrix has non-finite entries")
     return math.ldexp(1.0, math.frexp(big)[1] - 1) if big else 1.0
 
 
@@ -71,7 +77,7 @@ def _stack_units(M: np.ndarray) -> np.ndarray:
     non-finite entries raise NumericError."""
     big = _components(M).max(axis=(-2, -1))
     if not np.isfinite(big).all():
-        raise NumericError("matrix stack has non-finite entries")
+        raise NumericError("matrix has non-finite entries")
     return np.ldexp(1.0, np.frexp(big)[1] - (big > 0))  # 2^0 for a zero matrix
 
 
@@ -92,10 +98,7 @@ def _check_norm(M: np.ndarray) -> tuple[float, np.ndarray, float]:
     NumericError.  The norm is computed on M in its units, so entries near
     the float maximum cannot overflow it and pass the check that way.
     """
-    big = float(_components(M).max())  # NaN if any entry is
-    if not math.isfinite(big):
-        raise NumericError("matrix has non-finite entries")
-    unit = _unit(big)
+    unit = _unit(float(_components(M).max()))  # NaN, refused, if any entry is
     A = _in_units(M, unit)
     norm = math.sqrt(np.vdot(A, A).real)
     if not math.isfinite(unit * norm):
@@ -120,6 +123,15 @@ def _complex_pairs(A: np.ndarray) -> list:
     """A complex array as nested lists of [re, im] floats, for JSON."""
     A = np.ascontiguousarray(A, dtype=np.complex128)
     return A.view(np.float64).reshape(A.shape + (2,)).tolist()
+
+
+def _read_complex(pair) -> complex:
+    """One [re, im] pair of :func:`_complex_pairs` read back.  A JSON
+    boolean part, which complex() reads as 0 or 1, is an InputError."""
+    re, im = pair
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise InputError("[re, im] parts must be JSON numbers, not bool")
+    return complex(re, im)
 
 
 def sigma(theta: float) -> np.ndarray:
@@ -181,18 +193,17 @@ class BellOperator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BellOperator":
-        from .spectra import MAX_EIG_DIM  # here, since spectra imports this module
-
         try:
-            dim = int(obj["dim"])
+            raw = obj["dim"]
+            dim = int(raw)  # a word or an infinite float fails here
+            # json reads an integer as an int; a bool is an int subclass
+            if type(raw) is not int:
+                raise InputError(f"dim must be a JSON integer, not {type(raw).__name__}")
             # refused before the entry grid is built
             if dim > MAX_EIG_DIM:
                 raise BudgetError(f"operator dimension {dim} above limit {MAX_EIG_DIM}")
             entries = obj["entries"]
-            M = np.array(
-                [[complex(re, im) for re, im in row] for row in entries],
-                dtype=np.complex128,
-            )
+            M = np.array([[_read_complex(z) for z in row] for row in entries], dtype=np.complex128)
             if M.shape != (dim, dim):
                 raise InputError("entry grid does not match dim")
             basis = obj.get("basis", COMPUTATIONAL)
@@ -201,6 +212,8 @@ class BellOperator:
             angles = obj.get("angles")
             if angles is not None and not isinstance(angles, dict):
                 raise InputError(f"angles must be a JSON object, not {type(angles).__name__}")
+            if angles is not None and any(isinstance(v, bool) for v in angles.values()):
+                raise InputError("angles must be JSON numbers, not bool")
             source = obj.get("source")
             return cls(
                 matrix=M,

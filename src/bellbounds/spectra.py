@@ -24,6 +24,7 @@ from . import kernels
 from .errors import BudgetError, InputError, NumericError
 from .qops import (
     BELL,
+    MAX_EIG_DIM,
     BellOperator,
     _check_hermitian,
     _complex_pairs,
@@ -33,7 +34,6 @@ from .qops import (
     _unit,
 )
 
-MAX_EIG_DIM = 16
 DEGENERACY_GAP = 1e-9
 RESIDUAL_TOL = 1e-10
 
@@ -204,10 +204,7 @@ def _o33_blocks(M: np.ndarray) -> tuple[float, np.ndarray]:
     raises InputError.
     """
     C = _components(M)  # column 2k holds |Re M[:, k]|, column 2k + 1 |Im M[:, k]|
-    big = float(C.max())
-    if not math.isfinite(big):
-        raise NumericError("matrix has non-finite entries")
-    tol = 1e-10 * _unit(big)
+    tol = 1e-10 * _unit(float(C.max()))
     off = max(float(C[0, 2:].max()), float(C[1:, :2].max()))
     if off > tol:
         raise InputError(
@@ -273,11 +270,14 @@ def cardano_eigenvalues(o3: np.ndarray) -> list[float]:
     term is required for agreement with the numeric eigensolver.  The cubic
     is solved on the matrix in its units (:func:`_unit` of its largest
     entry), where the symmetry and triple-root tests are taken, and the
-    roots are scaled back.
+    roots are scaled back.  Non-finite entries raise NumericError.
     """
-    unit = _unit(float(np.abs(o3).max(initial=0.0)))
-    o3 = np.asarray(np.divide(o3, unit), dtype=np.float64)
-    if o3.shape != (3, 3) or float(np.max(np.abs(o3 - o3.T))) > 1e-10:
+    o3 = np.asarray(o3, dtype=np.float64)
+    if o3.shape != (3, 3):
+        raise InputError("expected a symmetric 3x3 matrix")
+    unit = _unit(float(np.abs(o3).max()))
+    o3 = o3 / unit
+    if float(np.max(np.abs(o3 - o3.T))) > 1e-10:
         raise InputError("expected a symmetric 3x3 matrix")
     # characteristic polynomial x^3 + b x^2 + c x + d
     tr = float(np.trace(o3))

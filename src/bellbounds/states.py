@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, InputError
-from .qops import BELL, BELL_BASIS, COMPUTATIONAL, _complex_pairs
+from .qops import BELL, BELL_BASIS, COMPUTATIONAL, _complex_pairs, _read_complex
 
 
 @dataclass
@@ -60,10 +60,7 @@ class PureState:
     @classmethod
     def from_json(cls, obj: dict) -> "PureState":
         try:
-            amps = np.array(
-                [complex(re, im) for re, im in obj["amplitudes"]],
-                dtype=np.complex128,
-            )
+            amps = np.array([_read_complex(z) for z in obj["amplitudes"]], dtype=np.complex128)
             return cls(amps, obj.get("basis", COMPUTATIONAL))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad state JSON: {exc}") from exc

@@ -1,6 +1,6 @@
 """Rewrite the golden corpus, ``corpus.json`` beside this file.
 
-The corpus pins the bytes of 129 ``bellbounds`` commands, 79 of them
+The corpus pins the bytes of 148 ``bellbounds`` commands, 98 of them
 refusals.  Each entry holds a command's argv, its exit code, and the sha256
 of its stdout, its stderr and each file it writes.  Its ``inputs`` map holds the
 documents the commands read, named in argv by relative path: a JSON
@@ -12,8 +12,12 @@ The corpus is the one place an output's sha256 is pinned; the 3x4 facet
 list, which the CLI's dimension budget refuses, is the only exception.  It
 is also the one place a refusal is checked by its exit code, its message
 and the files it leaves: every refusal a test makes only through those
-is an entry here.  Every command's bytes are the same under each OpenBLAS
-kernel, so the corpus also holds with ``OPENBLAS_CORETYPE`` set.  Outputs
+is an entry here, and so is each refusal of the readers of the input
+files (``EventStructure``, ``Inequality``, ``BellOperator.from_json``,
+``PureState``): ``test_corpus.py`` traces the entries and fails on a line
+of ``cli.py`` or of those readers that no entry runs.  Every command's
+bytes are the same under each OpenBLAS kernel, so the corpus also holds
+with ``OPENBLAS_CORETYPE`` set.  Outputs
 that still round through a BLAS kernel at full precision are left out:
 the CH eigencurves on 1001 points, the sampled CH sweep on 1001 points,
 ``bound`` on angles where an eigenvalue is zero, whose printed rounding
@@ -175,6 +179,12 @@ def _refused_inputs() -> dict[str, dict | str]:
         "digit_strings.json": {"n_single": 4, "sides": ["12", "34"], "joints": ["13", "14", "23", "24"]},
         "float_n_single.json": {**_structure((1, 2), (3, 4)), "n_single": 4.9},
         "duplicate_joint.json": _structure((1, 2), (3, 4), [(1, 3), (3, 1), (1, 4), (2, 3), (2, 4)]),
+        "no_events.json": {"n_single": 0, "sides": [[], []], "joints": []},
+        "gap_sides.json": {"n_single": 3, "sides": [[1, 2], [4]], "joints": [[1, 4]]},
+        "joint_out_of_range.json": _structure((1, 2), (3, 4), [(1, 3), (1, 5)]),
+        "same_side_joint.json": _structure((1, 2), (3, 4), [(1, 3), (1, 2)]),
+        "no_joints.json": {"n_single": 2, "sides": [[1], [2]]},
+        "triple_joint.json": {"n_single": 3, "sides": [[1], [2, 3]], "joints": [[1, 2, 3]]},
         "three_sides.json": {"n_single": 3, "sides": [[1], [2], [3]], "joints": [[1, 2], [2, 3]]},
         "three_sides_ineq.json": {"coeffs": {"1,2": 1, "2,3": 1}},
         # 22 single events, past the budget of 20
@@ -191,9 +201,24 @@ def _refused_inputs() -> dict[str, dict | str]:
         # each coefficient is a float, but their sum on the diagonal is not
         "sum_overflow_ineq.json": {"coeffs": {"1": 1e308, "3": 1e308}, "upper": 0},
         "word_ineq.json": {"coeffs": {"1,3": "one"}},
+        "zero_ineq.json": {"coeffs": {"1,3": 0, "1": "0"}},
+        "crossed_bounds_ineq.json": {"coeffs": {"1,3": 1}, "lower": 1, "upper": "1/2"},
+        "event_9_ineq.json": {"coeffs": {"1,3": 1, "9": -1}, "upper": 0},
+        # an exponent one past polytope._MAX_EXPONENT
+        "1e4301_ineq.json": {"coeffs": {"1,3": "1e4301", "1": -1}, "upper": 0},
+        # a JSON boolean is no number, though Fraction reads true as 1
+        "true_coeff_ineq.json": {"coeffs": {"1,3": True, "1": -1}, "upper": 0},
+        "false_lower_ineq.json": {**_ch_ineq(), "lower": False},
+        "false_upper_ineq.json": {**_ch_ineq(), "upper": False},
         "17_dim_op.json": {"dim": 17, "entries": []},
         "1e400_dim_op.json": '{"dim": 1e400, "basis": "computational", "entries": [[[1, 0]]]}',
         "dim_word_op.json": {**one, "dim": "four"},
+        # int() reads each of these as a dimension: 4, 4 and 1
+        "float_dim_op.json": {**one, "dim": 4.7},
+        "string_dim_op.json": {**one, "dim": "4"},
+        "bool_dim_op.json": {**one, "dim": True},
+        "bool_entry_op.json": {"dim": 1, "entries": [[[True, 0]]]},
+        "bool_angle_op.json": {**one, "angles": {"1": True}},
         "no_entries_op.json": {"dim": 1},
         "unpaired_op.json": {"dim": 1, "entries": [[1]]},
         "dim_mismatch_op.json": {"dim": 2, "basis": "computational", "entries": identity},
@@ -207,6 +232,7 @@ def _refused_inputs() -> dict[str, dict | str]:
         "10^400_state.json": {"amplitudes": [[10**400, 0], [1, 0], [0, 0], [0, 0]]},
         "no_amplitudes_state.json": {"basis": "computational"},
         "unpaired_state.json": {"amplitudes": [1, 0, 0, 0]},
+        "bool_amplitudes_state.json": {"amplitudes": [[True, False], [0, 0], [0, 0], [0, 0]]},
         "three_amplitudes_state.json": {"amplitudes": SINGLET[:3]},
         "unnormalized_state.json": {"amplitudes": [[1, 0], [1, 0], [0, 0], [0, 0]]},
         "pauli_state.json": {"basis": "pauli", "amplitudes": SINGLET},
@@ -329,19 +355,30 @@ def _refusals() -> list[tuple[str, list[str]]]:
         ("exit2-digit-strings", verify("ch_ineq.json", "digit_strings.json")),
         ("exit2-float-n-single", verify("ch_ineq.json", "float_n_single.json")),
         ("exit2-duplicate-joint", polytope("facets", "duplicate_joint.json")),
+        *((f"exit2-{name.replace('_', '-')}", polytope("vertices", f"{name}.json"))
+          for name in ("no_events", "gap_sides", "joint_out_of_range", "same_side_joint",
+                       "no_joints", "triple_joint")),
         ("exit2-three-sides", ["bound", "--structure", "three_sides.json",
                                "--ineq", "three_sides_ineq.json", "--angles", "1=0,2=0,3=0"]),
         ("exit2-infinite-coefficient", verify("infinite_coeff_ineq.json")),
         ("exit2-1e400-upper", verify("1e400_upper_ineq.json")),
         ("exit2-coefficient-word", _bound("ch", "1=0,2=0,3=0,4=0", "word_ineq.json")),
+        ("exit2-zero-inequality", verify("zero_ineq.json")),
+        ("exit2-crossed-bounds", verify("crossed_bounds_ineq.json")),
+        ("exit2-unknown-term-key", verify("event_9_ineq.json")),
+        ("exit2-exponent-limit", verify("1e4301_ineq.json")),
+        ("exit2-true-coefficient", verify("true_coeff_ineq.json")),
+        ("exit2-false-lower", _bound("ch", CH_ANGLES, "false_lower_ineq.json")),
+        ("exit2-false-upper", verify("false_upper_ineq.json")),
         ("verify-ch-10^400", verify("10^400_ineq.json")),
         ("exit2-bound-10^400", _bound("ch", CH_ANGLES, "10^400_ineq.json")),
         *((f"exit2-operator-{name.replace('_', '-')}", spectrum(f"{name}_op.json"))
-          for name in ("1e400_dim", "dim_word", "no_entries", "unpaired", "dim_mismatch",
-                       "pauli", "angles_list", "bad_source", "non_hermitian")),
+          for name in ("1e400_dim", "dim_word", "float_dim", "string_dim", "bool_dim",
+                       "no_entries", "unpaired", "bool_entry", "dim_mismatch", "pauli",
+                       "angles_list", "bool_angle", "bad_source", "non_hermitian")),
         *((f"exit2-state-{name.replace('_', '-')}", ["state", "analyze", "--state", f"{name}_state.json"])
-          for name in ("nan", "10^400", "no_amplitudes", "unpaired", "three_amplitudes",
-                       "unnormalized", "pauli")),
+          for name in ("nan", "10^400", "no_amplitudes", "unpaired", "bool_amplitudes",
+                       "three_amplitudes", "unnormalized", "pauli")),
         ("exit2-unwritable-facets", polytope("facets", "ch.json", "--out", "missing/facets.json")),
         ("exit2-unwritable-operator", [*build, "--angles", CH_ANGLES, "--out", "missing/op.json"]),
         ("exit2-unwritable-spectrum", spectrum("tridiagonal_op.json", "--out", "missing/spectrum.json")),

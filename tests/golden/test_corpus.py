@@ -4,6 +4,7 @@ The corpus and the script that rewrites it are ``corpus.json`` and
 ``regen.py`` beside this file.
 """
 
+import linecache
 import pathlib
 import sys
 import types
@@ -11,8 +12,10 @@ import types
 import pytest
 
 import regen
-from bellbounds import catalog, cli, sampling
+from bellbounds import catalog, cli, polytope, sampling
 from bellbounds.polytope import EventStructure, Inequality
+from bellbounds.qops import BellOperator
+from bellbounds.states import PureState
 
 CORPUS = regen.load()
 
@@ -69,25 +72,35 @@ UNREACHED = {
     "sys.stdout = None",
 }
 
+# the readers of the CLI's input files, every line of which an entry runs too
+READERS = [EventStructure.__post_init__, EventStructure.from_json, Inequality.__post_init__,
+           Inequality.from_json, Inequality.check_keys, polytope._read_fraction,
+           BellOperator.from_json, PureState.__post_init__, PureState.from_json]
+
+
+def nested(code):
+    """``code`` and every code object nested in it."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from nested(const)
+
 
 def test_entries_reach_every_line_of_cli(tmp_path, monkeypatch):
-    # every line in the functions of cli.py; the module's own lines run at import
-    lines = set()
-
-    def walk(code):
-        for const in code.co_consts:
-            if isinstance(const, types.CodeType):
-                lines.update(line for _, _, line in const.co_lines() if line)
-                walk(const)
-
-    source = pathlib.Path(cli.__file__).read_text()
-    walk(compile(source, cli.__file__, "exec"))
+    # every line in the functions of cli.py, whose own lines run at import,
+    # and in the readers
+    module = compile(pathlib.Path(cli.__file__).read_text(), cli.__file__, "exec")
+    readers = [c for reader in READERS for c in nested(reader.__code__)]
+    codes = [*nested(module)][1:] + readers
+    lines = {(c.co_filename, line) for c in codes for _, _, line in c.co_lines() if line}
+    reader_ids = {id(c) for c in readers}
     reached = set()
 
     def trace(frame, event, arg):
-        if frame.f_code.co_filename != cli.__file__:
+        code = frame.f_code
+        if code.co_filename != cli.__file__ and id(code) not in reader_ids:
             return None
-        reached.add(frame.f_lineno)
+        reached.add((code.co_filename, frame.f_lineno))
         return trace
 
     for k, entry in enumerate(CORPUS["entries"]):
@@ -99,6 +112,6 @@ def test_entries_reach_every_line_of_cli(tmp_path, monkeypatch):
             regen.run(entry["argv"], CORPUS["inputs"])
         finally:
             sys.settrace(old)
-    unreached = sorted((source.splitlines()[n - 1].strip(), n) for n in lines - reached)
+    unreached = sorted((linecache.getline(f, n).strip(), f, n) for f, n in lines - reached)
     # an allowed line that an entry now runs leaves the list
-    assert [text for text, _ in unreached] == sorted(UNREACHED), unreached
+    assert [text for text, _, _ in unreached] == sorted(UNREACHED), unreached

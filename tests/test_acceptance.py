@@ -62,15 +62,15 @@ def test_acceptance_2_tsirelson_bound(capsys):
     for g in np.linspace(0.0, math.pi / 2, 101):
         O = chsh_operator(0.0, math.pi / 2, g, g + math.pi / 2)
         best = max(best, quantum_bound(O).norm)
-    assert abs(best - 2 * SQRT2) < 1e-9
+    assert abs(best - 2 * SQRT2) < 1e-12
     O = chsh_operator(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
-    assert abs(quantum_bound(O).norm - 2 * SQRT2) < 1e-9
+    assert abs(quantum_bound(O).norm - 2 * SQRT2) < 1e-12
     O22 = bell_operator(
         catalog.ch_inequality(),
         catalog.sweep_schedule_22(math.pi / 4),
         catalog.ch_structure(),
     )
-    assert abs(quantum_bound(O22).lambda_max - (SQRT2 - 1) / 2) < 1e-9
+    assert abs(quantum_bound(O22).lambda_max - (SQRT2 - 1) / 2) < 1e-12
     report(capsys, 2, "correlation-form bound 2*sqrt(2); probability form (sqrt(2)-1)/2")
 
 
@@ -81,7 +81,7 @@ def test_acceptance_3_three_setting_landmark(capsys):
         catalog.i33_structure(),
     )
     qb = quantum_bound(O)
-    assert abs(qb.lambda_max - 0.25) < 1e-9
+    assert abs(qb.lambda_max - 0.25) < 1e-12
     argmax = PureState(qb.argmax_state)
     target = psi_max_33().to_computational()
     assert phase_aligned_distance(argmax, target) < 1e-8
@@ -109,6 +109,7 @@ def test_acceptance_5_hull_correctness(capsys):
     facets = hull_facets(vertices, ch)
     t_ch = time.perf_counter() - t0
     assert t_ch < 1.0
+    assert len(facets) == 24
     keys = {f.canonical_key(ch) for f in facets}
     assert {f.canonical_key(ch) for f in catalog.ch_family()} <= keys
     for f in facets:
@@ -133,6 +134,7 @@ def test_acceptance_6_sign_variant(capsys):
     assert bad.witness is not None
     good = verify_facet(catalog.ch_inequality(), vertices, ch)
     assert good.valid and good.is_facet
+    assert good.witness is None
     report(capsys, 6, "sign variant rejected with witness; canonical form is a facet")
 
 
@@ -169,23 +171,25 @@ def test_acceptance_8_csv_curves(capsys):
     )
     buf = io.StringIO()
     write_sweep_csv(rows, buf)
-    for line in buf.getvalue().splitlines()[1:]:
-        f = line.split(",")
-        theta, amax = float(f[0]), float(f[2])
-        want = (math.sqrt(1.0 + math.sin(2 * theta) ** 2) - 1.0) / 2.0
-        assert abs(amax - want) < 1e-10
+    for r, line in zip(rows, buf.getvalue().splitlines()[1:], strict=True):
+        want = (math.sqrt(1.0 + math.sin(2 * r.parameter) ** 2) - 1.0) / 2.0
+        assert abs(r.analytic_max - want) < 1e-12
+        assert abs(r.analytic_min - (-1.0 - want)) < 1e-12
+        # the CSV cell holds 12 significant digits
+        assert abs(float(line.split(",")[2]) - want) < 1e-10
     curves = eigencurves(
         catalog.i33_inequality(),
         catalog.i33_structure(),
         catalog.symmetric_angles_33,
         grid,
     )
+    assert len(curves) == len(grid)
     buf = io.StringIO()
     write_eigencurves_csv(curves, buf)
-    for line in buf.getvalue().splitlines()[1:]:
-        f = [float(x) for x in line.split(",")]
-        theta, lams = f[0], f[1:]
-        assert abs(lams[0] - (-math.sin(theta) ** 2)) < 1e-9
+    for (theta, lams), line in zip(curves, buf.getvalue().splitlines()[1:], strict=True):
+        cells = [float(x) for x in line.split(",")[1:]]
+        assert len(lams) == len(cells) == 4
+        assert abs(lams[0] - (-math.sin(theta) ** 2)) < 1e-10
         O = to_bell_basis(
             bell_operator(
                 catalog.i33_inequality(),
@@ -195,7 +199,7 @@ def test_acceptance_8_csv_curves(capsys):
         )
         o1, o3 = o33_block_decompose(O)
         want = [o1] + cardano_eigenvalues(o3)
-        assert np.allclose(lams, want, atol=1e-9)
+        assert np.allclose(cells, want, atol=1e-9)
     report(capsys, 8, "sweep and eigencurve CSVs match their closed-form curves pointwise")
 
 

@@ -238,7 +238,7 @@ def operator_docs():
 
 
 # an operator whose source inequality carries a huge exponent, and one that
-# declares a dimension above spectra.MAX_EIG_DIM
+# declares a dimension above qops.MAX_EIG_DIM
 HUGE_EXPONENT_SOURCE = json.dumps({**operator_docs()[2], "source": json.loads(HUGE_EXPONENT)})
 HUGE_DIM = json.dumps({**operator_docs()[2], "dim": 10**6})
 

@@ -262,17 +262,6 @@ class TestHullFacets:
         with pytest.raises(InputError, match=match):
             hull_forms(vertices, single)
 
-    def test_ch_facets(self, ch, ch_vertices):
-        facets = hull_facets(ch_vertices, ch)
-        assert len(facets) == 24
-        got = canon_set(facets, ch)
-        assert canon_set(catalog.ch_family(), ch) <= got
-
-    def test_all_facets_pass_oracle(self, ch, ch_vertices):
-        for f in hull_facets(ch_vertices, ch):
-            check = verify_facet(f, ch_vertices, ch)
-            assert check.valid and check.is_facet
-
     def test_facet_bounds_are_classical_range(self, ch, ch_vertices):
         for f in hull_facets(ch_vertices, ch):
             lo, hi = classical_range(f, ch)
@@ -771,12 +760,6 @@ class TestClassicalRange:
 
 
 class TestVerifyFacet:
-    def test_valid_ch_variant(self, ch, ch_vertices):
-        check = verify_facet(catalog.ch_inequality(), ch_vertices, ch)
-        assert check.valid
-        assert check.is_facet
-        assert check.witness is None
-
     def test_printed_variant_invalid(self, ch, ch_vertices):
         check = verify_facet(
             catalog.ch_inequality_printed_variant(), ch_vertices, ch

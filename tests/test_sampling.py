@@ -142,11 +142,6 @@ def two_setting_sweep():
 
 
 class TestSweep:
-    def test_analytic_curve(self, two_setting_sweep):
-        for r in two_setting_sweep:
-            assert abs(r.analytic_max - analytic_max_22(r.parameter)) < 1e-12
-            assert abs(r.analytic_min - (-1.0 - analytic_max_22(r.parameter))) < 1e-12
-
     def test_samples_inside_analytic_bounds(self, two_setting_sweep):
         for r in two_setting_sweep:
             assert r.sampled_min >= r.analytic_min - 1e-10
@@ -543,20 +538,6 @@ class TestPureStatePolish:
 
 
 class TestEigencurves:
-    def test_three_setting_layout(self):
-        grid = list(np.linspace(0.05, math.pi - 0.05, 25))
-        curves = eigencurves(
-            catalog.i33_inequality(),
-            catalog.i33_structure(),
-            catalog.symmetric_angles_33,
-            grid,
-        )
-        assert len(curves) == len(grid)
-        for theta, lams in curves:
-            assert len(lams) == 4
-            # first column is the isolated 1x1 block -sin^2(theta)
-            assert abs(lams[0] - (-math.sin(theta) ** 2)) < 1e-10
-
     def test_matches_full_spectrum(self):
         curves = eigencurves(
             catalog.i33_inequality(),

@@ -5,7 +5,7 @@ import pytest
 
 from bellbounds import catalog
 from bellbounds.errors import BasisError, InputError
-from bellbounds.qops import BELL_BASIS, bell_operator, to_bell_basis
+from bellbounds.qops import BELL_BASIS, bell_operator
 from bellbounds.spectra import quantum_bound
 from bellbounds.states import (
     PureState,
@@ -78,15 +78,6 @@ class TestEntanglement:
             U2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             rotated = PureState(np.kron(U1, U2) @ psi.amplitudes)
             assert abs(entanglement(rotated) - entanglement(psi)) < 1e-10
-
-    def test_two_setting_argmax_maximally_entangled(self):
-        rng = np.random.default_rng(23)
-        ch = catalog.ch_structure()
-        for _ in range(50):
-            angles = dict(zip((1, 2, 3, 4), rng.uniform(0, 2 * math.pi, 4)))
-            O = bell_operator(catalog.ch_inequality(), angles, ch)
-            qb = quantum_bound(O)
-            assert abs(entanglement(PureState(qb.argmax_state)) - 1.0) < 1e-9
 
 
 class TestMaxViolationFamily:
@@ -165,18 +156,6 @@ class TestPsiMax:
 
     def test_maximally_entangled(self):
         assert abs(entanglement(psi_max_33().to_computational()) - 1.0) < 1e-12
-
-
-class TestThreeSettingEntanglementProfile:
-    def test_not_always_maximal(self):
-        s = catalog.i33_structure()
-        ineq = catalog.i33_inequality()
-        ents = []
-        for t in np.linspace(0.1, math.pi - 0.1, 40):
-            O = bell_operator(ineq, catalog.symmetric_angles_33(t), s)
-            qb = quantum_bound(O)
-            ents.append(entanglement(PureState(qb.argmax_state)))
-        assert min(ents) < 1.0 - 1e-3
 
 
 class TestBasisConversion:
