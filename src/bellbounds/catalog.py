@@ -1,4 +1,4 @@
-"""Ready-made event structures and inequalities used throughout the package.
+"""The two layouts of the paper: their event structures and inequalities.
 
 Index convention: left-side events come first, so the two-setting case labels
 the left settings 1, 2 and the right settings 3, 4; the three-setting case
@@ -10,16 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polytope import EventStructure, Inequality
-
-
-def single_setting_structure() -> EventStructure:
-    """One measurement direction per side: events 1 | 2, joint (1,2)."""
-    return EventStructure(n_single=2, sides=((1,), (2,)), joints=((1, 2),))
-
-
-def trivial_facet() -> Inequality:
-    """p1 + p2 - p12 <= 1 on the single-setting structure."""
-    return Inequality({1: Fraction(1), 2: Fraction(1), (1, 2): Fraction(-1)}, upper=Fraction(1))
 
 
 def ch_structure() -> EventStructure:
@@ -37,7 +27,7 @@ def ch_inequality() -> Inequality:
     This is the classically valid variant subtracting the singles of the two
     settings that appear in three joints each.  The variant subtracting p1 and
     p4 instead (as sometimes printed) is not satisfied by all truth-table
-    vertices; see ``ch_inequality_printed_variant``.
+    vertices; the tests check it as ``reference.ch_inequality_printed_variant``.
     """
     return Inequality(
         {
@@ -51,42 +41,6 @@ def ch_inequality() -> Inequality:
         lower=Fraction(-1),
         upper=Fraction(0),
     )
-
-
-def ch_inequality_printed_variant() -> Inequality:
-    """The -p1 - p4 variant; classically invalid (witness vertex (0,1,1,0))."""
-    return Inequality(
-        {
-            (1, 3): Fraction(1),
-            (1, 4): Fraction(1),
-            (2, 3): Fraction(1),
-            (2, 4): Fraction(-1),
-            1: Fraction(-1),
-            4: Fraction(-1),
-        },
-        lower=Fraction(-1),
-        upper=Fraction(0),
-    )
-
-
-def ch_family() -> list[Inequality]:
-    """The eight CH-type facets: four relabelings, each with both bounds.
-
-    For each choice of the negatively-weighted joint (x, y), the facet
-    subtracts the singles of the *other* left and right settings.  Upper- and
-    lower-bound sides are returned as separate one-sided inequalities, which
-    matches how the hull reports them.
-    """
-    facets = []
-    for x, xo in ((1, 2), (2, 1)):
-        for y, yo in ((3, 4), (4, 3)):
-            coeffs = {k: Fraction(1) for k in ((1, 3), (1, 4), (2, 3), (2, 4))}
-            coeffs[(x, y)] = Fraction(-1)
-            coeffs[xo] = Fraction(-1)
-            coeffs[yo] = Fraction(-1)
-            facets.append(Inequality(dict(coeffs), upper=Fraction(0)))
-            facets.append(Inequality(dict(coeffs), lower=Fraction(-1)))
-    return facets
 
 
 def i33_structure() -> EventStructure:
@@ -117,13 +71,3 @@ def i33_inequality() -> Inequality:
         },
         upper=Fraction(0),
     )
-
-
-def symmetric_angles_33(theta: float) -> dict[int, float]:
-    """Angle assignment (0, theta, 2*theta) on both sides for i33."""
-    return {1: 0.0, 2: theta, 3: 2 * theta, 4: 0.0, 5: theta, 6: 2 * theta}
-
-
-def sweep_schedule_22(theta: float) -> dict[int, float]:
-    """CH sweep angles alpha=0, beta=2*theta, gamma=theta, delta=3*theta."""
-    return {1: 0.0, 2: 2 * theta, 3: theta, 4: 3 * theta}

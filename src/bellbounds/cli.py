@@ -1,12 +1,14 @@
 """Command-line front end: every computation as a reproducible batch command.
 
 Exit codes: 0 success, 2 invalid input or a failed write (a full disk, a
-closed stdout, a broken pipe), 3 resource budget exceeded, 4 numeric failure.
+closed stdout, a broken pipe), 3 resource budget exceeded, 4 numeric failure,
+128 + the signal's number when SIGINT (130) or SIGTERM (143) interrupts it.
 ``main`` checks ``--out`` and the sweep's manifest before the work, every
-write goes through its one writer, and a run that fails removes each regular
-file it created or opened for writing.  Numeric output is locale-independent
-with 12 significant digits.  The sweep command writes a manifest sidecar
-holding everything needed to reproduce the output byte-for-byte.
+write goes through its one writer, and a run that fails or is interrupted
+removes each regular file it created or opened for writing.  Numeric output
+is locale-independent with 12 significant digits.  The sweep command writes
+a manifest sidecar holding everything needed to reproduce the output
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import sys
+import threading
 from typing import Callable
 
 import numpy as np
@@ -450,14 +454,31 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     manifest = args.out + _MANIFEST if args.command == "sweep" else None
+
+    def terminate(signum, frame):  # SIGTERM takes SIGINT's path, with its number
+        raise KeyboardInterrupt(signum)
+
+    # only the main thread may set a handler; the one before is put back
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, terminate) if on_main else None
     try:
         with _outputs(getattr(args, "out", None), manifest) as write:
             return args.func(args, write)
     except tuple(_REFUSALS) as exc:
         prefix, code = next(v for cls, v in _REFUSALS.items() if isinstance(exc, cls))
-        if sys.stderr is not None:  # None when started with fd 2 closed
-            print(f"{prefix}: {exc}", file=sys.stderr)
+        _report(f"{prefix}: {exc}")
         return code
+    except KeyboardInterrupt as exc:
+        _report("interrupted")
+        return 128 + (exc.args[0] if exc.args else signal.SIGINT)
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _report(line: str) -> None:
+    if sys.stderr is not None:  # None when started with fd 2 closed
+        print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -156,10 +156,6 @@ class Inequality:
             if k not in valid:
                 raise InputError(f"term key {k!r} not present in structure")
 
-    def evaluate(self, vertex: Vertex, structure: EventStructure) -> Fraction:
-        vec, _, _, den = _integer_form(self, structure)
-        return Fraction(_values(vec, [vertex])[0], den)
-
     def to_json(self) -> dict:
         return {
             "coeffs": {_key_str(k): _frac_json(c) for k, c in self.coeffs.items()},

@@ -5,11 +5,9 @@ radians, so every projector is a real symmetric matrix.  Kronecker products
 and weighted sums of exactly symmetric real matrices are exactly symmetric,
 so the operator build needs no symmetrisation step.  The Bell-basis change
 is one fixed gather of signed halves, which keeps an exactly Hermitian
-matrix exactly Hermitian and calls no BLAS kernel.  Only a density matrix,
-which floating point leaves slightly off Hermitian, is symmetrised,
-(M + M^dag)/2.
-Matrices that enter from outside (operator files, density matrices, a
-caller's array) are checked, never repaired: non-finite entries or a norm
+matrix exactly Hermitian and calls no BLAS kernel.
+Matrices that enter from outside (operator files, a caller's array) are
+checked, never repaired: non-finite entries or a norm
 beyond the float range are a NumericError, a matrix that is not Hermitian
 to 1e-12 * max(1, ||M||) an InputError.
 """
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,8 +39,6 @@ BELL_BASIS = np.array(
     ],
     dtype=np.complex128,
 )
-
-Side = Literal["left", "right"]
 
 #: Largest matrix dimension that the eigensolver and the operator reader take
 MAX_EIG_DIM = 16
@@ -134,32 +130,6 @@ def _read_complex(pair) -> complex:
     return complex(re, im)
 
 
-def sigma(theta: float) -> np.ndarray:
-    """Spin observable along the x-z direction theta: eigenvalues -1 and +1."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=np.complex128)
-
-
-def projector(theta: float) -> np.ndarray:
-    """Rank-1 spin-up projector (1 + sigma(theta)) / 2."""
-    return (np.eye(2) + sigma(theta)) / 2.0
-
-
-def single_site(theta: float, side: Side) -> np.ndarray:
-    """Single-particle measurement on the given side, identity on the other."""
-    if side == "left":
-        return np.kron(projector(theta), np.eye(2))
-    if side == "right":
-        return np.kron(np.eye(2), projector(theta))
-    raise InputError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def joint(theta_left: float, theta_right: float) -> np.ndarray:
-    """Joint spin-up measurement: projector on the left times projector on
-    the right."""
-    return np.kron(projector(theta_left), projector(theta_right))
-
-
 @dataclass
 class BellOperator:
     """Hermitian operator obtained from an inequality and an angle map.
@@ -227,29 +197,9 @@ class BellOperator:
             raise InputError(f"bad operator JSON: {exc}") from exc
 
 
-@dataclass
-class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace state (possibly mixed)."""
-
-    matrix: np.ndarray
-    basis: str = COMPUTATIONAL
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=np.complex128)
-        _check_hermitian(M)
-        self.matrix = (M + M.conj().T) / 2.0
-        if abs(np.trace(self.matrix).real - 1.0) > 1e-12:
-            raise InputError("density matrix trace differs from 1")
-        if float(np.min(np.linalg.eigvalsh(self.matrix))) < -1e-12:
-            raise InputError("density matrix has a negative eigenvalue")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _sigma_stack(theta: np.ndarray) -> np.ndarray:
-    """(G, 2, 2) stack of :func:`sigma` over the angles theta."""
+    """(G, 2, 2) stack of the spin observables
+    [[cos theta, sin theta], [sin theta, -cos theta]] over the angles theta."""
     c, s = np.cos(theta), np.sin(theta)
     out = np.empty(theta.shape + (2, 2), dtype=np.complex128)
     out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c, s, s, -c
@@ -280,9 +230,10 @@ def bell_operators(
     a block holds its (terms, block, 4, 4) products and its
     (terms, 2, block, 2, 2) factors: 384 bytes per term and point, at most
     48 KiB per term.  Each
-    entry goes through the elementwise operations of :func:`projector`,
-    :func:`single_site` and :func:`joint` and of the weighted sum, in their
-    order, so every matrix is bit for bit the sum of those per-point
+    entry goes through the elementwise operations of the per-point
+    derivation, the projector (1 + sigma)/2, its Kronecker product with the
+    identity or with the other side's projector, and the weighted sum, in
+    their order, so every matrix is bit for bit the sum of those per-point
     operators, and exactly Hermitian.  A sum that overflows the float range
     raises NumericError.
     """
@@ -347,39 +298,6 @@ def bell_operator(
     return BellOperator(
         matrix=O[0], basis=COMPUTATIONAL, source=ineq, angles=dict(angles)
     )
-
-
-def chsh_operator(
-    alpha: float, beta: float, gamma: float, delta: float
-) -> BellOperator:
-    """Correlation-form operator
-    sigma(alpha) x sigma(gamma) + sigma(beta) x sigma(gamma)
-    + sigma(beta) x sigma(delta) - sigma(alpha) x sigma(delta)."""
-    O = (
-        np.kron(sigma(alpha), sigma(gamma))
-        + np.kron(sigma(beta), sigma(gamma))
-        + np.kron(sigma(beta), sigma(delta))
-        - np.kron(sigma(alpha), sigma(delta))
-    )
-    return BellOperator(
-        matrix=O,
-        basis=COMPUTATIONAL,
-        angles={1: alpha, 2: beta, 3: gamma, 4: delta},
-    )
-
-
-def expectation(W: DensityMatrix, O: BellOperator) -> float:
-    """Tr[W O]; real for Hermitian arguments, checked to 1e-12."""
-    if W.dim != O.dim:
-        raise InputError("dimension mismatch between state and operator")
-    if W.basis != O.basis:
-        raise BasisError(
-            f"state basis {W.basis!r} does not match operator basis {O.basis!r}"
-        )
-    val = complex(np.trace(W.matrix @ O.matrix))
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise NumericError(f"expectation has imaginary part {val.imag}")
-    return val.real
 
 
 def _bell_gather() -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Random density matrices and Monte Carlo sweeps of quantum bounds.
+"""Monte Carlo sweeps of quantum bounds over random density matrices.
 
 States come from a 16-parameter construction: a Hermitian matrix B built
 from the parameters is squared and trace-normalized, which is positive
@@ -39,28 +39,18 @@ from __future__ import annotations
 
 import collections
 import csv
-import math
 import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Optional, TextIO
 
 import numpy as np
 
 from . import kernels
 from .errors import BudgetError, InputError
 from .polytope import EventStructure, Inequality, classical_range
-from .qops import (
-    BellOperator,
-    DensityMatrix,
-    _bell_basis,
-    _check_norm,
-    _components,
-    _in_units,
-    _unit,
-    bell_operators,
-)
+from .qops import _bell_basis, _check_norm, _in_units, bell_operators
 from .spectra import _o33_blocks, _solve, o33_block_eigenvalues, stacked_eigenvalues
 
 #: Budgets on the sizes a sweep's caller controls: grid points, samples per
@@ -68,26 +58,9 @@ from .spectra import _o33_blocks, _solve, o33_block_eigenvalues, stacked_eigenva
 MAX_GRID_POINTS = 100_001
 MAX_SAMPLES = 10**6
 MAX_SWEEP_SAMPLES = 10**9
-#: Steps of the power iteration in :func:`pure_state_polish`.
-_POLISH_STEPS = 20000
 #: Rows of a thread's sample buffer, drawn and passed to the kernel as one
 #: block: 4 MiB, and so is each temporary the kernel makes.
 _KERNEL_ROWS = 1 << 15
-
-
-@dataclass
-class DensityParams:
-    """The 16 real parameters of one random density matrix."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64).reshape(-1)
-        if b.shape != (16,):
-            raise InputError("need exactly 16 parameters")
-        if not np.any(b):
-            raise InputError("all-zero parameters give no normalizable state")
-        self.b = b
 
 
 @dataclass
@@ -102,15 +75,6 @@ class SweepResult:
     seed: int
 
 
-def density_from_params(p: DensityParams) -> DensityMatrix:
-    """W' = B^2 / Tr[B^2] for the Hermitian root matrix B built from p."""
-    B = kernels.assemble_root_matrices(p.b.reshape(1, 16))[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # DensityMatrix rejects non-finite W
-        W = B @ B
-        W = W / np.trace(W).real
-    return DensityMatrix(W)
-
-
 def _rng(seed: int, *extra: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *extra])))
 
@@ -120,47 +84,6 @@ def sample_params(n: int, seed: int, *key_extra: int) -> np.ndarray:
     if n < 1:
         raise InputError("need n >= 1 samples")
     return _rng(seed, *key_extra).standard_normal((n, 16))
-
-
-def sample_states(n: int, seed: int) -> Iterator[DensityMatrix]:
-    """Stream of n random density matrices, deterministic given (n, seed)."""
-    for row in sample_params(n, seed):
-        yield density_from_params(DensityParams(row))
-
-
-def pure_state_polish(O: BellOperator, W: DensityMatrix) -> tuple[float, np.ndarray]:
-    """Gradient-free ascent from a sampled state to the top of the spectrum.
-
-    Extracts the dominant pure component of W, then runs shifted power
-    iteration on the operator; every step is monotone in the Rayleigh
-    quotient, so the result closes the gap between sampled and analytic
-    bounds.  Independent of the eigensolver route.  It runs on the operator
-    in its units (:func:`qops._unit`), shift and stopping rule included, so
-    the value scales exactly with the operator.
-    """
-    unit = _unit(float(_components(O.matrix).max()))
-    M = _in_units(O.matrix, unit)
-    # dominant eigenvector of W by plain power iteration
-    psi = np.full(4, 0.5, dtype=np.complex128)
-    for _ in range(100):
-        psi = W.matrix @ psi
-        nrm = np.linalg.norm(psi)
-        if nrm < 1e-300:
-            psi = np.full(4, 0.5, dtype=np.complex128)
-            break
-        psi = psi / nrm
-    shift = 1.0 + float(np.max(np.sum(np.abs(M), axis=1)))
-    shifted = M + shift * np.eye(4)
-    prev = float(np.real(psi.conj() @ M @ psi))
-    for _ in range(_POLISH_STEPS):
-        psi = shifted @ psi
-        psi = psi / np.linalg.norm(psi)
-        val = float(np.real(psi.conj() @ M @ psi))
-        if abs(val - prev) < 1e-15 * max(1.0, abs(val)):
-            prev = val
-            break
-        prev = val
-    return unit * prev, psi
 
 
 def sweep(

@@ -1,11 +1,10 @@
-"""Spectra of Bell operators and the closed-form eigenvalue cross-checks.
+"""Spectra of Bell operators and the closed-form eigenvalue cross-check.
 
 The numeric route is the LAPACK Hermitian eigensolver behind
 :func:`bellbounds.kernels.eigh`, and for the 3x3 Bell-basis blocks of the
 three-setting operator the stacked tridiagonal solve of
-:func:`o33_block_eigenvalues`; the independent routes are the radical form
-for the two-setting operator and the trigonometric (Cardano) form for the
-3x3 block.  The operator norm of a self-adjoint operator is its largest
+:func:`o33_block_eigenvalues`; the independent route is the trigonometric
+(Cardano) form for the 3x3 block.  The operator norm of a self-adjoint operator is its largest
 absolute eigenvalue, which is what bounds quantum violations.
 
 Every tolerance on a matrix is relative to its unit (:func:`qops._unit`), so
@@ -177,23 +176,6 @@ def quantum_bound(O: BellOperator) -> QuantumBound:
         argmax_state=spec.eigenvectors[:, top.start],
         degenerate=len(top) > 1,
     )
-
-
-def o22_closed_form(
-    alpha: float, beta: float, gamma: float, delta: float
-) -> list[float]:
-    """Radical-form eigenvalues of the two-setting operator, sorted ascending.
-
-    The four values are (s1*sqrt(1 + s2*s) - 1)/2 over both sign choices,
-    with s = sin(alpha - beta) * sin(gamma - delta).
-    """
-    s = math.sin(alpha - beta) * math.sin(gamma - delta)
-    vals = [
-        (s1 * math.sqrt(max(0.0, 1.0 + s2 * s)) - 1.0) / 2.0
-        for s1 in (1.0, -1.0)
-        for s2 in (1.0, -1.0)
-    ]
-    return sorted(vals)
 
 
 def _o33_blocks(M: np.ndarray) -> tuple[float, np.ndarray]:

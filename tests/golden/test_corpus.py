@@ -4,9 +4,12 @@ The corpus and the script that rewrites it are ``corpus.json`` and
 ``regen.py`` beside this file.
 """
 
+import importlib
+import inspect
 import linecache
 import pathlib
 import sys
+import threading
 import types
 
 import pytest
@@ -64,18 +67,67 @@ def test_catalog_layouts_are_corpus_inputs(name):
 
 
 # the lines of cli.py that no entry can run in this process, by their source
-# text; test_cli.py's TestFailedWrite runs both in subprocesses
+# text; test_cli.py's TestFailedWrite and TestInterrupt run them in subprocesses
 UNREACHED = {
     # Python started with fd 1 closed, so sys.stdout is None
     "raise OSError(errno.EBADF, os.strerror(errno.EBADF))",
     # a write to the real stdout failed: /dev/full, a closed pipe
     "sys.stdout = None",
+    # SIGTERM's handler, and the end of a run that SIGINT or SIGTERM stops
+    "raise KeyboardInterrupt(signum)",
+    "except KeyboardInterrupt as exc:",
+    '_report("interrupted")',
+    "return 128 + (exc.args[0] if exc.args else signal.SIGINT)",
 }
 
 # the readers of the CLI's input files, every line of which an entry runs too
 READERS = [EventStructure.__post_init__, EventStructure.from_json, Inequality.__post_init__,
            Inequality.from_json, Inequality.check_keys, polytope._read_fraction,
            BellOperator.from_json, PureState.__post_init__, PureState.from_json]
+
+
+# the top-level functions and methods of the package that no entry calls,
+# each kept in src for a reason other than a command
+UNCALLED = {
+    # perfbench/tracer.py wraps these by name, and its traced smoke run
+    # fails without them
+    "polytope.hull_facets",
+    "sampling.sample_params",
+    "spectra.cardano_eigenvalues",
+    "spectra.o33_block_decompose",
+    # perfbench/workloads.py writes its input files from these layouts
+    "catalog.ch_structure",
+    "catalog.ch_inequality",
+    "catalog.i33_structure",
+    "catalog.i33_inequality",
+    # they write the formats that the input-file readers take
+    "polytope.EventStructure.to_json",
+    "states.PureState.to_json",
+    # the facet classes under the layout's symmetry group will use it
+    "polytope.Inequality.canonical_key",
+    # they run at import, to build module constants
+    "qops._bell_gather",
+    "kernels.assemble_root_matrices",
+}
+
+
+def package_functions():
+    """Each top-level function and method (property getters, class and
+    static methods included) defined in a module of the package, by name:
+    module, class if any, function.  Methods that a decorator generates,
+    such as a dataclass's __init__, have no source file and are left out."""
+    out = {}
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"bellbounds.{path.stem}")
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                out[f"{path.stem}.{name}"] = obj
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                        out[f"{path.stem}.{name}.{attr}"] = fn
+    return out
 
 
 def nested(code):
@@ -94,10 +146,12 @@ def test_entries_reach_every_line_of_cli(tmp_path, monkeypatch):
     codes = [*nested(module)][1:] + readers
     lines = {(c.co_filename, line) for c in codes for _, _, line in c.co_lines() if line}
     reader_ids = {id(c) for c in readers}
-    reached = set()
+    reached, called = set(), set()
 
     def trace(frame, event, arg):
         code = frame.f_code
+        if event == "call":
+            called.add(code)
         if code.co_filename != cli.__file__ and id(code) not in reader_ids:
             return None
         reached.add((code.co_filename, frame.f_lineno))
@@ -106,12 +160,18 @@ def test_entries_reach_every_line_of_cli(tmp_path, monkeypatch):
     for k, entry in enumerate(CORPUS["entries"]):
         (tmp_path / str(k)).mkdir()
         monkeypatch.chdir(tmp_path / str(k))
-        old = sys.gettrace()
+        old, old_threads = sys.gettrace(), threading.gettrace()
+        # the sweep's pool threads are traced too
         sys.settrace(trace)
+        threading.settrace(trace)
         try:
             regen.run(entry["argv"], CORPUS["inputs"])
         finally:
             sys.settrace(old)
+            threading.settrace(old_threads)
     unreached = sorted((linecache.getline(f, n).strip(), f, n) for f, n in lines - reached)
     # an allowed line that an entry now runs leaves the list
     assert [text for text, _, _ in unreached] == sorted(UNREACHED), unreached
+    # and so does an allowed function that an entry now calls
+    uncalled = sorted(name for name, fn in package_functions().items() if fn.__code__ not in called)
+    assert uncalled == sorted(UNCALLED)

@@ -10,27 +10,21 @@ import time
 
 import numpy as np
 
+import reference
 from bellbounds import catalog, kernels
 from bellbounds.polytope import enumerate_vertices, hull_facets, verify_facet
-from bellbounds.qops import bell_operator, chsh_operator
+from bellbounds.qops import bell_operator, to_bell_basis
 from bellbounds.sampling import (
     eigencurves,
-    pure_state_polish,
     sample_params,
-    sample_states,
     sweep,
     write_eigencurves_csv,
     write_sweep_csv,
 )
-from bellbounds.spectra import (
-    cardano_eigenvalues,
-    eigen,
-    o22_closed_form,
-    o33_block_decompose,
-    quantum_bound,
-)
-from bellbounds.states import PureState, entanglement, phase_aligned_distance, psi_max_33
-from bellbounds.qops import to_bell_basis
+from bellbounds.spectra import cardano_eigenvalues, eigen, o33_block_decompose, quantum_bound
+from bellbounds.states import PureState, entanglement
+from reference import chsh_operator, o22_closed_form, phase_aligned_distance, psi_max_33
+from reference import pure_state_polish, sample_states
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,7 +61,7 @@ def test_acceptance_2_tsirelson_bound(capsys):
     assert abs(quantum_bound(O).norm - 2 * SQRT2) < 1e-12
     O22 = bell_operator(
         catalog.ch_inequality(),
-        catalog.sweep_schedule_22(math.pi / 4),
+        reference.sweep_schedule_22(math.pi / 4),
         catalog.ch_structure(),
     )
     assert abs(quantum_bound(O22).lambda_max - (SQRT2 - 1) / 2) < 1e-12
@@ -77,7 +71,7 @@ def test_acceptance_2_tsirelson_bound(capsys):
 def test_acceptance_3_three_setting_landmark(capsys):
     O = bell_operator(
         catalog.i33_inequality(),
-        catalog.symmetric_angles_33(math.pi / 3),
+        reference.symmetric_angles_33(math.pi / 3),
         catalog.i33_structure(),
     )
     qb = quantum_bound(O)
@@ -93,8 +87,8 @@ def test_acceptance_3_three_setting_landmark(capsys):
 
 
 def test_acceptance_4_single_setting_no_violation(capsys):
-    single = catalog.single_setting_structure()
-    ineq = catalog.trivial_facet()
+    single = reference.single_setting_structure()
+    ineq = reference.trivial_facet()
     for theta in np.linspace(0.0, 2 * math.pi, 100):
         qb = quantum_bound(bell_operator(ineq, {1: 0.0, 2: theta}, single))
         assert abs(qb.lambda_max - 1.0) < 1e-12
@@ -111,7 +105,7 @@ def test_acceptance_5_hull_correctness(capsys):
     assert t_ch < 1.0
     assert len(facets) == 24
     keys = {f.canonical_key(ch) for f in facets}
-    assert {f.canonical_key(ch) for f in catalog.ch_family()} <= keys
+    assert {f.canonical_key(ch) for f in reference.ch_family()} <= keys
     for f in facets:
         check = verify_facet(f, vertices, ch)
         assert check.valid and check.is_facet
@@ -129,7 +123,7 @@ def test_acceptance_5_hull_correctness(capsys):
 def test_acceptance_6_sign_variant(capsys):
     ch = catalog.ch_structure()
     vertices = enumerate_vertices(ch)
-    bad = verify_facet(catalog.ch_inequality_printed_variant(), vertices, ch)
+    bad = verify_facet(reference.ch_inequality_printed_variant(), vertices, ch)
     assert not bad.valid
     assert bad.witness is not None
     good = verify_facet(catalog.ch_inequality(), vertices, ch)
@@ -141,7 +135,7 @@ def test_acceptance_6_sign_variant(capsys):
 def test_acceptance_7_sampling_soundness(capsys):
     O = bell_operator(
         catalog.ch_inequality(),
-        catalog.sweep_schedule_22(math.pi / 4),
+        reference.sweep_schedule_22(math.pi / 4),
         catalog.ch_structure(),
     )
     bound = quantum_bound(O).lambda_max
@@ -164,7 +158,7 @@ def test_acceptance_8_csv_curves(capsys):
     rows = sweep(
         catalog.ch_inequality(),
         catalog.ch_structure(),
-        catalog.sweep_schedule_22,
+        reference.sweep_schedule_22,
         grid,
         n_samples=0,
         seed=0,
@@ -180,7 +174,7 @@ def test_acceptance_8_csv_curves(capsys):
     curves = eigencurves(
         catalog.i33_inequality(),
         catalog.i33_structure(),
-        catalog.symmetric_angles_33,
+        reference.symmetric_angles_33,
         grid,
     )
     assert len(curves) == len(grid)
@@ -193,7 +187,7 @@ def test_acceptance_8_csv_curves(capsys):
         O = to_bell_basis(
             bell_operator(
                 catalog.i33_inequality(),
-                catalog.symmetric_angles_33(theta),
+                reference.symmetric_angles_33(theta),
                 catalog.i33_structure(),
             )
         )
@@ -215,7 +209,7 @@ def test_acceptance_9_entanglement_claims(capsys):
         qb = quantum_bound(
             bell_operator(
                 catalog.i33_inequality(),
-                catalog.symmetric_angles_33(theta),
+                reference.symmetric_angles_33(theta),
                 catalog.i33_structure(),
             )
         )

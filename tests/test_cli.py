@@ -1,18 +1,22 @@
+import concurrent.futures
 import contextlib
 import errno
 import json
 import math
 import os
 import pathlib
+import signal
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import reference
 from bellbounds import catalog, cli, polytope, sampling
 from bellbounds.cli import (
     main,
@@ -122,7 +126,7 @@ class TestParseAngles:
 class TestParseSchedule:
     def test_two_setting_standard(self):
         sched = parse_schedule("1=0,2=2t,3=t,4=3t")
-        want = catalog.sweep_schedule_22(0.7)
+        want = reference.sweep_schedule_22(0.7)
         got = sched(0.7)
         assert set(got) == set(want)
         for k in want:
@@ -348,12 +352,81 @@ class TestFailedWrite:
     @staticmethod
     def run_cli(args, **kwargs):
         """``python -m bellbounds.cli args`` in a new process, its stderr
-        captured unless ``kwargs`` closes it, and its stdout buffered, as it
-        is by default."""
-        argv = [sys.executable, "-m", "bellbounds.cli", *args]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+        captured unless ``kwargs`` closes it."""
+        argv, env = cli_command(args)
         return subprocess.run(argv, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **kwargs)
+
+
+def cli_command(args):
+    """The argv and environment of ``python -m bellbounds.cli args`` run from
+    this checkout, its stdout buffered, as it is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return [sys.executable, "-m", "bellbounds.cli", *args], env
+
+
+class TestInterrupt:
+    """SIGINT and SIGTERM end a long command within 2 s with exit 128 + the
+    signal's number and one stderr line, and leave no file that the run
+    created; an older --out keeps its bytes."""
+
+    LONG = {
+        # about 30 s of draws: 1001 points x 300 000 samples
+        "sweep": ("ch", ["--schedule", "1=0,2=2t,3=t,4=3t", "--grid", "0:pi:1001",
+                         "--samples", "300000"]),
+        # about 10 s of per-point builds and block splits: 100 001 points
+        "eigencurves": ("i33", ["--schedule", "1=0,2=t,3=2t,4=0,5=t,6=2t",
+                                "--grid", "0:pi:100001", "--eigencurves"]),
+    }
+
+    @pytest.mark.parametrize("old", [False, True], ids=["new", "old-out"])
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    @pytest.mark.parametrize("command", ["sweep", "eigencurves"])
+    def test_ends_cleanly(self, tmp_path, command, signum, old):
+        layout, args = self.LONG[command]
+        s, i, out = tmp_path / "structure.json", tmp_path / "ineq.json", tmp_path / "out.csv"
+        s.write_text(json.dumps(getattr(catalog, f"{layout}_structure")().to_json()))
+        i.write_text(json.dumps(getattr(catalog, f"{layout}_inequality")().to_json()))
+        if old:
+            out.write_text("old")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv, env = cli_command(["sweep", "--structure", str(s), "--ineq", str(i), *args, "--out", str(out)])
+        # SIGINT's default action, which Python turns into KeyboardInterrupt,
+        # even where this process was started with SIGINT ignored
+        with subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, text=True,
+                              preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)) as proc:
+            try:
+                # the manifest is reserved after --out, both before the work
+                deadline = time.monotonic() + 60
+                while not (tmp_path / "out.csv.manifest.json").exists():
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                # into the work: the sweep's draws on every thread, or the
+                # eigencurves' per-point loop
+                time.sleep(0.5)
+                assert proc.poll() is None
+                proc.send_signal(signum)
+                start = time.monotonic()
+                _, err = proc.communicate(timeout=30)
+                elapsed = time.monotonic() - start
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+        assert (proc.returncode, err) == (128 + signum, "interrupted\n")
+        assert elapsed < 2.0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_handler_put_back_and_set_on_the_main_thread_only(self, ch_files, capsys):
+        s, i = ch_files
+        argv = ["bound", "--structure", s, "--ineq", i, *TestEarlyOutputCheck.ANGLES]
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(argv) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+        # another thread may not set a handler, and main sets none there
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            assert pool.submit(main, argv).result() == 0
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestVertexBudget:
@@ -557,7 +630,7 @@ class TestBoundCommand:
         # c = 1 - 1e-10: lambda_max = 1 shares its cluster with c, whose
         # eigenvector |10> comes after |01> in that cluster's columns
         s, i = tmp_path / "s.json", tmp_path / "i.json"
-        s.write_text(json.dumps(catalog.single_setting_structure().to_json()))
+        s.write_text(json.dumps(reference.single_setting_structure().to_json()))
         i.write_text(json.dumps({"coeffs": {"1": "1", "2": "0.9999999999", "1,2": "-1.5"}}))
         assert main(["bound", "--structure", str(s), "--ineq", str(i), "--angles", "1=0,2=0"]) == 0
         out = capsys.readouterr().out

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from bellbounds import catalog, cli
 from bellbounds.cli import main, parse_angles
 from bellbounds.qops import bell_operator, to_bell_basis
@@ -46,7 +47,7 @@ ODD_NUMBERS = [
 ODD_VALUES = [[], [1], {}, None, "x"]
 # (structure, inequality, valid --angles, valid --schedule)
 LAYOUTS = [
-    (catalog.single_setting_structure(), catalog.trivial_facet(), "1=0,2=pi/4", "1=0,2=t"),
+    (reference.single_setting_structure(), reference.trivial_facet(), "1=0,2=pi/4", "1=0,2=t"),
     (
         catalog.ch_structure(),
         catalog.ch_inequality(),
@@ -257,7 +258,7 @@ def test_spectrum(workdir, doc, out):
 
 STATE_DOCS = [
     PureState(np.array([1, 0, 0, 1]) / np.sqrt(2)).to_json(),
-    PureState(np.array([0, 1, 1j, 0]) / np.sqrt(2)).to_bell().to_json(),
+    reference.to_bell(PureState(np.array([0, 1, 1j, 0]) / np.sqrt(2))).to_json(),
     PureState(np.array([0.6, 0, 0.8j, 0])).to_json(),
 ]
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from bellbounds import catalog, kernels, qops, sampling
 from bellbounds.errors import NumericError
-from bellbounds.qops import chsh_operator
+from reference import chsh_operator
 
 # the kernels take any array-like: each check runs on numpy arrays and on the
 # same data as nested Python lists
@@ -113,8 +114,8 @@ class TestSampledBoundIdentity:
     @pytest.mark.parametrize(
         "structure,ineq,schedule",
         [
-            (catalog.ch_structure(), catalog.ch_inequality(), catalog.sweep_schedule_22),
-            (catalog.i33_structure(), catalog.i33_inequality(), catalog.symmetric_angles_33),
+            (catalog.ch_structure(), catalog.ch_inequality(), reference.sweep_schedule_22),
+            (catalog.i33_structure(), catalog.i33_inequality(), reference.symmetric_angles_33),
         ],
         ids=["ch", "i33"],
     )

