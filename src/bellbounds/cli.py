@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid input or a failed write (a full disk, a
 closed stdout, a broken pipe), 3 resource budget exceeded, 4 numeric failure,
-128 + the signal's number when SIGINT (130) or SIGTERM (143) interrupts it.
+128 + the signal's number when SIGINT (130), SIGHUP (129), SIGQUIT (131) or
+SIGTERM (143) interrupts it.
 ``main`` checks ``--out`` and the sweep's manifest before the work, every
 write goes through its one writer, and a run that fails or is interrupted
 removes each regular file it created or opened for writing.  Numeric output
@@ -442,6 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The signals that end a command as SIGINT does, of those the platform has
+_STOPS = [getattr(signal, s) for s in ("SIGHUP", "SIGQUIT", "SIGTERM") if hasattr(signal, s)]
+
 #: Each refusal's error class, with its stderr prefix and exit code
 _REFUSALS = {
     InputError: ("error", 2),
@@ -455,12 +459,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     manifest = args.out + _MANIFEST if args.command == "sweep" else None
 
-    def terminate(signum, frame):  # SIGTERM takes SIGINT's path, with its number
+    def terminate(signum, frame):  # each of _STOPS takes SIGINT's path, with its number
         raise KeyboardInterrupt(signum)
 
-    # only the main thread may set a handler; the one before is put back
-    on_main = threading.current_thread() is threading.main_thread()
-    previous = signal.signal(signal.SIGTERM, terminate) if on_main else None
+    # only the main thread may set a handler, and each one before is put
+    # back; a signal the process ignores, as under nohup, stays ignored, and
+    # so does one whose handler was not set from Python
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        previous = {
+            s: h for s in _STOPS if (h := signal.getsignal(s)) not in (signal.SIG_IGN, None)
+        }
+    for signum in previous:
+        signal.signal(signum, terminate)
     try:
         with _outputs(getattr(args, "out", None), manifest) as write:
             return args.func(args, write)
@@ -472,8 +483,8 @@ def main(argv: list[str] | None = None) -> int:
         _report("interrupted")
         return 128 + (exc.args[0] if exc.args else signal.SIGINT)
     finally:
-        if on_main:
-            signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def _report(line: str) -> None:

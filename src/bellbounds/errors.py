@@ -1,6 +1,5 @@
-"""Exception hierarchy shared across the package.
-
-The CLI maps these onto exit codes: InputError -> 2, BudgetError -> 3,
+"""The package's four error classes: a common base and the three refusals,
+which the CLI maps onto exit codes: InputError -> 2, BudgetError -> 3,
 NumericError -> 4.
 """
 
@@ -11,10 +10,6 @@ class BellboundsError(Exception):
 
 class InputError(BellboundsError, ValueError):
     """Malformed or inconsistent user input (bad JSON, missing angles, ...)."""
-
-
-class BasisError(InputError):
-    """Operator/state basis tags do not match the requested operation."""
 
 
 class BudgetError(BellboundsError, RuntimeError):

@@ -599,13 +599,6 @@ def write_facets_json(forms: list[Form], structure: EventStructure, fh) -> None:
     fh.write(f'{{\n  "count": {len(forms)},\n  "facets": [{body}]\n}}\n')
 
 
-def _values(vec: list[int], vertices: list[Vertex]) -> list[int]:
-    """The integer form's values ``vec . v`` at the vertices."""
-    if any(len(v) != len(vec) for v in vertices):
-        raise InputError("vertex dimension does not match structure")
-    return [sum(map(operator.mul, vec, v)) for v in vertices]
-
-
 def classical_range(ineq: Inequality, structure: EventStructure) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of the linear form over the polytope's vertices.
 
@@ -669,7 +662,8 @@ def verify_facet(
     ranked, once per call.
     """
     vec, lo, up, _ = _integer_form(ineq, structure)
-    values = list(zip(vertices, _values(vec, vertices)))
+    # the integer form's value vec . v at each vertex
+    values = [(v, sum(map(operator.mul, vec, v))) for v in vertices]
     witness = None
     for v, val in values:
         if (lo is not None and val < lo) or (up is not None and val > up):

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BasisError, BudgetError, InputError, NumericError
+from .errors import BudgetError, InputError, NumericError
 from .polytope import EventStructure, Inequality
 
 COMPUTATIONAL = "computational"
@@ -46,8 +46,6 @@ MAX_EIG_DIM = 16
 
 def canonical_angle(theta: float) -> float:
     """Representative in [0, 2*pi); operators themselves are 2*pi-periodic."""
-    if not math.isfinite(theta):
-        raise InputError("angle must be finite")
     return theta % (2.0 * math.pi)
 
 
@@ -155,10 +153,9 @@ class BellOperator:
             "dim": self.dim,
             "basis": self.basis,
             "entries": _complex_pairs(self.matrix),
-            "angles": None
-            if self.angles is None
-            else {str(k): canonical_angle(v) for k, v in self.angles.items()},
-            "source": None if self.source is None else self.source.to_json(),
+            # only an operator built from settings is written: it has both
+            "angles": {str(k): canonical_angle(v) for k, v in self.angles.items()},
+            "source": self.source.to_json(),
         }
 
     @classmethod
@@ -245,9 +242,6 @@ def bell_operators(
     if unknown:
         raise InputError(f"angles given for events {unknown} the structure does not have")
     theta = [np.asarray(v, dtype=np.float64) for v in angles.values()]
-    shapes = {t.shape for t in theta}
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-        raise InputError("angles must give every event one angle per grid point")
     row = {e: r for r, e in enumerate(angles)}
     eye = len(row)  # the identity row
     pairs, weights = [], []  # (left row, right row) and weight of each term
@@ -265,12 +259,11 @@ def bell_operators(
             weights.append(float(coeff))
         except OverflowError as exc:
             raise InputError(f"coefficient of {key!r} is too large for a float") from exc
-    G = shapes.pop()[0] if shapes else 1
+    G = len(theta[0])  # every term has its angles, so theta holds at least one event
     P = np.empty((eye + 1, G, 2, 2), dtype=np.complex128)
-    if theta:
-        P[:eye] = _sigma_stack(np.concatenate(theta)).reshape(eye, G, 2, 2)
-        P[:eye] += _EYE2
-        P[:eye] /= 2.0
+    P[:eye] = _sigma_stack(np.concatenate(theta)).reshape(eye, G, 2, 2)
+    P[:eye] += _EYE2
+    P[:eye] /= 2.0
     P[eye] = _EYE2
     w = np.array(weights)[:, None, None, None]
     O = np.zeros((G, 4, 4), dtype=np.complex128)
@@ -344,11 +337,8 @@ def _bell_basis(M: np.ndarray) -> np.ndarray:
 
 
 def to_bell_basis(O: BellOperator) -> BellOperator:
-    """Conjugate into the Bell basis {phi+, psi+, psi-, phi-}."""
-    if O.basis == BELL:
-        raise BasisError("operator is already in the Bell basis")
-    if O.dim != 4:
-        raise InputError("Bell-basis conversion is defined for dim 4")
+    """Conjugate a computational-basis 4x4 operator into the Bell basis
+    {phi+, psi+, psi-, phi-}."""
     return BellOperator(
         matrix=_bell_basis(O.matrix), basis=BELL, source=O.source, angles=O.angles
     )

@@ -51,7 +51,7 @@ from . import kernels
 from .errors import BudgetError, InputError
 from .polytope import EventStructure, Inequality, classical_range
 from .qops import _bell_basis, _check_norm, _in_units, bell_operators
-from .spectra import _o33_blocks, _solve, o33_block_eigenvalues, stacked_eigenvalues
+from .spectra import _o33_blocks, _solve, o33_block_eigenvalues
 
 #: Budgets on the sizes a sweep's caller controls: grid points, samples per
 #: point, and samples over the whole grid.
@@ -102,7 +102,6 @@ def sweep(
     2^(n - size of the largest side) assignments (see
     :func:`bellbounds.polytope.classical_range`).
     """
-    _check_grid(theta_grid)
     if n_samples > MAX_SAMPLES:
         raise BudgetError(f"{n_samples} samples per point above limit {MAX_SAMPLES}")
     if len(theta_grid) * n_samples > MAX_SWEEP_SAMPLES:
@@ -133,22 +132,13 @@ def sweep(
     return results
 
 
-def _check_grid(theta_grid: list[float]) -> None:
-    if not theta_grid:
-        raise InputError("empty parameter grid")
-    if len(theta_grid) > MAX_GRID_POINTS:
-        raise BudgetError(f"{len(theta_grid)} grid points above limit {MAX_GRID_POINTS}")
-
-
 def _grid_angles(angle_schedule: Callable, theta_grid: list[float]) -> dict[int, list[float]]:
     """Each event's angles over the grid, as :func:`bell_operators` takes
-    them.  Every point is scheduled before any operator is built, and the
-    schedule must name the same events at every point."""
+    them.  Every point is scheduled before any operator is built; a
+    schedule of :func:`bellbounds.cli.parse_schedule` names the same events
+    at every point."""
     schedules = [angle_schedule(theta) for theta in theta_grid]
-    events = schedules[0].keys()
-    if any(a.keys() != events for a in schedules):
-        raise InputError("the angle schedule must name the same events at every grid point")
-    return {e: [a[e] for a in schedules] for e in events}
+    return {e: [a[e] for a in schedules] for e in schedules[0]}
 
 
 def _usable_cpus() -> int:
@@ -247,7 +237,6 @@ def eigencurves(
     build or norm check that refuses raises at once; only a block split
     that fails turns the grid to the ascending route.
     """
-    _check_grid(theta_grid)
     angles = _grid_angles(angle_schedule, theta_grid)
     o1 = np.empty(len(theta_grid))
     o3 = np.empty((len(theta_grid), 3, 3))
@@ -257,7 +246,7 @@ def eigencurves(
         try:
             o1[g], o3[g] = _o33_blocks(_bell_basis(M))
         except InputError:  # the point does not split
-            eigenvalues = stacked_eigenvalues(bell_operators(ineq, angles, structure))
+            eigenvalues = _solve(bell_operators(ineq, angles, structure))[0]
             return [(float(t), w) for t, w in zip(theta_grid, eigenvalues.tolist())]
     roots = o33_block_eigenvalues(o3).tolist()
     return [(float(t), [a, *w]) for t, a, w in zip(theta_grid, o1.tolist(), roots)]
@@ -292,7 +281,5 @@ def write_sweep_csv(results: list[SweepResult], fh: TextIO) -> None:
 def write_eigencurves_csv(
     curves: list[tuple[float, list[float]]], fh: TextIO
 ) -> None:
-    if not curves:
-        raise InputError("no curve data")
     header = ["theta"] + [f"lambda{i + 1}" for i in range(len(curves[0][1]))]
     _write_csv(fh, header, ([theta, *lams] for theta, lams in curves))

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BudgetError, InputError, NumericError
+from .errors import InputError, NumericError
 from .qops import (
     BELL,
-    MAX_EIG_DIM,
     BellOperator,
     _check_hermitian,
     _complex_pairs,
@@ -138,24 +137,15 @@ def _canonical_vectors(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def eigen(H: np.ndarray) -> Spectrum:
-    """Full spectral decomposition of a Hermitian matrix (dim <= 16)."""
+    """Full spectral decomposition of a square Hermitian matrix, whose
+    dimension :meth:`BellOperator.from_json` bounds by MAX_EIG_DIM."""
     H = np.asarray(H, dtype=np.complex128)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise InputError("eigen expects a square matrix")
-    if H.shape[0] > MAX_EIG_DIM:
-        raise BudgetError(f"dimension {H.shape[0]} above limit {MAX_EIG_DIM}")
     unit, A = _check_hermitian(H)
     (w,), (V,), _ = _solve(H[None])
     V, degenerate = _canonical_vectors(w / unit, V)
     # the residual of the vectors returned, which may mix a degenerate cluster
     residual = unit * float(_residuals(A[None], V[None], (w / unit)[None])[0])
     return Spectrum(w, V, residual, degenerate)
-
-
-def stacked_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of every matrix in a (G, n, n) Hermitian stack,
-    with :func:`_solve`'s checks applied per matrix."""
-    return _solve(H)[0]
 
 
 def quantum_bound(O: BellOperator) -> QuantumBound:
@@ -181,9 +171,10 @@ def quantum_bound(O: BellOperator) -> QuantumBound:
 def _o33_blocks(M: np.ndarray) -> tuple[float, np.ndarray]:
     """The 1x1 and trailing 3x3 blocks of a 4x4 Bell-basis matrix.
 
-    Non-finite entries raise NumericError.  An entry off the two blocks, or
-    an imaginary part in the 3x3 block, above 1e-10 in the matrix's unit
-    raises InputError.
+    Non-finite entries raise NumericError, and an entry off the two blocks
+    above 1e-10 in the matrix's unit raises InputError.  The 3x3 block's
+    imaginary parts are dropped: an operator built from settings is real,
+    and the Bell-basis gather keeps its imaginary parts at exactly 0.
     """
     C = _components(M)  # column 2k holds |Re M[:, k]|, column 2k + 1 |Im M[:, k]|
     tol = 1e-10 * _unit(float(C.max()))
@@ -192,8 +183,6 @@ def _o33_blocks(M: np.ndarray) -> tuple[float, np.ndarray]:
         raise InputError(
             f"operator is not block-diagonal in the Bell basis (off-block {off})"
         )
-    if float(C[1:, 3::2].max()) > tol:
-        raise InputError("trailing block is not real symmetric")
     return float(M[0, 0].real), np.array(M[1:, 1:].real, dtype=np.float64)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, InputError
+from .errors import InputError
 from .qops import BELL, BELL_BASIS, COMPUTATIONAL, _complex_pairs, _read_complex
 
 
@@ -70,9 +70,8 @@ class SchmidtData:
 
 
 def schmidt(psi: PureState) -> SchmidtData:
-    """Schmidt decomposition via SVD of the 2x2 amplitude matrix."""
-    if psi.basis != COMPUTATIONAL:
-        raise BasisError("Schmidt decomposition expects the computational basis")
+    """Schmidt decomposition via SVD of the 2x2 amplitude matrix of a
+    computational-basis state."""
     M = psi.amplitudes.reshape(2, 2)
     U, s, Vh = np.linalg.svd(M)
     return SchmidtData(coefficients=s, left_basis=U, right_basis=Vh)

@@ -1,6 +1,6 @@
 """Rewrite the golden corpus, ``corpus.json`` beside this file.
 
-The corpus pins the bytes of 148 ``bellbounds`` commands, 98 of them
+The corpus pins the bytes of 149 ``bellbounds`` commands, 98 of them
 refusals.  Each entry holds a command's argv, its exit code, and the sha256
 of its stdout, its stderr and each file it writes.  Its ``inputs`` map holds the
 documents the commands read, named in argv by relative path: a JSON
@@ -12,12 +12,11 @@ The corpus is the one place an output's sha256 is pinned; the 3x4 facet
 list, which the CLI's dimension budget refuses, is the only exception.  It
 is also the one place a refusal is checked by its exit code, its message
 and the files it leaves: every refusal a test makes only through those
-is an entry here, and so is each refusal of the readers of the input
-files (``EventStructure``, ``Inequality``, ``BellOperator.from_json``,
-``PureState``): ``test_corpus.py`` traces the entries and fails on a line
-of ``cli.py`` or of those readers that no entry runs.  Every command's
-bytes are the same under each OpenBLAS kernel, so the corpus also holds
-with ``OPENBLAS_CORETYPE`` set.  Outputs
+is an entry here.  ``test_corpus.py`` traces the entries as they run and
+fails on a line of a package function that an entry calls but that no
+entry runs, unless the line is on its allowlist with a reason.  Every
+command's bytes are the same under each OpenBLAS kernel, so the corpus
+also holds with ``OPENBLAS_CORETYPE`` set.  Outputs
 that still round through a BLAS kernel at full precision are left out:
 the CH eigencurves on 1001 points, the sampled CH sweep on 1001 points,
 ``bound`` on angles where an eigenvalue is zero, whose printed rounding
@@ -141,6 +140,10 @@ def build_inputs() -> dict[str, dict | str]:
         # at the exit-4 entry's angles the entries are finite, the norm is not
         "huge_ineq.json": {"coeffs": {"1,3": "1.3e308", "2,4": "1.3e308"}},
         "singlet.json": {"basis": "computational", "amplitudes": SINGLET},
+        # 0.8 phi+ + 0.6 psi+: each computational amplitude is one product, so
+        # no rounding depends on the kernel; read as computational, it would
+        # be a product state
+        "bell_basis_state.json": {"basis": "bell", "amplitudes": [[0.8, 0], [0.6, 0], [0, 0], [0, 0]]},
         # two tridiagonal operators: LAPACK skips its BLAS updates on them
         "tridiagonal_op.json": _operator(
             [[1, 0.5j, 0, 0], [-0.5j, -0.25, 0.75, 0], [0, 0.75, 2, -0.5], [0, 0, -0.5, 0.125]]
@@ -298,6 +301,7 @@ def build_commands() -> list[tuple[str, list[str]]]:
           for op in ("tridiagonal", "degenerate", "dense")),
         ("spectrum-angles", ["spectrum", "--operator", "angles_op.json"]),
         ("state-singlet", ["state", "analyze", "--state", "singlet.json"]),
+        ("state-bell-basis", ["state", "analyze", "--state", "bell_basis_state.json"]),
     ]
 
     cmds += [

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from bellbounds import kernels
-from bellbounds.polytope import EventStructure, Inequality, Vertex, _integer_form, _values
+from bellbounds.polytope import EventStructure, Inequality, Vertex, _integer_form
 from bellbounds.qops import BELL, BELL_BASIS, COMPUTATIONAL, BellOperator, _components, _in_units, _unit
 from bellbounds.sampling import sample_params
 from bellbounds.states import PureState, SchmidtData
@@ -76,7 +76,7 @@ def sweep_schedule_22(theta: float) -> dict[int, float]:
 def evaluate(ineq: Inequality, vertex: Vertex, structure: EventStructure) -> Fraction:
     """The form of ``ineq`` at one vertex, exactly."""
     vec, _, _, den = _integer_form(ineq, structure)
-    return Fraction(_values(vec, [vertex])[0], den)
+    return Fraction(sum(c * x for c, x in zip(vec, vertex, strict=True)), den)
 
 
 def sigma(theta: float) -> np.ndarray:

@@ -366,9 +366,9 @@ def cli_command(args):
 
 
 class TestInterrupt:
-    """SIGINT and SIGTERM end a long command within 2 s with exit 128 + the
-    signal's number and one stderr line, and leave no file that the run
-    created; an older --out keeps its bytes."""
+    """SIGINT, SIGHUP, SIGQUIT and SIGTERM end a long command within 2 s
+    with exit 128 + the signal's number and one stderr line, and leave no
+    file that the run created; an older --out keeps its bytes."""
 
     LONG = {
         # about 30 s of draws: 1001 points x 300 000 samples
@@ -379,10 +379,14 @@ class TestInterrupt:
                                 "--grid", "0:pi:100001", "--eigencurves"]),
     }
 
+    # SIGHUP and SIGQUIT take SIGTERM's path, so one command checks them
+    RUNS = [("sweep", signum) for signum in ("SIGINT", "SIGTERM", "SIGHUP", "SIGQUIT")] + [
+        ("eigencurves", signum) for signum in ("SIGINT", "SIGTERM")]
+
     @pytest.mark.parametrize("old", [False, True], ids=["new", "old-out"])
-    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
-    @pytest.mark.parametrize("command", ["sweep", "eigencurves"])
-    def test_ends_cleanly(self, tmp_path, command, signum, old):
+    @pytest.mark.parametrize("command,name", RUNS, ids=[f"{c}-{n}" for c, n in RUNS])
+    def test_ends_cleanly(self, tmp_path, command, name, old):
+        signum = getattr(signal, name)
         layout, args = self.LONG[command]
         s, i, out = tmp_path / "structure.json", tmp_path / "ineq.json", tmp_path / "out.csv"
         s.write_text(json.dumps(getattr(catalog, f"{layout}_structure")().to_json()))
@@ -391,10 +395,11 @@ class TestInterrupt:
             out.write_text("old")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         argv, env = cli_command(["sweep", "--structure", str(s), "--ineq", str(i), *args, "--out", str(out)])
-        # SIGINT's default action, which Python turns into KeyboardInterrupt,
-        # even where this process was started with SIGINT ignored
+        # the signal's default action, even where this process was started
+        # with it ignored: Python then turns SIGINT into KeyboardInterrupt,
+        # and the command sets its handler for the others
         with subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, text=True,
-                              preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)) as proc:
+                              preexec_fn=lambda: signal.signal(signum, signal.SIG_DFL)) as proc:
             try:
                 # the manifest is reserved after --out, both before the work
                 deadline = time.monotonic() + 60
@@ -417,16 +422,33 @@ class TestInterrupt:
         assert elapsed < 2.0
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_handler_put_back_and_set_on_the_main_thread_only(self, ch_files, capsys):
+    def test_handler_put_back_and_set_on_the_main_thread_only(self, ch_files, capsys, monkeypatch):
         s, i = ch_files
         argv = ["bound", "--structure", s, "--ineq", i, *TestEarlyOutputCheck.ANGLES]
-        before = signal.getsignal(signal.SIGTERM)
-        assert main(argv) == 0
-        assert signal.getsignal(signal.SIGTERM) is before
-        # another thread may not set a handler, and main sets none there
-        with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            assert pool.submit(main, argv).result() == 0
-        assert signal.getsignal(signal.SIGTERM) is before
+        signums = [signal.SIGTERM, signal.SIGHUP, signal.SIGQUIT]
+        during = []
+        bound = cli._cmd_bound
+
+        def spy(args, write):
+            during.append([signal.getsignal(s) for s in signums])
+            return bound(args, write)
+
+        monkeypatch.setattr(cli, "_cmd_bound", spy)
+        # as under nohup, SIGHUP is ignored, and stays so
+        hup = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+        try:
+            before = [signal.getsignal(s) for s in signums]
+            assert main(argv) == 0
+            assert [signal.getsignal(s) for s in signums] == before
+            # another thread may not set a handler, and main sets none there
+            with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                assert pool.submit(main, argv).result() == 0
+            assert [signal.getsignal(s) for s in signums] == before
+        finally:
+            signal.signal(signal.SIGHUP, hup)
+        (term, ignored, quit_), on_thread = during
+        assert ignored is signal.SIG_IGN and on_thread == before
+        assert term is quit_ and term not in before and callable(term)
 
 
 class TestVertexBudget:

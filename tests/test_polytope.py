@@ -783,10 +783,6 @@ class TestVerifyFacet:
         check = verify_facet(Inequality({1: 1}, upper=2), ch_vertices, ch)
         assert check.valid and not check.is_facet
 
-    def test_rejects_vertices_of_another_length(self, ch, ch_vertices):
-        with pytest.raises(InputError, match="vertex dimension"):
-            verify_facet(catalog.ch_inequality(), [v[:-1] for v in ch_vertices], ch)
-
 
 class TestVerifyFacetLifted:
     """The oracle on the 3x4 layout (dimension 19, 128 vertices).

@@ -12,16 +12,16 @@ import pytest
 
 import reference
 from bellbounds import catalog, kernels, sampling
-from bellbounds.errors import BudgetError, InputError, NumericError
+from bellbounds.errors import InputError, NumericError
 from bellbounds.polytope import Inequality
 from bellbounds.qops import bell_operator, bell_operators, to_bell_basis
 from bellbounds.sampling import eigencurves, sample_params, sweep, write_eigencurves_csv, write_sweep_csv
 from bellbounds.spectra import (
+    _solve,
     cardano_eigenvalues,
     eigen,
     o33_block_decompose,
     quantum_bound,
-    stacked_eigenvalues,
 )
 
 
@@ -142,29 +142,6 @@ class TestSweep:
             seed=0,
         )
         assert r.sampled_min is None and r.sampled_max is None
-
-    def test_empty_grid(self):
-        with pytest.raises(InputError):
-            sweep(
-                catalog.ch_inequality(),
-                catalog.ch_structure(),
-                reference.sweep_schedule_22,
-                [],
-                n_samples=1,
-                seed=0,
-            )
-
-    def test_schedule_must_name_the_same_events(self):
-        # checked once, before any operator is built, by eigencurves too
-        def schedule(theta):
-            angles = reference.sweep_schedule_22(theta)
-            return angles if theta < 1.0 else {e: angles[e] for e in (1, 2, 3)}
-
-        args = (catalog.ch_inequality(), catalog.ch_structure(), schedule, [0.0, 2.0])
-        with pytest.raises(InputError, match="same events"):
-            sweep(*args, 0, 0)
-        with pytest.raises(InputError, match="same events"):
-            eigencurves(*args)
 
     def test_three_setting_peak(self):
         # 61-point symmetric grid over [0, pi] contains the peak at pi/3
@@ -598,7 +575,7 @@ class TestEigencurves:
         curves = eigencurves(ineq, structure, schedule, grid)
         ops = bell_operators(ineq, {e: [schedule(t)[e] for t in grid] for e in schedule(0.0)}, structure)
         assert [theta for theta, _ in curves] == grid
-        assert [lams for _, lams in curves] == stacked_eigenvalues(ops).tolist()
+        assert [lams for _, lams in curves] == _solve(ops)[0].tolist()
         assert all(lams == sorted(lams) for _, lams in curves)
 
     def test_refused_build_builds_one_point(self, monkeypatch):
@@ -616,21 +593,6 @@ class TestEigencurves:
         with pytest.raises(InputError, match="too large for a float"):
             eigencurves(ineq, catalog.i33_structure(), reference.symmetric_angles_33, grid)
         assert calls == [1]
-
-    @pytest.mark.parametrize(
-        "n,error", [(0, InputError), (sampling.MAX_GRID_POINTS + 1, BudgetError)]
-    )
-    @pytest.mark.parametrize(
-        "run",
-        [eigencurves, lambda *args: sweep(*args, n_samples=0, seed=0)],
-        ids=["eigencurves", "sweep"],
-    )
-    def test_grid_checked_before_any_schedule_call(self, run, n, error):
-        def schedule(theta):
-            raise AssertionError("the schedule was called")
-
-        with pytest.raises(error):
-            run(catalog.ch_inequality(), catalog.ch_structure(), schedule, [0.0] * n)
 
 
 class TestCsvOutput:
@@ -681,7 +643,3 @@ class TestCsvOutput:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "theta,lambda1,lambda2,lambda3,lambda4"
         assert len(lines) == 3
-
-    def test_eigencurves_empty(self):
-        with pytest.raises(InputError):
-            write_eigencurves_csv([], io.StringIO())

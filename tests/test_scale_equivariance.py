@@ -89,13 +89,13 @@ class TestScaleEquivariance:
     def test_eigencurves(self, layout, k, monkeypatch):
         structure, ineq, schedule, _ = LAYOUTS[layout]
         routes = []
-        stacked = sampling.stacked_eigenvalues
+        solve = sampling._solve
 
         def spy(H):
             routes.append("stacked")
-            return stacked(H)
+            return solve(H)
 
-        monkeypatch.setattr(sampling, "stacked_eigenvalues", spy)
+        monkeypatch.setattr(sampling, "_solve", spy)
         ref = eigencurves(ineq, structure, schedule, GRID)
         ref_routes = list(routes)
         got = eigencurves(scaled(ineq, k), structure, schedule, GRID)

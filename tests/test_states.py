@@ -5,7 +5,7 @@ import pytest
 
 import reference
 from bellbounds import catalog
-from bellbounds.errors import BasisError, InputError
+from bellbounds.errors import InputError
 from bellbounds.qops import BELL_BASIS, bell_operator
 from bellbounds.spectra import quantum_bound
 from bellbounds.states import PureState, entanglement, schmidt
@@ -46,10 +46,6 @@ class TestSchmidt:
             s = schmidt(random_pure(rng)).coefficients
             assert s[0] >= s[1] >= 0
             assert abs(float(np.sum(s**2)) - 1.0) < 1e-12
-
-    def test_rejects_bell_basis(self):
-        with pytest.raises(BasisError):
-            schmidt(psi_max_33())
 
     def test_rejects_unnormalized(self):
         with pytest.raises(InputError):
